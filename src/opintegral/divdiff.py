@@ -28,7 +28,7 @@ import numpy as np
 
 from .besov import DEFAULT_GRID_2D, bandlimit_check, lp_decompose
 from .functions import Function2D, UniformGrid
-from .toi import HaagerupRep, rep_norm_certificate
+from .toi import SLOTS, HaagerupRep, _double_norm, rep_norm_certificate
 
 
 @dataclass(frozen=True)
@@ -53,27 +53,19 @@ class DividedDifference:
 
     def __call__(self, u, v, w):
         """axis 1: arguments (x1, x2, y); axis 2: arguments (x, y1, y2)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if self.axis == 1:
-            x1, x2, y = np.broadcast_arrays(u, v, w)
-            tol = self._tol(x1, x2)
-            diff = x1 - x2
-            near = np.abs(diff) <= tol
-            safe = np.where(near, 1.0, diff)
-            vals = (self.source(x1, y) - self.source(x2, y)) / safe
-            if near.any():
-                vals = np.where(near, self._partial(0.5 * (x1 + x2), y), vals)
-            return vals
-        x, y1, y2 = np.broadcast_arrays(u, v, w)
-        tol = self._tol(y1, y2)
-        diff = y1 - y2
+        u, v, w = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (u, v, w)))
+        z1, z2, fixed = (u, v, w) if self.axis == 1 else (v, w, u)
+
+        def at(z):
+            return (z, fixed) if self.axis == 1 else (fixed, z)
+
+        tol = self._tol(z1, z2)
+        diff = z1 - z2
         near = np.abs(diff) <= tol
         safe = np.where(near, 1.0, diff)
-        vals = (self.source(x, y1) - self.source(x, y2)) / safe
+        vals = (self.source(*at(z1)) - self.source(*at(z2))) / safe
         if near.any():
-            vals = np.where(near, self._partial(x, 0.5 * (y1 + y2)), vals)
+            vals = np.where(near, self._partial(*at(0.5 * (z1 + z2))), vals)
         return vals
 
 
@@ -185,132 +177,58 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
 
     # measured operator norm of the sample matrix at probe points
     probes = np.linspace(-domain_radius, domain_radius, 5)
-    dn = _measured_double_norm(double, probes)
+    dn = _double_norm(double, probes, exact=True)
 
     slack = max(j_max - sigma * domain_radius / np.pi - 1.0, 0.5)
     tail = 3.0 * max(dn, 1e-300) * np.sqrt(2.0) / (np.pi * np.sqrt(slack))
 
-    if axis == 1:
-        rep = HaagerupRep(kind="first_kind", left=singles, mid=list(singles),
-                          double=double, shape=(len(singles), len(singles)),
-                          tail_bound=tail, meta={"sigma": sigma, "j_max": j_max})
-    else:
-        rep = HaagerupRep(kind="second_kind", double=double, mid=singles,
-                          right=list(singles), shape=(len(singles), len(singles)),
-                          tail_bound=tail, meta={"sigma": sigma, "j_max": j_max})
+    rep = _axis_rep(axis, singles, double, tail_bound=tail,
+                    meta={"sigma": sigma, "j_max": j_max})
     return SincRep(sigma=sigma, j_max=j_max, axis=axis, lattice=lattice, rep=rep,
                    delta_norm=dn, tail_bound=tail, domain_radius=float(domain_radius))
 
 
-def _measured_double_norm(double, probes: np.ndarray) -> float:
-    slices = np.asarray(double(probes), dtype=np.complex128)
-    return float(max(np.linalg.norm(slices[p], 2) for p in range(slices.shape[0])))
+def _axis_rep(axis: int, singles: list, double, **extra) -> HaagerupRep:
+    """Representation of an axis divided difference from its single-index
+    family (in both differenced variables) and its doubly-indexed family (in
+    the other variable): axis 1 is first kind, axis 2 second kind."""
+    kind = "first_kind" if axis == 1 else "second_kind"
+    lists = [None if i == SLOTS[kind] else list(singles) for i in range(3)]
+    return HaagerupRep(kind, *lists, double=double,
+                       shape=(len(singles), len(singles)), **extra)
 
 
 # ---------------------------------------------------------------------------
 # exact representations for polynomials
 
 
-def polynomial_dd_projective(phi: Function2D, axis: int) -> HaagerupRep:
-    """Exact projective representation of the divided difference of a polynomial.
-
-    Telescoping x1^j - x2^j = (x1 - x2) sum_l x1^l x2^(j-1-l) gives, for
-    axis 1, the finite sum over (l, m, k) of x1^l x2^m (a_{l+m+1,k} y^k).
-    """
-    if phi.kind != "polynomial":
-        raise ValueError("exact path expects a polynomial")
-    a = phi.data
-    left, mid, right = [], [], []
-
-    def power(p):
-        return lambda x, p=p: np.asarray(x, dtype=np.complex128) ** p
-
-    def poly_factor(coeffs):
-        c = np.asarray(coeffs, dtype=np.complex128)
-        return lambda x, c=c: np.polynomial.polynomial.polyval(np.asarray(x), c)
-
-    if axis == 1:
-        dj, dk = a.shape
-        for l in range(dj - 1):
-            for m in range(dj - 1 - l):
-                coeffs = a[l + m + 1, :]
-                if not np.any(coeffs):
-                    continue
-                left.append(power(l))
-                mid.append(power(m))
-                right.append(poly_factor(coeffs))
-    else:
-        dj, dk = a.shape
-        for l in range(dk - 1):
-            for m in range(dk - 1 - l):
-                coeffs = a[:, l + m + 1]
-                if not np.any(coeffs):
-                    continue
-                left.append(poly_factor(coeffs))
-                mid.append(power(l))
-                right.append(power(m))
-    if not left:
-        zero = lambda x: np.zeros(np.shape(x), dtype=np.complex128)
-        left, mid, right = [zero], [zero], [zero]
-    return HaagerupRep(kind="projective", left=left, mid=mid, right=right,
-                       meta={"exact": True, "axis": axis})
-
-
 def polynomial_dd_rep(phi: Function2D, axis: int) -> HaagerupRep:
     """Exact kind-structured representation of a polynomial divided difference.
 
-    axis 1 gives a first_kind representation with alpha_l = x1^l,
-    beta_m = x2^m and gamma_{lm}(y) = sum_k a_{l+m+1,k} y^k; axis 2 the
-    symmetric second_kind one.
+    Telescoping x1^j - x2^j = (x1 - x2) sum_l x1^l x2^(j-1-l) gives, for
+    axis 1, a first_kind representation with alpha_l = x1^l, beta_m = x2^m
+    and gamma_{lm}(y) = sum_k a_{l+m+1,k} y^k; axis 2 the symmetric
+    second_kind one.
     """
     if phi.kind != "polynomial":
         raise ValueError("exact path expects a polynomial")
-    a = phi.data
-
-    def power(p):
-        return lambda x, p=p: np.asarray(x, dtype=np.complex128) ** p
-
-    if axis == 1:
-        dj = a.shape[0]
-        n_idx = max(dj - 1, 1)
-        coeff_table = a[1:, :] if dj > 1 else np.zeros((1, a.shape[1]))
-
-        def double(points):
-            pts = np.asarray(points, dtype=float)
-            out = np.zeros((pts.size, n_idx, n_idx), dtype=np.complex128)
-            for l in range(n_idx):
-                for m in range(n_idx - l):
-                    c = coeff_table[l + m] if l + m < coeff_table.shape[0] else None
-                    if c is None or not np.any(c):
-                        continue
-                    out[:, l, m] = np.polynomial.polynomial.polyval(pts, c)
-            return out
-
-        singles = [power(p) for p in range(n_idx)]
-        return HaagerupRep(kind="first_kind", left=singles, mid=list(singles),
-                           double=double, shape=(n_idx, n_idx),
-                           meta={"exact": True, "axis": axis})
-    dk = a.shape[1]
-    n_idx = max(dk - 1, 1)
-    coeff_table = a[:, 1:] if dk > 1 else np.zeros((a.shape[0], 1))
+    # row l + m of table: coefficients of the fixed variable at power l + m + 1
+    # of the differenced one
+    table = (phi.data if axis == 1 else phi.data.T)[1:]
+    n_idx = max(len(table), 1)
 
     def double(points):
         pts = np.asarray(points, dtype=float)
         out = np.zeros((pts.size, n_idx, n_idx), dtype=np.complex128)
         for l in range(n_idx):
             for m in range(n_idx - l):
-                if l + m >= coeff_table.shape[1]:
-                    continue
-                c = coeff_table[:, l + m]
-                if not np.any(c):
-                    continue
-                out[:, l, m] = np.polynomial.polynomial.polyval(pts, c)
+                if l + m < len(table) and np.any(table[l + m]):
+                    out[:, l, m] = np.polynomial.polynomial.polyval(pts, table[l + m])
         return out
 
-    singles = [power(p) for p in range(n_idx)]
-    return HaagerupRep(kind="second_kind", double=double, mid=singles,
-                       right=list(singles), shape=(n_idx, n_idx),
-                       meta={"exact": True, "axis": axis})
+    singles = [lambda x, p=p: np.asarray(x, dtype=np.complex128) ** p
+               for p in range(n_idx)]
+    return _axis_rep(axis, singles, double, meta={"exact": True, "axis": axis})
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .functions import Function1D, Function2D, UniformGrid, parse_expr
+from .functions import Function1D, Function2D, UniformGrid
 from .models import Symbol
 
 
@@ -174,79 +174,6 @@ def _get_key(lines, key, path) -> str:
         if ln.startswith(key + " "):
             return ln[len(key) + 1:].strip()
     raise ValueError(f"{path}: missing '{key}' line")
-
-
-def read_representation(path):
-    """Structured-text representation files for triple-integral integrands.
-
-    Format: a "kind" line, then factor lines.  Single-index factor families
-    are "left <expr>", "mid <expr>", "right <expr>" lines (one per factor,
-    one-variable expressions in x); the doubly-indexed family is declared by
-    "double J K" followed by J*K lines "j k <expr>" (zero-based indices;
-    omitted entries are zero).  Example:
-
-        kind first_kind
-        left 1
-        left x
-        mid 1
-        mid x
-        double 2 2
-        0 0 y
-        0 1 2*y
-    """
-    from .toi import HaagerupRep
-
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("kind"):
-        raise ValueError(f"{path}: representation file must start with a 'kind' line")
-    kind = lines[0].split(None, 1)[1].strip()
-    factors = {"left": [], "mid": [], "right": []}
-    double_shape = None
-    double_exprs = {}
-    i = 1
-    while i < len(lines):
-        parts = lines[i].split(None, 1)
-        key = parts[0]
-        if key in factors:
-            factors[key].append(_expr_factor(parts[1]))
-            i += 1
-        elif key == "double":
-            j, k = parts[1].split()
-            double_shape = (int(j), int(k))
-            i += 1
-            while i < len(lines):
-                entry = lines[i].split(None, 2)
-                if len(entry) != 3 or not entry[0].lstrip("-").isdigit():
-                    break
-                double_exprs[(int(entry[0]), int(entry[1]))] = parse_expr(entry[2])
-                i += 1
-        else:
-            raise ValueError(f"{path}: unexpected line {lines[i]!r}")
-    double = None
-    if double_shape is not None:
-        jj, kk = double_shape
-        exprs = dict(double_exprs)
-
-        def double(points, jj=jj, kk=kk, exprs=exprs):
-            pts = np.asarray(points, dtype=float)
-            out = np.zeros((pts.size, jj, kk), dtype=np.complex128)
-            for (j, k), e in exprs.items():
-                out[:, j, k] = e.eval(pts, None)
-            return out
-
-    return HaagerupRep(kind=kind,
-                       left=factors["left"] or None,
-                       mid=factors["mid"] or None,
-                       right=factors["right"] or None,
-                       double=double,
-                       shape=double_shape or (len(factors["left"]),) * 2)
-
-
-def _expr_factor(text: str):
-    expr = parse_expr(text)
-    return lambda x, e=expr: np.asarray(e.eval(np.asarray(x, dtype=float), None),
-                                        dtype=np.complex128) + np.zeros(np.shape(x))
 
 
 def read_config(path) -> dict:

@@ -428,10 +428,6 @@ class Function1D:
             return Function1D.closed_form(self.data.conj())
         return Function1D.sampled(np.conj(self.data), self.grid)
 
-    def sup_abs(self, lo: float, hi: float, samples: int = 4096) -> float:
-        xs = np.linspace(lo, hi, samples)
-        return float(np.abs(self(xs)).max())
-
 
 # ---------------------------------------------------------------------------
 # two-variable functions

@@ -17,7 +17,6 @@ piecewise constant, so higher-order rules buy nothing).
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,15 +31,6 @@ from .spectral import decompose
 IMAG_RESIDUE_RTOL = 1e-10
 
 SHIFT_SYMBOL = Symbol.from_dict({1: 1.0})
-
-
-def thread_cap(default: int = 1) -> int:
-    """Parallelism cap from OPINTEGRAL_THREADS (experiments are cheap to
-    keep serial; the cap exists so batch runs can be throttled)."""
-    try:
-        return max(1, int(os.environ.get("OPINTEGRAL_THREADS", default)))
-    except ValueError:
-        return default
 
 
 @dataclass
@@ -108,16 +98,22 @@ def corner_trace(k: np.ndarray, m: int,
     return float(total.real), residue
 
 
+def _model_commutator(phi: Function2D, psi: Function2D, symbol: Symbol, n: int,
+                      decs=None) -> np.ndarray:
+    """K = i [phi(A_N, B_N), psi(A_N, B_N)] on the model pair of symbol at
+    size n; decs, when given, are the decompositions of that pair."""
+    if decs is None:
+        a, b = model_pair(symbol, n)
+        decs = (decompose(a), decompose(b))
+    f1 = funcalc(phi, *decs)
+    f2 = funcalc(psi, *decs)
+    return 1j * (f1 @ f2 - f2 @ f1)
+
+
 def lhs_corner_trace(cfg: TraceExperimentConfig, decs=None) -> float:
     """Corner trace of i [phi(A_N, B_N), psi(A_N, B_N)]."""
     m = cfg.corner()
-    if decs is None:
-        a, b = model_pair(cfg.symbol, cfg.n)
-        decs = (decompose(a), decompose(b))
-    da, db = decs
-    f = funcalc(cfg.phi, da, db)
-    g = funcalc(cfg.psi, da, db)
-    k = 1j * (f @ g - g @ f)
+    k = _model_commutator(cfg.phi, cfg.psi, cfg.symbol, cfg.n, decs)
     deg = cfg.symbol.degree
     poly_span = _combined_degree(cfg.phi, cfg.psi) * deg
     if poly_span and m >= cfg.n - poly_span:
@@ -151,19 +147,26 @@ def rhs_integral(phi: Function2D, psi: Function2D, g: PrincipalFunction,
     quadrature applied to |Jacobian| over the g-support region: the natural
     magnitude against which near-zero integrals should be judged.
     """
-    if box is None:
-        box = g.bounding_box()
+    jac, gvals, cell = _midpoint_jacobian(phi, psi, g, resolution,
+                                          g.bounding_box() if box is None else box)
+    weighted = np.real(jac) * gvals
+    integral = float(weighted.sum() * cell / (2.0 * np.pi))
+    scale = float((np.abs(jac) * (gvals != 0)).sum() * cell / (2.0 * np.pi))
+    return integral, scale
+
+
+def _midpoint_jacobian(phi: Function2D, psi: Function2D, g: PrincipalFunction,
+                       resolution: int, box):
+    """(Jacobian d(phi, psi)/d(x, y), g, cell area) at the midpoints of a
+    resolution x resolution tensor grid over box, both arrays in (x, y)
+    indexing."""
     xmin, xmax, ymin, ymax = box
     xs = xmin + (xmax - xmin) * (np.arange(resolution) + 0.5) / resolution
     ys = ymin + (ymax - ymin) * (np.arange(resolution) + 0.5) / resolution
     cell = (xmax - xmin) * (ymax - ymin) / resolution ** 2
     jac = (phi.partial(1).eval_grid(xs, ys) * psi.partial(2).eval_grid(xs, ys)
            - phi.partial(2).eval_grid(xs, ys) * psi.partial(1).eval_grid(xs, ys))
-    gvals = g.on_grid(xs, ys).T  # align to (x, y) indexing
-    weighted = np.real(jac) * gvals
-    integral = float(weighted.sum() * cell / (2.0 * np.pi))
-    scale = float((np.abs(jac) * (gvals != 0)).sum() * cell / (2.0 * np.pi))
-    return integral, scale
+    return jac, g.on_grid(xs, ys).T, cell
 
 
 def trace_formula_experiment(cfg: TraceExperimentConfig) -> TraceReport:
@@ -171,20 +174,12 @@ def trace_formula_experiment(cfg: TraceExperimentConfig) -> TraceReport:
     convergence table over (n, m) pairs."""
     g = cfg.principal()
     rhs, scale = rhs_integral(cfg.phi, cfg.psi, g, cfg.resolution)
-    a, b = model_pair(cfg.symbol, cfg.n)
-    da, db = decompose(a), decompose(b)
-    f1 = funcalc(cfg.phi, da, db)
-    f2 = funcalc(cfg.psi, da, db)
-    k = 1j * (f1 @ f2 - f2 @ f1)
+    k = _model_commutator(cfg.phi, cfg.psi, cfg.symbol, cfg.n)
     rtol = _residue_rtol(cfg.phi, cfg.psi)
     lhs, residue = corner_trace(k, cfg.corner(), rtol)
     table = []
     for n in cfg.n_table:
-        aa, bb = model_pair(cfg.symbol, n)
-        dn = (decompose(aa), decompose(bb))
-        g1 = funcalc(cfg.phi, *dn)
-        g2 = funcalc(cfg.psi, *dn)
-        kk = 1j * (g1 @ g2 - g2 @ g1)
+        kk = k if n == cfg.n else _model_commutator(cfg.phi, cfg.psi, cfg.symbol, n)
         for frac in cfg.m_fractions:
             m = max(1, int(n * frac))
             val, _ = corner_trace(kk, m, rtol)
@@ -211,14 +206,12 @@ def polynomial_suite(n: int = 128, m: int | None = None, resolution: int = 2048)
     suite = [("x,y", x, y, 0.5), ("x^2,y", x2, y, 0.0), ("x,y^2", x, y2, 0.0),
              ("x^2,y^2", x2, y2, 0.0), ("x^2,xy", x2, xy, 0.25)]
     a, b = model_pair(SHIFT_SYMBOL, n)
-    da, db = decompose(a), decompose(b)
+    decs = (decompose(a), decompose(b))
     g = principal_function(SHIFT_SYMBOL)
     mm = m if m is not None else n // 4
     out = []
     for name, phi, psi, exact in suite:
-        f1 = funcalc(phi, da, db)
-        f2 = funcalc(psi, da, db)
-        k = 1j * (f1 @ f2 - f2 @ f1)
+        k = _model_commutator(phi, psi, SHIFT_SYMBOL, n, decs)
         lhs, residue = corner_trace(k, mm)
         rhs, scale = rhs_integral(phi, psi, g, resolution)
         out.append({"pair": name, "lhs": lhs, "rhs": rhs, "exact": exact,
@@ -258,9 +251,8 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
         for fq in f_psi.values():
             val, _ = corner_trace(1j * (fp @ fq - fq @ fp), m, None)
             lhs_bands += val
-    fp_tot = funcalc(phi_s, da, db)
-    fq_tot = funcalc(psi_s, da, db)
-    lhs_total, _ = corner_trace(1j * (fp_tot @ fq_tot - fq_tot @ fp_tot), m, 1e-3)
+    k_tot = _model_commutator(phi_s, psi_s, cfg.symbol, cfg.n, (da, db))
+    lhs_total, _ = corner_trace(k_tot, m, 1e-3)
 
     rhs_total, _ = rhs_integral(phi_s, psi_s, g, cfg.resolution)
     rhs_bands = 0.0
@@ -274,27 +266,6 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
             "rhs_gap": abs(rhs_total - rhs_bands),
             "uncovered_phi": dec_phi.uncovered_mass,
             "uncovered_psi": dec_psi.uncovered_mass}
-
-
-def gaussian_pair_in_disk(radius: float = 1.0, width: float | None = None,
-                          offset: float = 0.1):
-    """Two offset Gaussian bumps whose mass outside the disk is below 1e-12.
-
-    Suitable test functions for components of the complement of a symbol
-    curve.  Note that for such pairs the plane integral of their Jacobian
-    vanishes identically, so both sides of the trace formula are zero
-    whenever the principal function is constant on the disk; the pair is
-    useful for verifying exactly that.
-    """
-    if width is None:
-        # exp(-r^2 / w^2) falls below 1e-12 of its peak at r = w sqrt(27.6)
-        width = (radius * (1.0 - offset * 3.5)) / np.sqrt(27.7)
-    c = offset * radius
-    phi = Function2D.closed_form(
-        f"exp(-((x - {c!r})**2 + y**2) / {float(width) ** 2!r})")
-    psi = Function2D.closed_form(
-        f"exp(-(x**2 + (y - {c!r})**2) / {float(width) ** 2!r})")
-    return phi, psi
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +307,11 @@ def winding_factor_experiment(symbol: Symbol, n_table=(128, 256, 512),
     phi, psi = plateau_coordinate_pair(curve_radius + 0.4, curve_radius + 1.6)
     box = g.bounding_box()
     rhs_true, _ = rhs_integral(phi, psi, g, resolution, box=box)
-    xs = box[0] + (box[1] - box[0]) * (np.arange(resolution) + 0.5) / resolution
-    ys = box[2] + (box[3] - box[2]) * (np.arange(resolution) + 0.5) / resolution
-    gvals = g.on_grid(xs, ys)
-    flat_vals = (gvals != 0).astype(np.int64)
-    cell = (box[1] - box[0]) * (box[3] - box[2]) / resolution ** 2
-    jac = np.real(phi.partial(1).eval_grid(xs, ys) * psi.partial(2).eval_grid(xs, ys)
-                  - phi.partial(2).eval_grid(xs, ys) * psi.partial(1).eval_grid(xs, ys))
-    rhs_flat = float((jac * flat_vals.T).sum() * cell / (2.0 * np.pi))
+    jac, gvals, cell = _midpoint_jacobian(phi, psi, g, resolution, box)
+    rhs_flat = float((np.real(jac) * (gvals != 0)).sum() * cell / (2.0 * np.pi))
     rows = []
     for n in n_table:
-        a, b = model_pair(symbol, n)
-        da, db = decompose(a), decompose(b)
-        f1 = funcalc(phi, da, db)
-        f2 = funcalc(psi, da, db)
-        k = 1j * (f1 @ f2 - f2 @ f1)
+        k = _model_commutator(phi, psi, symbol, n)
         lhs, _ = corner_trace(k, max(1, int(n * m_fraction)), 1e-3)
         rows.append({"n": n, "lhs": lhs, "ratio_flat": lhs / rhs_flat,
                      "err_true": abs(lhs - rhs_true)})

@@ -26,6 +26,7 @@ def _as_complex_matrix(m) -> np.ndarray:
 class HermitianOperator:
     """A self-adjoint matrix; rejects inputs that are not Hermitian.
 
+    Empty matrices and matrices with a NaN or infinite entry are rejected.
     The Hermitian check is relative: |H[i,j] - conj(H[j,i])| must not exceed
     HERMITIAN_RTOL times the largest entry magnitude.
     """
@@ -34,6 +35,12 @@ class HermitianOperator:
 
     def __post_init__(self):
         a = _as_complex_matrix(self.entries)
+        if a.size == 0:
+            raise ValueError("matrix is empty (0 x 0)")
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"matrix has a non-finite entry ({i},{j})={a[i, j]}")
         scale = max(float(np.abs(a).max()), 1e-300)
         dev = np.abs(a - a.conj().T)
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)

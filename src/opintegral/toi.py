@@ -6,13 +6,18 @@ measures of three Hermitian operators:
     W = sum_{i,j,k} Psi(lambda_i, mu_j, nu_k)  P_i T Q_j R S_k.
 
 Besides this direct spectral sum, Psi may be given by a structured
-representation: projective (sum of one-variable products), Haagerup
-(doubly-indexed middle factor), or the first/second-kind variants that move
-the doubly-indexed family to the last/first slot.  In finite dimensions
-every kind evaluates to the same operator; the kinds differ in which norm
-certificates they carry: the Haagerup kind bounds the operator norm of W by
-(representation norm) * ||T|| * ||R||, the first kind bounds ||W||_S1 with
-||T||_S1 * ||R||, and the second kind with ||T|| * ||R||_S1.
+representation in one factored form,
+
+    Psi(x_1, x_2, x_3) = sum_{j,k} u_j(x_p) D_jk(x_s) v_k(x_q)   (p < q),
+
+whose kinds differ only in the slot s of the variable the doubly-indexed
+factor depends on: x_1 for the second kind, x_2 for the Haagerup kind, x_3
+for the first kind.  A projective sum sum_n f_n(x_1) g_n(x_2) h_n(x_3) is
+the Haagerup case with diagonal D_nn = g_n.  In finite dimensions every kind
+evaluates to the same operator; the slot fixes the norm certificate: the
+Haagerup kind bounds ||W|| by (representation norm) * ||T|| * ||R||, the
+first kind bounds ||W||_S1 with ||T||_S1 * ||R||, and the second kind with
+||T|| * ||R||_S1.
 
 Sums run in fixed ascending index order with compensated (Kahan)
 accumulation, so results are reproducible bit-for-bit.
@@ -25,6 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import as_decomposition, schatten_norm
+
+#: kind -> zero-based slot of the variable its doubly-indexed factor depends on
+SLOTS = {"second_kind": 0, "haagerup": 1, "projective": 1, "first_kind": 2}
+
+#: slot -> Schatten exponents of (W, T, R) in the certified norm inequality
+_CERT_EXPONENTS = ((1, np.inf, 1), (np.inf, np.inf, np.inf), (1, 1, np.inf))
 
 
 def _eval_factor(f, points: np.ndarray) -> np.ndarray:
@@ -39,19 +50,34 @@ def _eval_factor_list(factors, points: np.ndarray) -> np.ndarray:
     return np.array([_eval_factor(f, points) for f in factors])
 
 
+def _diagonal(factors, weights):
+    """Doubly-indexed family with weights[n] * factors[n] on the diagonal."""
+    n = len(factors)
+
+    def build(points):
+        pts = np.asarray(points, dtype=float)
+        mat = _eval_factor_list(factors, pts) * np.asarray(weights)[:, None]
+        out = np.zeros((pts.size, n, n), dtype=np.complex128)
+        idx = np.arange(n)
+        out[:, idx, idx] = mat.T
+        return out
+    return build
+
+
 @dataclass
 class HaagerupRep:
     """A structured representation of a three-variable integrand.
 
+    The integrand is sum_jk u_j(x_p) D_jk(x_s) v_k(x_q).  The doubly-indexed
+    family D sits at the slot s = SLOTS[kind] (second_kind 0, haagerup 1,
+    first_kind 2, zero-based), and double(points) -> (npts, J, K) evaluates
+    it.  Of the single-index lists left (x1), mid (x2) and right (x3), the
+    one at slot s is unused; the other two are u (J factors, lower slot) and
+    v (K factors, higher slot).
+
     kind "projective": left/mid/right are equal-length factor lists and the
-    integrand is sum_n left_n(x1) mid_n(x2) right_n(x3).
-
-    kind "haagerup": left = {alpha_j}, right = {gamma_k}, double(points) ->
-    (npts, J, K) evaluates the middle family beta_jk.
-
-    kind "first_kind": left = {alpha_j}, mid = {beta_k}, double = gamma_jk
-    of the third variable.  kind "second_kind": double = alpha_jk of the
-    first variable, mid = {beta_j}, right = {gamma_k}.
+    integrand is sum_n left_n(x1) mid_n(x2) right_n(x3), the haagerup case
+    whose doubly-indexed family is the diagonal of mid.
 
     tail_bound documents the truncation error of the producer (zero for
     exact finite representations).
@@ -67,14 +93,33 @@ class HaagerupRep:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("projective", "haagerup", "first_kind", "second_kind"):
+        if self.kind not in SLOTS:
             raise ValueError(f"unknown representation kind {self.kind!r}")
         if self.kind == "projective":
             if not (self.left and self.mid and self.right) or not (
                     len(self.left) == len(self.mid) == len(self.right)):
                 raise ValueError("projective representation needs three equal-length factor lists")
+            n = len(self.mid)
+            self.double = _diagonal(self.mid, np.ones(n))
+            self.shape = (n, n)
         elif self.double is None:
             raise ValueError(f"{self.kind} representation needs a doubly-indexed factor")
+
+    @property
+    def slot(self) -> int:
+        return SLOTS[self.kind]
+
+    @property
+    def factors(self) -> tuple:
+        """The single-index lists (left, mid, right), indexed by slot."""
+        return self.left, self.mid, self.right
+
+    def _parts(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, D, v) on per-slot point sets: (J, n_p), (n_s, J, K), (K, n_q)."""
+        p, q = (i for i in range(3) if i != self.slot)
+        return (_eval_factor_list(self.factors[p], points[p]),
+                np.asarray(self.double(points[self.slot]), dtype=np.complex128),
+                _eval_factor_list(self.factors[q], points[q]))
 
     def evaluate(self, x1, x2, x3) -> np.ndarray:
         """Pointwise value of the represented integrand (broadcasting).
@@ -82,40 +127,23 @@ class HaagerupRep:
         Doubly-indexed factors are evaluated in chunks of points so that the
         (npts, J, K) slices stay within a fixed memory budget.
         """
-        x1, x2, x3 = np.broadcast_arrays(np.asarray(x1, dtype=float),
-                                         np.asarray(x2, dtype=float),
-                                         np.asarray(x3, dtype=float))
-        flat = [np.ravel(v) for v in (x1, x2, x3)]
-        if self.kind == "projective":
-            out = np.zeros(flat[0].shape, dtype=np.complex128)
-            comp = np.zeros_like(out)
-            for f, g, h in zip(self.left, self.mid, self.right):
-                term = _eval_factor(f, flat[0]) * _eval_factor(g, flat[1]) \
-                    * _eval_factor(h, flat[2])
-                out, comp = _kahan(out, comp, term)
-            return out.reshape(x1.shape)
+        xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (x1, x2, x3)))
+        flat = [np.ravel(x) for x in xs]
         npts = flat[0].size
-        jk = max(int(np.prod(self.shape)), 1)
-        chunk = max(1, (1 << 23) // jk)
+        chunk = max(1, (1 << 23) // max(int(np.prod(self.shape)), 1))
         vals = np.empty(npts, dtype=np.complex128)
         for start in range(0, npts, chunk):
-            sl = slice(start, min(start + chunk, npts))
-            if self.kind == "haagerup":
-                a = _eval_factor_list(self.left, flat[0][sl])
-                c = _eval_factor_list(self.right, flat[2][sl])
-                d = np.asarray(self.double(flat[1][sl]), dtype=np.complex128)
-                vals[sl] = np.einsum("jp,pjk,kp->p", a, d, c)
-            elif self.kind == "first_kind":
-                a = _eval_factor_list(self.left, flat[0][sl])
-                b = _eval_factor_list(self.mid, flat[1][sl])
-                d = np.asarray(self.double(flat[2][sl]), dtype=np.complex128)
-                vals[sl] = np.einsum("jp,kp,pjk->p", a, b, d)
-            else:
-                b = _eval_factor_list(self.mid, flat[1][sl])
-                c = _eval_factor_list(self.right, flat[2][sl])
-                d = np.asarray(self.double(flat[0][sl]), dtype=np.complex128)
-                vals[sl] = np.einsum("pjk,jp,kp->p", d, b, c)
-        return vals.reshape(x1.shape)
+            sl = slice(start, start + chunk)
+            u, d, v = self._parts([x[sl] for x in flat])
+            vals[sl] = np.einsum("jp,pjk,kp->p", u, d, v)
+        return vals.reshape(xs[0].shape)
+
+    def evaluate_grid(self, x1, x2, x3) -> np.ndarray:
+        """The integrand on the tensor grid of three 1-d point sets, shape
+        (n1, n2, n3): evaluate on the broadcast grid, one contraction per
+        slice of the doubly-indexed factor."""
+        u, d, v = self._parts([np.asarray(x, dtype=float) for x in (x1, x2, x3)])
+        return np.moveaxis(np.matmul(u.T, d) @ v, 0, self.slot)
 
 
 @dataclass(frozen=True)
@@ -177,32 +205,29 @@ def _double_norm(double, points: np.ndarray, exact: bool = False) -> float:
 
 
 def rep_norm_certificate(rep: HaagerupRep, s1, s2, s3) -> RepNormCertificate:
-    """Factor-norm product of rep on spectra (s1, s2, s3)."""
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    s3 = np.asarray(s3, dtype=float)
+    """Factor-norm product of rep on spectra (s1, s2, s3).
+
+    The slot of the doubly-indexed factor contributes the sup of its slice
+    operator norms, the other two slots the sup of their column l^2 norms.
+    A projective sum is certified by its l^1 sum of sup products instead.
+    """
+    spectra = [np.asarray(s, dtype=float) for s in (s1, s2, s3)]
     if rep.kind == "projective":
-        mats = [_eval_factor_list(rep.left, s1), _eval_factor_list(rep.mid, s2),
-                _eval_factor_list(rep.right, s3)]
-        sups = [np.abs(m).max(axis=1) for m in mats]
+        sups = [np.abs(_eval_factor_list(f, s)).max(axis=1)
+                for f, s in zip(rep.factors, spectra)]
         value = float(np.sum(sups[0] * sups[1] * sups[2]))
-        return RepNormCertificate("projective", value,
-                                  (float(sups[0].max()), float(sups[1].max()),
-                                   float(sups[2].max())))
-    if rep.kind == "haagerup":
-        norms = (_column_norm(rep.left, s1), _double_norm(rep.double, s2),
-                 _column_norm(rep.right, s3))
-    elif rep.kind == "first_kind":
-        norms = (_column_norm(rep.left, s1), _column_norm(rep.mid, s2),
-                 _double_norm(rep.double, s3))
-    else:
-        norms = (_double_norm(rep.double, s1), _column_norm(rep.mid, s2),
-                 _column_norm(rep.right, s3))
-    return RepNormCertificate(rep.kind, float(np.prod(norms)), tuple(float(v) for v in norms))
+        return RepNormCertificate("projective", value, tuple(float(s.max()) for s in sups))
+    norms = tuple(_double_norm(rep.double, s) if i == rep.slot
+                  else _column_norm(rep.factors[i], s) for i, s in enumerate(spectra))
+    return RepNormCertificate(rep.kind, float(np.prod(norms)), norms)
 
 
 def triple_spectral_sum(psi, a, b, c, t, r) -> np.ndarray:
-    """Direct spectral realization sum_ijk Psi(lambda_i, mu_j, nu_k) P_i T Q_j R S_k."""
+    """Direct spectral realization sum_ijk Psi(lambda_i, mu_j, nu_k) P_i T Q_j R S_k.
+
+    psi is a callable broadcast over the three spectra or a HaagerupRep,
+    whose integrand tensor comes from HaagerupRep.evaluate_grid.
+    """
     da, db, dc = as_decomposition(a), as_decomposition(b), as_decomposition(c)
     t = np.asarray(t, dtype=np.complex128)
     r = np.asarray(r, dtype=np.complex128)
@@ -210,7 +235,7 @@ def triple_spectral_sum(psi, a, b, c, t, r) -> np.ndarray:
         raise ValueError("operator shapes incompatible with the spectra")
     la, mu, nu = da.eigenvalues, db.eigenvalues, dc.eigenvalues
     if isinstance(psi, HaagerupRep):
-        vals = psi.evaluate(la[:, None, None], mu[None, :, None], nu[None, None, :])
+        vals = psi.evaluate_grid(la, mu, nu)
     else:
         vals = np.asarray(psi(la[:, None, None], mu[None, :, None], nu[None, None, :]),
                           dtype=np.complex128)
@@ -232,53 +257,11 @@ def triple_spectral_sum(psi, a, b, c, t, r) -> np.ndarray:
 def eval_representation(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
     """Evaluate the triple operator integral of a structured representation.
 
-    In finite dimensions all kinds reduce to the same absolutely convergent
-    double sum, evaluated here factor-by-factor in the joint eigenbases
-    (ascending j then k, compensated accumulation); first/second kinds agree
-    with their trace-duality definitions, see eval_via_trace_duality.
+    In finite dimensions every kind reduces to the spectral sum over its
+    integrand tensor on the joint spectra; first/second kinds agree with
+    their trace-duality definitions, see eval_via_trace_duality.
     """
-    da, db, dc = as_decomposition(a), as_decomposition(b), as_decomposition(c)
-    t = np.asarray(t, dtype=np.complex128)
-    r = np.asarray(r, dtype=np.complex128)
-    if t.shape != (da.dim, db.dim) or r.shape != (db.dim, dc.dim):
-        raise ValueError("operator shapes incompatible with the spectra")
-    la, mu, nu = da.eigenvalues, db.eigenvalues, dc.eigenvalues
-    ua, ub, uc = da.eigenvectors, db.eigenvectors, dc.eigenvectors
-    tp = ua.conj().T @ t @ ub
-    rp = ub.conj().T @ r @ uc
-    out = np.zeros((da.dim, dc.dim), dtype=np.complex128)
-    comp = np.zeros_like(out)
-
-    if rep.kind == "projective":
-        for f, g, h in zip(rep.left, rep.mid, rep.right):
-            fa = _eval_factor(f, la)
-            gb = _eval_factor(g, mu)
-            hc = _eval_factor(h, nu)
-            term = (fa[:, None] * tp) @ (gb[:, None] * rp) * hc[None, :]
-            out, comp = _kahan(out, comp, term)
-    elif rep.kind == "haagerup":
-        amat = _eval_factor_list(rep.left, la)          # (J, n1)
-        cmat = _eval_factor_list(rep.right, nu)         # (K, n3)
-        dmat = np.asarray(rep.double(mu), dtype=np.complex128)  # (n2, J, K)
-        for m in range(db.dim):
-            g = amat.T @ dmat[m] @ cmat                 # (n1, n3)
-            term = np.outer(tp[:, m], rp[m, :]) * g
-            out, comp = _kahan(out, comp, term)
-    elif rep.kind == "first_kind":
-        amat = _eval_factor_list(rep.left, la)          # (J, n1)
-        bmat = _eval_factor_list(rep.mid, mu)           # (K, n2)
-        dmat = np.asarray(rep.double(nu), dtype=np.complex128)  # (n3, J, K)
-        for l in range(dc.dim):
-            g = amat.T @ dmat[l] @ bmat                 # (n1, n2)
-            out[:, l] = (tp * g) @ rp[:, l]
-    else:  # second_kind
-        bmat = _eval_factor_list(rep.mid, mu)           # (J, n2)
-        cmat = _eval_factor_list(rep.right, nu)         # (K, n3)
-        dmat = np.asarray(rep.double(la), dtype=np.complex128)  # (n1, J, K)
-        for i in range(da.dim):
-            g = bmat.T @ dmat[i] @ cmat                 # (n2, n3)
-            out[i, :] = tp[i, :] @ (rp * g)
-    return ua @ out @ uc.conj().T
+    return triple_spectral_sum(rep, a, b, c, t, r)
 
 
 def _transposed_double(double):
@@ -290,99 +273,62 @@ def _transposed_double(double):
 def eval_via_trace_duality(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
     """First/second-kind integrals through their defining trace pairing.
 
-    The integral of the first kind is the operator W with
-    trace(W Q) = trace((inner Haagerup integral of the reindexed integrand
-    against R, Q) T) for every Q; the second kind pairs against R instead.
-    Reconstructs W by pairing with all matrix units, so use at small
-    dimensions; agreement with eval_representation is the definitional
-    consistency check.
+    The integral is the operator W with trace(W Q) = trace(V X) for every Q,
+    where the cycle (A, T, B, R, C, Q) is rotated so that the doubly-indexed
+    slot sits in the middle, V is the Haagerup integral of the rotated
+    integrand and X the operator left over: for the first kind V acts on
+    (R, Q) over (B, C, A) and X = T; for the second kind V acts on (Q, T)
+    over (C, A, B) and X = R.  Reconstructs W by pairing with all matrix
+    units, so use at small dimensions; agreement with eval_representation is
+    the definitional consistency check.
     """
-    da, db, dc = as_decomposition(a), as_decomposition(b), as_decomposition(c)
-    t = np.asarray(t, dtype=np.complex128)
-    r = np.asarray(r, dtype=np.complex128)
-    n1, n3 = da.dim, dc.dim
-    w = np.zeros((n1, n3), dtype=np.complex128)
-    if rep.kind == "first_kind":
-        # inner integrand over (x2, x3, x1): sum_kj beta_k gamma~_kj alpha_j
-        inner = HaagerupRep(kind="haagerup", left=rep.mid,
-                            double=_transposed_double(rep.double), right=rep.left,
-                            shape=(rep.shape[1], rep.shape[0]))
-        for p in range(n1):
-            for q in range(n3):
-                qmat = np.zeros((n3, n1), dtype=np.complex128)
-                qmat[q, p] = 1.0
-                v = eval_representation(inner, db, r, dc, qmat, da)
-                w[p, q] = np.trace(v @ t)
-    elif rep.kind == "second_kind":
-        # inner integrand over (x3, x1, x2): sum_kj gamma_k alpha~_kj beta_j
-        inner = HaagerupRep(kind="haagerup", left=rep.right,
-                            double=_transposed_double(rep.double), right=rep.mid,
-                            shape=(rep.shape[1], rep.shape[0]))
-        for p in range(n1):
-            for q in range(n3):
-                qmat = np.zeros((n3, n1), dtype=np.complex128)
-                qmat[q, p] = 1.0
-                v = eval_representation(inner, dc, qmat, da, t, db)
-                w[p, q] = np.trace(v @ r)
-    else:
+    s = rep.slot
+    if s == 1:
         raise ValueError("trace duality applies to first/second kind representations")
+    lo, hi = (s - 1) % 3, (s + 1) % 3
+    inner = HaagerupRep(kind="haagerup", left=rep.factors[lo],
+                        double=_transposed_double(rep.double), right=rep.factors[hi],
+                        shape=(rep.shape[1], rep.shape[0]))
+    decs = [as_decomposition(x) for x in (a, b, c)]
+    n1, n3 = decs[0].dim, decs[2].dim
+    tr = (np.asarray(t, dtype=np.complex128), np.asarray(r, dtype=np.complex128))
+    w = np.zeros((n1, n3), dtype=np.complex128)
+    for p in range(n1):
+        for q in range(n3):
+            qmat = np.zeros((n3, n1), dtype=np.complex128)
+            qmat[q, p] = 1.0
+            ops = (*tr, qmat)
+            v = eval_representation(inner, decs[lo], ops[lo], decs[s], ops[s], decs[hi])
+            w[p, q] = np.trace(v @ ops[hi])
     return w
 
 
+def _scaled(factors, weights):
+    return [(lambda x, f=f, w=w: w * np.asarray(f(x), dtype=np.complex128))
+            for f, w in zip(factors, weights)]
+
+
 def projective_to_kind(rep: HaagerupRep, kind: str, s1, s2, s3) -> HaagerupRep:
-    """Rewrite a projective representation in another kind, balanced so the
-    resulting factor-norm product does not exceed the projective certificate."""
+    """Rewrite a projective representation in another kind.
+
+    The factors at the kind's slot become the diagonal doubly-indexed family,
+    weighted by 1/sup; each remaining factor is weighted by
+    sqrt(sup_a sup_b / sup_i) over the other two slots a, b, so the resulting
+    factor-norm product does not exceed the projective certificate.
+    """
     if rep.kind != "projective":
         raise ValueError("expected a projective representation")
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    s3 = np.asarray(s3, dtype=float)
-    sup1 = np.abs(_eval_factor_list(rep.left, s1)).max(axis=1)
-    sup2 = np.abs(_eval_factor_list(rep.mid, s2)).max(axis=1)
-    sup3 = np.abs(_eval_factor_list(rep.right, s3)).max(axis=1)
-    sup1 = np.maximum(sup1, 1e-300)
-    sup2 = np.maximum(sup2, 1e-300)
-    sup3 = np.maximum(sup3, 1e-300)
+    if kind not in ("haagerup", "first_kind", "second_kind"):
+        raise ValueError(f"cannot convert projective representation to {kind!r}")
+    s = SLOTS[kind]
+    sups = [np.maximum(np.abs(_eval_factor_list(f, np.asarray(x, dtype=float))).max(axis=1),
+                       1e-300) for f, x in zip(rep.factors, (s1, s2, s3))]
+    lists = [None if i == s else
+             _scaled(f, np.sqrt(np.prod(sups[:i] + sups[i + 1:], axis=0) / sups[i]))
+             for i, f in enumerate(rep.factors)]
     n = len(rep.left)
-
-    def scaled(factors, weights):
-        return [(lambda x, f=f, w=w: w * np.asarray(f(x), dtype=np.complex128))
-                for f, w in zip(factors, weights)]
-
-    def diag_double(factors, weights):
-        def build(points):
-            pts = np.asarray(points, dtype=float)
-            mat = _eval_factor_list(factors, pts) * np.asarray(weights)[:, None]
-            out = np.zeros((pts.size, n, n), dtype=np.complex128)
-            idx = np.arange(n)
-            out[:, idx, idx] = mat.T
-            return out
-        return build
-
-    if kind == "first_kind":
-        w1 = np.sqrt(sup2 * sup3 / sup1)
-        w2 = np.sqrt(sup1 * sup3 / sup2)
-        w3 = 1.0 / sup3
-        return HaagerupRep(kind="first_kind", left=scaled(rep.left, w1),
-                           mid=scaled(rep.mid, w2),
-                           double=diag_double(rep.right, w3), shape=(n, n),
-                           tail_bound=rep.tail_bound)
-    if kind == "second_kind":
-        w2 = np.sqrt(sup1 * sup3 / sup2)
-        w3 = np.sqrt(sup1 * sup2 / sup3)
-        w1 = 1.0 / sup1
-        return HaagerupRep(kind="second_kind", double=diag_double(rep.left, w1),
-                           mid=scaled(rep.mid, w2), right=scaled(rep.right, w3),
-                           shape=(n, n), tail_bound=rep.tail_bound)
-    if kind == "haagerup":
-        w1 = np.sqrt(sup2 * sup3 / sup1)
-        w3 = np.sqrt(sup1 * sup2 / sup3)
-        w2 = 1.0 / sup2
-        return HaagerupRep(kind="haagerup", left=scaled(rep.left, w1),
-                           double=diag_double(rep.mid, w2),
-                           right=scaled(rep.right, w3), shape=(n, n),
-                           tail_bound=rep.tail_bound)
-    raise ValueError(f"cannot convert projective representation to {kind!r}")
+    return HaagerupRep(kind, *lists, double=_diagonal(rep.factors[s], 1.0 / sups[s]),
+                       shape=(n, n), tail_bound=rep.tail_bound)
 
 
 @dataclass(frozen=True)
@@ -409,15 +355,9 @@ def s1_certificate(rep: HaagerupRep, a, t, b, r, c,
     if w is None:
         w = eval_representation(rep, da, t, db, r, dc)
     cert = rep_norm_certificate(rep, da.eigenvalues, db.eigenvalues, dc.eigenvalues)
-    if rep.kind in ("haagerup", "projective"):
-        lhs = schatten_norm(w, np.inf)
-        bound = cert.value * schatten_norm(t, np.inf) * schatten_norm(r, np.inf)
-    elif rep.kind == "first_kind":
-        lhs = schatten_norm(w, 1)
-        bound = cert.value * schatten_norm(t, 1) * schatten_norm(r, np.inf)
-    else:
-        lhs = schatten_norm(w, 1)
-        bound = cert.value * schatten_norm(t, np.inf) * schatten_norm(r, 1)
+    pw, pt, pr = _CERT_EXPONENTS[rep.slot]
+    lhs = schatten_norm(w, pw)
+    bound = cert.value * schatten_norm(t, pt) * schatten_norm(r, pr)
     return S1Certificate(kind=rep.kind, lhs=lhs, bound=bound,
                          satisfied=bool(lhs <= bound + 1e-9),
                          rep_norm=cert.value, tail_bound=rep.tail_bound)

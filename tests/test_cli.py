@@ -163,3 +163,17 @@ def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_funcalc_rejects_empty_and_non_finite_matrices(tmp_path, capsys):
+    good = tmp_path / "good.opmat"
+    write_matrix(good, np.eye(2))
+    empty = tmp_path / "empty.opmat"
+    empty.write_text("dim 0 complex\n", encoding="utf-8")
+    nan = tmp_path / "nan.opmat"
+    write_matrix(nan, np.array([[1.0, np.nan], [np.nan, 0.0]]))
+    for bad, message in ((empty, "matrix is empty"), (nan, "non-finite entry")):
+        code = main(["funcalc", "--phi", str(DATA_DIR / "phi_xy.spec"), "--A", str(bad),
+                     "--B", str(good), "--out", str(tmp_path / "out.opmat")])
+        assert code == 1
+        assert message in capsys.readouterr().err

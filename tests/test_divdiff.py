@@ -3,8 +3,8 @@ import pytest
 
 from opintegral.besov import bandlimit_check
 from opintegral.divdiff import (besov_representation, divided_difference,
-                                polynomial_dd_projective, polynomial_dd_rep,
-                                sinc_partition_deficit, sinc_representation)
+                                polynomial_dd_rep, sinc_partition_deficit,
+                                sinc_representation)
 from opintegral.functions import Function1D, Function2D, UniformGrid
 from opintegral.spectral import decompose
 from opintegral.toi import eval_representation, triple_spectral_sum
@@ -125,11 +125,11 @@ def test_polynomial_paths_agree_exactly(rng):
     phi = Function2D.polynomial(coeffs)
     for axis in (1, 2):
         dd = divided_difference(phi, axis)
-        proj = polynomial_dd_projective(phi, axis)
         kind = polynomial_dd_rep(phi, axis)
         for u, v, w in rng.normal(9).reshape(3, 3):
             exact = dd(u, v, w)
-            assert proj.evaluate(u, v, w) == pytest.approx(exact, abs=1e-12 * (1 + abs(exact)))
+            grid = kind.evaluate_grid([u], [v], [w])[0, 0, 0]
+            assert grid == pytest.approx(exact, abs=1e-12 * (1 + abs(exact)))
             assert kind.evaluate(u, v, w) == pytest.approx(exact, abs=1e-12 * (1 + abs(exact)))
 
 
@@ -193,3 +193,20 @@ def test_bandlimit_check_gates_sinc(rng):
     phi = _sin_x_sampled()
     ok, leak = bandlimit_check(phi.data, phi.grid, 1.0)
     assert ok and leak <= 1e-12
+
+
+def test_grid_evaluator_matches_pointwise_divdiff_reps(rng):
+    grid = UniformGrid(dim=2, period=64 * np.pi, points=128)
+    ax = grid.axis()
+    band = Function2D.sampled(np.outer(np.sin(ax), np.cos(0.5 * ax)).astype(np.complex128),
+                              grid)
+    poly = Function2D.polynomial(rng.normal(12).reshape(3, 4))
+    la, mu, nu = (np.sort(rng.normal(n)) for n in (4, 5, 6))
+    for axis in (1, 2):
+        sinc = sinc_representation(band, axis, sigma=2.0, j_max=16,
+                                   skip_bandlimit_check=True).rep
+        for rep in (sinc, polynomial_dd_rep(poly, axis)):
+            grid_vals = rep.evaluate_grid(la, mu, nu)
+            pointwise = rep.evaluate(la[:, None, None], mu[None, :, None],
+                                     nu[None, None, :])
+            assert np.abs(grid_vals - pointwise).max() <= 1e-13 * np.abs(pointwise).max()

@@ -129,3 +129,18 @@ def test_as_decomposition_passthrough(rng):
     assert as_decomposition(dec) is dec
     dec2 = as_decomposition(a)
     assert np.allclose(dec2.eigenvalues, dec.eigenvalues)
+
+
+def test_empty_matrix_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        HermitianOperator(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="empty"):
+        decompose(np.zeros((0, 0)))
+
+
+def test_non_finite_matrix_rejected():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        m = np.eye(3, dtype=np.complex128)
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(ValueError, match=r"non-finite entry \(1,2\)"):
+            decompose(m)

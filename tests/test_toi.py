@@ -264,3 +264,26 @@ def test_rep_validation():
         HaagerupRep(kind="haagerup", left=[_ones()], right=[_ones()])
     with pytest.raises(ValueError, match="kind"):
         HaagerupRep(kind="nonsense", left=[_ones()], mid=[_ones()], right=[_ones()])
+
+
+def test_grid_evaluator_matches_pointwise_all_kinds(rng):
+    # distinct sizes per slot catch a misplaced axis of the integrand tensor
+    la, mu, nu = (np.sort(rng.normal(n)) for n in (5, 6, 7))
+    rep = _projective(_random_terms(rng))
+    reps = [rep] + [projective_to_kind(rep, kind, la, mu, nu)
+                    for kind in ("haagerup", "first_kind", "second_kind")]
+    for repk in reps:
+        grid = repk.evaluate_grid(la, mu, nu)
+        pointwise = repk.evaluate(la[:, None, None], mu[None, :, None], nu[None, None, :])
+        assert grid.shape == (5, 6, 7)
+        assert np.abs(grid - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
+
+
+def test_trace_duality_rejects_haagerup_and_projective(rng):
+    a = rng.hermitian(3)
+    t = rng.complex_normal((3, 3))
+    rep = _projective(_random_terms(rng))
+    spectra = (decompose(a).eigenvalues,) * 3
+    for repk in (rep, projective_to_kind(rep, "haagerup", *spectra)):
+        with pytest.raises(ValueError, match="first/second kind"):
+            eval_via_trace_duality(repk, a, t, a, t, a)
