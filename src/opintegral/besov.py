@@ -78,24 +78,45 @@ class LPDecomposition:
             total = total + self.bands[n]
         return total
 
+    def besov_norm(self, s: float = 1.0, p: float = np.inf,
+                   q: float = 1.0) -> "BesovNorm":
+        """Homogeneous Besov norm ||{2^(ns) ||f_n||_p}||_{l^q} of these bands."""
+        terms = {}
+        for n in sorted(self.bands):
+            lp = self.sup_norms[n] if np.isinf(p) else _grid_lp_norm(self.bands[n], self.grid, p)
+            terms[n] = 2.0 ** (n * s) * lp
+        vals = np.array([terms[n] for n in sorted(terms)])
+        if np.isinf(q):
+            value = float(vals.max()) if vals.size else 0.0
+        else:
+            value = float(np.sum(vals ** q) ** (1.0 / q))
+        return BesovNorm(s=s, p=p, q=q, value=value, band_terms=terms,
+                         uncovered_mass=self.uncovered_mass)
+
 
 def max_band(grid: UniformGrid) -> int:
     """Largest n whose annulus [2^(n-1), 2^(n+1)] the grid resolves."""
     return int(np.floor(np.log2(grid.nyquist))) - 1
 
 
+def default_band_range(grid: UniformGrid) -> tuple[int, int]:
+    """The band range lp_decompose uses when none is given."""
+    return -10, max_band(grid)
+
+
 def lp_decompose(values, grid: UniformGrid, band_range: tuple[int, int] | None = None,
                  warn: bool = True) -> LPDecomposition:
     """Littlewood-Paley band decomposition of samples on a periodic grid.
 
-    band_range defaults to [-10, max_band(grid)].  Requesting a band above
-    the grid's Nyquist limit is rejected with the resolution that would be
-    needed.  Spectral mass that no covered annulus captures is measured and
-    reported (a warning above LEAKAGE_TOL), never silently dropped.
+    band_range defaults to default_band_range(grid), [-10, max_band(grid)].
+    Requesting a band above the grid's Nyquist limit is rejected with the
+    resolution that would be needed.  Spectral mass that no covered annulus
+    captures is measured and reported (a warning above LEAKAGE_TOL), never
+    silently dropped.
     """
     values = np.asarray(values, dtype=np.complex128)
     if band_range is None:
-        band_range = (-10, max_band(grid))
+        band_range = default_band_range(grid)
     n_min, n_max = band_range
     if n_min > n_max:
         raise ValueError(f"empty band range {band_range}")
@@ -174,17 +195,7 @@ def besov_norm(f, grid: UniformGrid | None = None, s: float = 1.0, p: float = np
         if grid is None:
             raise ValueError("sample arrays need an explicit grid")
         values = np.asarray(f, dtype=np.complex128)
-    dec = lp_decompose(values, grid, band_range, warn=warn)
-    terms = {}
-    for n in sorted(dec.bands):
-        terms[n] = 2.0 ** (n * s) * _grid_lp_norm(dec.bands[n], grid, p)
-    vals = np.array([terms[n] for n in sorted(terms)])
-    if np.isinf(q):
-        value = float(vals.max()) if vals.size else 0.0
-    else:
-        value = float(np.sum(vals ** q) ** (1.0 / q))
-    return BesovNorm(s=s, p=p, q=q, value=value, band_terms=terms,
-                     uncovered_mass=dec.uncovered_mass)
+    return lp_decompose(values, grid, band_range, warn=warn).besov_norm(s, p, q)
 
 
 def bandlimit_check(values, grid: UniformGrid, radius: float,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import DEFAULT_GRID_2D, besov_norm, plateau
-from .divdiff import besov_representation, polynomial_dd_rep
+from .besov import DEFAULT_GRID_2D, besov_norm, default_band_range, plateau
+from .divdiff import BandRepList, band_representations, polynomial_dd_rep
 from .doi import funcalc
 from .functions import Function2D, UniformGrid
 from .rng import Xorshift64Star
@@ -61,19 +61,31 @@ def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _dd_terms(phi: Function2D, da, db, j_max: int, grid: UniformGrid | None,
-              band_range, domain_radius: float | None):
-    """Pairs (axis-2 reps, axis-1 reps) representing both divided differences."""
+              band_range, domain_radius: float | None, axes=(2, 1)):
+    """({axis: representations of phi's axis divided difference}, one of the
+    BandRepLists they come from, None on the exact polynomial path).  One LP
+    decomposition of phi serves every axis."""
     if phi.kind == "polynomial":
-        return [polynomial_dd_rep(phi, 2)], [polynomial_dd_rep(phi, 1)]
+        return {axis: [polynomial_dd_rep(phi, axis)] for axis in axes}, None
     if domain_radius is None:
         domain_radius = 1.1 * max(
             np.abs(da.eigenvalues).max(), np.abs(db.eigenvalues).max(), 1.0)
-    reps2 = besov_representation(phi, 2, band_range=band_range, j_max=j_max,
+    lists = band_representations(phi, axes, band_range=band_range, j_max=j_max,
                                  grid=grid, domain_radius=domain_radius)
-    reps1 = besov_representation(phi, 1, band_range=band_range, j_max=j_max,
-                                 grid=grid, domain_radius=domain_radius)
-    return [sr.rep for _, sr in sorted(reps2.items.items())], \
-        [sr.rep for _, sr in sorted(reps1.items.items())]
+    return {axis: [sr.rep for _, sr in sorted(lists[axis].items.items())]
+            for axis in axes}, lists[axes[0]]
+
+
+def _sum_terms(reps: dict, da, db, comm_a, comm_b) -> np.ndarray:
+    """The axis-2 triple integrals over (A, B, B) against (I, comm_b) plus the
+    axis-1 ones over (A, A, B) against (comm_a, I)."""
+    eye = np.eye(da.dim, dtype=np.complex128)
+    out = np.zeros((da.dim, db.dim), dtype=np.complex128)
+    for rep in reps.get(2, ()):
+        out = out + eval_representation(rep, da, eye, db, comm_b, db)
+    for rep in reps.get(1, ()):
+        out = out + eval_representation(rep, da, comm_a, da, eye, db)
+    return out
 
 
 def commutator_via_toi(phi: Function2D, a, b, q, j_max: int = 256,
@@ -81,18 +93,14 @@ def commutator_via_toi(phi: Function2D, a, b, q, j_max: int = 256,
                        domain_radius: float | None = None) -> np.ndarray:
     """[phi(A,B), Q] assembled from the two divided-difference triple integrals."""
     da, db = as_decomposition(a), as_decomposition(b)
+    reps, _ = _dd_terms(phi, da, db, j_max, grid, band_range, domain_radius)
+    return _commutator_from_terms(reps, da, db, q)
+
+
+def _commutator_from_terms(reps: dict, da, db, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.complex128)
-    amat, bmat = da.matrix(), db.matrix()
-    comm_a = _commutator(amat, q)
-    comm_b = _commutator(bmat, q)
-    eye = np.eye(da.dim, dtype=np.complex128)
-    reps2, reps1 = _dd_terms(phi, da, db, j_max, grid, band_range, domain_radius)
-    out = np.zeros_like(q)
-    for rep in reps2:
-        out = out + eval_representation(rep, da, eye, db, comm_b, db)
-    for rep in reps1:
-        out = out + eval_representation(rep, da, comm_a, da, eye, db)
-    return out
+    return _sum_terms(reps, da, db, _commutator(da.matrix(), q),
+                      _commutator(db.matrix(), q))
 
 
 def commutator_with_operator(psi: Function2D, da, db, which: str,
@@ -101,23 +109,24 @@ def commutator_with_operator(psi: Function2D, da, db, which: str,
     """[A, psi(A,B)] or [B, psi(A,B)] via the identity with Q = A (resp. B).
 
     With Q = A the x-divided-difference term vanishes ([A, A] = 0), leaving
-    minus the y-term against [B, A]; symmetrically for Q = B.
+    minus the y-term against [B, A]; symmetrically for Q = B.  Only the
+    representations of the surviving term are built.
     """
-    da, db = as_decomposition(da), as_decomposition(db)
-    amat, bmat = da.matrix(), db.matrix()
-    comm_ab = _commutator(amat, bmat)
-    eye = np.eye(da.dim, dtype=np.complex128)
-    reps2, reps1 = _dd_terms(psi, da, db, j_max, grid, band_range, domain_radius)
-    out = np.zeros((da.dim, db.dim), dtype=np.complex128)
-    if which == "A":
-        for rep in reps2:
-            out = out + eval_representation(rep, da, eye, db, -comm_ab, db)
-    elif which == "B":
-        for rep in reps1:
-            out = out + eval_representation(rep, da, comm_ab, da, eye, db)
-    else:
+    if which not in ("A", "B"):
         raise ValueError("which must be 'A' or 'B'")
-    return -out
+    da, db = as_decomposition(da), as_decomposition(db)
+    reps, _ = _dd_terms(psi, da, db, j_max, grid, band_range, domain_radius,
+                        axes=(2 if which == "A" else 1,))
+    return _with_operator(reps, da, db, which)
+
+
+def _with_operator(reps: dict, da, db, which: str) -> np.ndarray:
+    """[A, psi(A,B)] (which "A", from the axis-2 reps) or [B, psi(A,B)]
+    (which "B", from the axis-1 reps)."""
+    comm_ab = _commutator(da.matrix(), db.matrix())
+    if which == "A":
+        return -_sum_terms({2: reps[2]}, da, db, None, -comm_ab)
+    return -_sum_terms({1: reps[1]}, da, db, comm_ab, None)
 
 
 #: finer-period grid for cutoff surrogates: same FFT cost as the default
@@ -125,13 +134,22 @@ def commutator_with_operator(psi: Function2D, da, db, which: str,
 SURROGATE_GRID_2D = UniformGrid(dim=2, period=32.0 * np.pi, points=512)
 
 
-def _besov_ingredient(phi: Function2D, da, db, grid: UniformGrid | None):
+def _besov_ingredient(phi: Function2D, da, db, grid: UniformGrid | None,
+                      bands: BandRepList | None = None):
     """Dyadic-band norm of phi, with the plateau-cutoff surrogate for
-    polynomials (functions of A, B see only the joint spectral square)."""
+    polynomials (functions of A, B see only the joint spectral square).  The
+    norm that bands, phi's band representations, carry is reused when their
+    grid and band range are those of the norm."""
     if phi.kind != "polynomial":
-        bn = besov_norm(phi, grid or DEFAULT_GRID_2D, warn=False)
-        return bn.value, (f"dyadic-band norm on the analysis grid "
-                          f"(uncovered spectral mass {bn.uncovered_mass:.2e})")
+        norm_grid = phi.grid if phi.kind == "sampled" else grid or DEFAULT_GRID_2D
+        if (bands is not None and bands.grid == norm_grid
+                and bands.band_range == default_band_range(norm_grid)):
+            value, uncovered = bands.band_norm, bands.uncovered_mass
+        else:
+            bn = besov_norm(phi, norm_grid, warn=False)
+            value, uncovered = bn.value, bn.uncovered_mass
+        return value, (f"dyadic-band norm on the analysis grid "
+                       f"(uncovered spectral mass {uncovered:.2e})")
     grid = grid or SURROGATE_GRID_2D
     r = float(max(np.abs(da.eigenvalues).max(), np.abs(db.eigenvalues).max()))
     r = max(r, 1e-6)
@@ -158,14 +176,14 @@ def verify_theorem_41(phi: Function2D, a, b, q, j_max: int = 256,
     """
     da, db = as_decomposition(a), as_decomposition(b)
     q = np.asarray(q, dtype=np.complex128)
-    via = commutator_via_toi(phi, da, db, q, j_max=j_max, grid=grid,
-                             band_range=band_range)
+    reps, bands = _dd_terms(phi, da, db, j_max, grid, band_range, None)
+    via = _commutator_from_terms(reps, da, db, q)
+    bnorm, note = _besov_ingredient(phi, da, db, grid, bands)
     f_ab = funcalc(phi, da, db)
     direct = _commutator(f_ab, q)
     amat, bmat = da.matrix(), db.matrix()
     ca = schatten_norm(_commutator(amat, q), 1)
     cb = schatten_norm(_commutator(bmat, q), 1)
-    bnorm, note = _besov_ingredient(phi, da, db, grid)
     lhs = schatten_norm(via, 1)
     denom = bnorm * (ca + cb)
     const = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)
@@ -187,23 +205,20 @@ def commutator_of_functions(phi: Function2D, psi: Function2D, a, b,
     """
     da, db = as_decomposition(a), as_decomposition(b)
     q = funcalc(psi, da, db)
-    comm_bq = commutator_with_operator(psi, da, db, "B", j_max=j_max, grid=grid,
-                                       band_range=band_range)
-    comm_aq = commutator_with_operator(psi, da, db, "A", j_max=j_max, grid=grid,
-                                       band_range=band_range)
-    eye = np.eye(da.dim, dtype=np.complex128)
-    reps2, reps1 = _dd_terms(phi, da, db, j_max, grid, band_range, None)
-    out = np.zeros((da.dim, db.dim), dtype=np.complex128)
-    for rep in reps2:
-        out = out + eval_representation(rep, da, eye, db, comm_bq, db)
-    for rep in reps1:
-        out = out + eval_representation(rep, da, comm_aq, da, eye, db)
+    # psi's representations serve both inner commutators, and are dropped
+    # before phi's are built
+    reps, bands = _dd_terms(psi, da, db, j_max, grid, band_range, None)
+    comm_bq = _with_operator(reps, da, db, "B")
+    comm_aq = _with_operator(reps, da, db, "A")
+    bpsi, _ = _besov_ingredient(psi, da, db, grid, bands)
+    del reps, bands
+    reps, bands = _dd_terms(phi, da, db, j_max, grid, band_range, None)
+    out = _sum_terms(reps, da, db, comm_aq, comm_bq)
+    bphi, note_phi = _besov_ingredient(phi, da, db, grid, bands)
 
     direct = _commutator(funcalc(phi, da, db), q)
     amat, bmat = da.matrix(), db.matrix()
     cab = schatten_norm(_commutator(amat, bmat), 1)
-    bphi, note_phi = _besov_ingredient(phi, da, db, grid)
-    bpsi, _ = _besov_ingredient(psi, da, db, grid)
     lhs = schatten_norm(out, 1)
     denom = bphi * bpsi * cab
     const = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)

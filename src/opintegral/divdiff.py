@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import DEFAULT_GRID_2D, bandlimit_check, lp_decompose
-from .functions import Function2D, UniformGrid
+from .besov import DEFAULT_GRID_2D, bandlimit_check, default_band_range, lp_decompose
+from .functions import Function2D, UniformGrid, _interp_matrix
 from .toi import SLOTS, HaagerupRep, _double_norm, rep_norm_certificate
 
 
@@ -117,22 +117,41 @@ class SincRep:
     domain_radius: float
 
 
-def _lattice_divided_samples(phi: Function2D, axis: int, lattice: np.ndarray,
-                             points: np.ndarray) -> np.ndarray:
-    """(npts, J, J) array of lattice divided differences at the given points."""
-    step = lattice[1] - lattice[0] if lattice.size > 1 else 1.0
-    if axis == 1:
-        vals = phi.eval_grid(lattice, points)          # (J, npts)
-        dvals = phi.partial(1).eval_grid(lattice, points)
+def _lattice_double(phi: Function2D, axis: int, lattice: np.ndarray):
+    """points -> (npts, J, J) lattice divided differences of phi at the points.
+
+    For sampled phi the lattice interpolation matrix is built here, once per
+    representation, and each call contracts the cached spectrum with the
+    points once for both the values and the partial derivative.
+    """
+    if phi.kind == "sampled":
+        e_lat = _interp_matrix(phi.grid, lattice)                  # (J, N)
+        spec = phi.spectrum() if axis == 1 else phi.spectrum().T   # lattice axis first
+        ixi = 1j * phi.grid.frequencies()
+
+        def values(points):
+            m = spec @ _interp_matrix(phi.grid, points).T          # (N, npts)
+            return e_lat @ m, (e_lat * ixi) @ m
     else:
-        vals = phi.eval_grid(points, lattice).T        # (J, npts)
-        dvals = phi.partial(2).eval_grid(points, lattice).T
+        dphi = phi.partial(axis)
+
+        def values(points):
+            if axis == 1:
+                return phi.eval_grid(lattice, points), dphi.eval_grid(lattice, points)
+            return phi.eval_grid(points, lattice).T, dphi.eval_grid(points, lattice).T
+
+    step = lattice[1] - lattice[0] if lattice.size > 1 else 1.0
     diff = lattice[:, None] - lattice[None, :]
     safe = np.where(np.abs(diff) < 0.5 * step, 1.0, diff)
-    out = (vals[:, None, :] - vals[None, :, :]) / safe[:, :, None]
     idx = np.arange(lattice.size)
-    out[idx, idx, :] = dvals
-    return np.moveaxis(out, 2, 0)
+
+    def double(points):
+        vals, dvals = values(np.asarray(points, dtype=float))   # (J, npts) each
+        v = vals.T
+        out = (v[:, :, None] - v[:, None, :]) / safe
+        out[:, idx, idx] = dvals.T
+        return out
+    return double
 
 
 def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 256,
@@ -172,12 +191,11 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
 
     singles = [sinc_factor(j) for j in range(-j_max, j_max + 1)]
 
-    def double(points):
-        return _lattice_divided_samples(phi, axis, lattice, np.asarray(points, dtype=float))
+    double = _lattice_double(phi, axis, lattice)
 
     # measured operator norm of the sample matrix at probe points
     probes = np.linspace(-domain_radius, domain_radius, 5)
-    dn = _double_norm(double, probes, exact=True)
+    dn = _double_norm(double, probes)
 
     slack = max(j_max - sigma * domain_radius / np.pi - 1.0, 0.5)
     tail = 3.0 * max(dn, 1e-300) * np.sqrt(2.0) / (np.pi * np.sqrt(slack))
@@ -241,13 +259,16 @@ class BandRepList:
 
     items maps band index n to its SincRep (band radius 2^(n+1)); the
     aggregate certificate is the sum of per-band certificates, reported next
-    to the dyadic-band norm of the source.
+    to band_norm, the dyadic-band norm sum_n 2^n sup|f_n| of the source over
+    the band range of its decomposition on grid.
     """
 
     axis: int
     items: dict
     grid: UniformGrid
     uncovered_mass: float
+    band_range: tuple[int, int]
+    band_norm: float
 
     def aggregate_certificate(self, s1, s2, s3) -> float:
         total = 0.0
@@ -268,23 +289,39 @@ def besov_representation(phi: Function2D, axis: int,
     instead.  Bands whose sup norm falls below band_tol relative to the
     largest band are dropped as numerically zero.
     """
-    if axis not in (1, 2):
+    return band_representations(phi, (axis,), band_range=band_range, j_max=j_max,
+                                grid=grid, domain_radius=domain_radius,
+                                band_tol=band_tol)[axis]
+
+
+def band_representations(phi: Function2D, axes=(1, 2),
+                         band_range: tuple[int, int] | None = None,
+                         j_max: int = 256, grid: UniformGrid | None = None,
+                         domain_radius: float | None = None,
+                         band_tol: float = 1e-12) -> dict:
+    """{axis: besov_representation(phi, axis, ...)} for each axis in axes.
+
+    One LP decomposition of phi serves every axis, and the axes share the
+    band functions, so each band's spectrum is computed once.
+    """
+    if any(axis not in (1, 2) for axis in axes):
         raise ValueError("axis must be 1 or 2")
     if phi.kind == "polynomial":
-        return BandRepList(axis=axis, items={}, grid=grid or DEFAULT_GRID_2D,
-                           uncovered_mass=0.0)
+        grid = grid or DEFAULT_GRID_2D
+        return {axis: BandRepList(axis=axis, items={}, grid=grid, uncovered_mass=0.0,
+                                  band_range=band_range or default_band_range(grid),
+                                  band_norm=0.0) for axis in axes}
     grid = grid or (phi.grid if phi.kind == "sampled" else DEFAULT_GRID_2D)
-    sampled = phi.sample(grid)
     # uncovered spectral mass is carried on the result instead of warning
-    dec = lp_decompose(sampled.data, grid, band_range, warn=False)
+    dec = lp_decompose(phi.sample(grid).data, grid, band_range, warn=False)
     peak = max(dec.sup_norms.values(), default=0.0)
-    items = {}
-    for n in sorted(dec.bands):
-        if dec.sup_norms[n] <= band_tol * max(peak, 1e-300):
-            continue
-        band_fn = Function2D.sampled(dec.bands[n], grid)
-        items[n] = sinc_representation(band_fn, axis, sigma=2.0 ** (n + 1),
-                                       j_max=j_max, domain_radius=domain_radius,
-                                       skip_bandlimit_check=True)
-    return BandRepList(axis=axis, items=items, grid=grid,
-                       uncovered_mass=dec.uncovered_mass)
+    bands = {n: Function2D.from_spectrum(np.fft.fft2(dec.bands[n]), grid)
+             for n in sorted(dec.bands)
+             if dec.sup_norms[n] > band_tol * max(peak, 1e-300)}
+    fields = {"grid": grid, "uncovered_mass": dec.uncovered_mass,
+              "band_range": dec.band_range, "band_norm": dec.besov_norm().value}
+    del dec  # the band samples are not needed past this point
+    return {axis: BandRepList(axis=axis, items={
+        n: sinc_representation(band_fn, axis, sigma=2.0 ** (n + 1), j_max=j_max,
+                               domain_radius=domain_radius, skip_bandlimit_check=True)
+        for n, band_fn in bands.items()}, **fields) for axis in axes}

@@ -438,8 +438,9 @@ class Function2D:
 
     polynomial: coefficient matrix a[j, k] for sum a_jk x^j y^k (exact Horner
     evaluation); product: u(x) * v(y); sampled: values on a square periodic
-    grid, evaluated off-grid by trigonometric interpolation; closed_form: an
-    expression tree.
+    grid, evaluated off-grid by trigonometric interpolation from its fft2
+    spectrum (computed once per object; partial derivatives are built from
+    it directly); closed_form: an expression tree.
     """
 
     def __init__(self, kind: str, data, grid: UniformGrid | None = None):
@@ -447,25 +448,40 @@ class Function2D:
             raise ValueError(f"unknown Function2D kind {kind!r}")
         self.kind = kind
         self.grid = grid
+        self._spec = None
         if kind == "polynomial":
-            self.data = np.atleast_2d(np.asarray(data, dtype=np.complex128))
+            self._data = np.atleast_2d(np.asarray(data, dtype=np.complex128))
         elif kind == "product":
             u, v = data
             if not (isinstance(u, Function1D) and isinstance(v, Function1D)):
                 raise TypeError("product expects a pair of Function1D")
-            self.data = (u, v)
+            self._data = (u, v)
         elif kind == "sampled":
-            if grid is None or grid.dim != 2:
-                raise ValueError("sampled Function2D needs a 2-d grid")
-            self.data = np.asarray(data, dtype=np.complex128)
-            if self.data.shape != (grid.points, grid.points):
-                raise ValueError("sample shape does not match grid")
+            _check_square_grid(grid, np.shape(data))
+            self._data = np.asarray(data, dtype=np.complex128)
         else:
             if isinstance(data, str):
                 data = parse_expr(data)
             if not isinstance(data, Expr):
                 raise TypeError("closed_form expects an Expr or string")
-            self.data = data
+            self._data = data
+
+    @property
+    def data(self):
+        """Coefficients, factor pair, expression tree or grid samples.  The
+        samples of a function built from its spectrum are computed on first
+        read."""
+        if self._data is None:
+            self._data = np.fft.ifft2(self._spec)
+        return self._data
+
+    def spectrum(self) -> np.ndarray:
+        """fft2 of the samples of a sampled function, computed once per object."""
+        if self.kind != "sampled":
+            raise ValueError(f"a {self.kind} function has no grid spectrum")
+        if self._spec is None:
+            self._spec = np.fft.fft2(self._data)
+        return self._spec
 
     @classmethod
     def polynomial(cls, coeffs) -> "Function2D":
@@ -483,6 +499,15 @@ class Function2D:
     def closed_form(cls, expr) -> "Function2D":
         return cls("closed_form", expr)
 
+    @classmethod
+    def from_spectrum(cls, spec, grid: UniformGrid) -> "Function2D":
+        """Sampled function given by the fft2 of its samples on grid."""
+        spec = np.asarray(spec, dtype=np.complex128)
+        _check_square_grid(grid, spec.shape)
+        out = cls.__new__(cls)
+        out.kind, out.grid, out._data, out._spec = "sampled", grid, None, spec
+        return out
+
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -499,10 +524,9 @@ class Function2D:
         shape = np.broadcast_shapes(x.shape, y.shape)
         xf = np.broadcast_to(x, shape).ravel()
         yf = np.broadcast_to(y, shape).ravel()
-        spec = np.fft.fft2(self.data)
         ex = _interp_matrix(self.grid, xf)
         ey = _interp_matrix(self.grid, yf)
-        vals = np.einsum("pk,kl,pl->p", ex, spec, ey)
+        vals = np.einsum("pk,kl,pl->p", ex, self.spectrum(), ey)
         return vals.reshape(shape)
 
     def eval_grid(self, xs, ys) -> np.ndarray:
@@ -510,10 +534,12 @@ class Function2D:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if self.kind == "sampled":
-            spec = np.fft.fft2(self.data)
             ex = _interp_matrix(self.grid, xs)
             ey = _interp_matrix(self.grid, ys)
-            return ex @ spec @ ey.T
+            # contract the spectrum with the shorter side first
+            if xs.size > ys.size:
+                return ex @ (self.spectrum() @ ey.T)
+            return ex @ self.spectrum() @ ey.T
         return self(xs[:, None], ys[None, :])
 
     def partial(self, axis: int) -> "Function2D":
@@ -538,10 +564,9 @@ class Function2D:
             return Function2D.product(u, v.derivative())
         if self.kind == "closed_form":
             return Function2D.closed_form(self.data.diff("x" if axis == 1 else "y"))
-        spec = np.fft.fft2(self.data)
         xi = 1j * self.grid.frequencies()
-        spec = spec * (xi[:, None] if axis == 1 else xi[None, :])
-        return Function2D.sampled(np.fft.ifft2(spec), self.grid)
+        return Function2D.from_spectrum(
+            self.spectrum() * (xi[:, None] if axis == 1 else xi[None, :]), self.grid)
 
     def conjugate(self) -> "Function2D":
         if self.kind == "polynomial":
@@ -578,6 +603,13 @@ class Function2D:
             return self
         ax = grid.axis()
         return Function2D.sampled(self.eval_grid(ax, ax), grid)
+
+
+def _check_square_grid(grid: UniformGrid | None, shape) -> None:
+    if grid is None or grid.dim != 2:
+        raise ValueError("sampled Function2D needs a 2-d grid")
+    if tuple(shape) != (grid.points, grid.points):
+        raise ValueError("sample shape does not match grid")
 
 
 def _to_expr(f: Function2D) -> Expr | None:

@@ -147,8 +147,12 @@ def rhs_integral(phi: Function2D, psi: Function2D, g: PrincipalFunction,
     quadrature applied to |Jacobian| over the g-support region: the natural
     magnitude against which near-zero integrals should be judged.
     """
-    jac, gvals, cell = _midpoint_jacobian(phi, psi, g, resolution,
-                                          g.bounding_box() if box is None else box)
+    return _jacobian_integrals(*_midpoint_jacobian(
+        phi, psi, g, resolution, g.bounding_box() if box is None else box))
+
+
+def _jacobian_integrals(jac: np.ndarray, gvals: np.ndarray, cell: float):
+    """(integral, jacobian_scale) of rhs_integral from the midpoint values."""
     weighted = np.real(jac) * gvals
     integral = float(weighted.sum() * cell / (2.0 * np.pi))
     scale = float((np.abs(jac) * (gvals != 0)).sum() * cell / (2.0 * np.pi))
@@ -305,9 +309,8 @@ def winding_factor_experiment(symbol: Symbol, n_table=(128, 256, 512),
     g = principal_function(symbol)
     curve_radius = float(np.abs(symbol.curve()).max())
     phi, psi = plateau_coordinate_pair(curve_radius + 0.4, curve_radius + 1.6)
-    box = g.bounding_box()
-    rhs_true, _ = rhs_integral(phi, psi, g, resolution, box=box)
-    jac, gvals, cell = _midpoint_jacobian(phi, psi, g, resolution, box)
+    jac, gvals, cell = _midpoint_jacobian(phi, psi, g, resolution, g.bounding_box())
+    rhs_true, _ = _jacobian_integrals(jac, gvals, cell)
     rhs_flat = float((np.real(jac) * (gvals != 0)).sum() * cell / (2.0 * np.pi))
     rows = []
     for n in n_table:

@@ -172,36 +172,18 @@ def _column_norm(factors, points: np.ndarray) -> float:
     return float(np.sqrt((np.abs(mat) ** 2).sum(axis=0)).max())
 
 
-def _top_singular(m: np.ndarray, iters: int = 40) -> float:
-    """Largest singular value by power iteration on M*M (cheap for wide J x K)."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    s = 0.0
-    for _ in range(iters):
-        w = m @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = m.conj().T @ (w / nw)
-        s_new = np.linalg.norm(v)
-        v = v / s_new
-        if abs(s_new - s) <= 1e-12 * max(s_new, 1.0):
-            s = s_new
-            break
-        s = s_new
-    return float(s)
+def _double_norm(double, points: np.ndarray) -> float:
+    """sup over points of the operator norm of the (J, K) slice.
 
-
-def _double_norm(double, points: np.ndarray, exact: bool = False) -> float:
-    """sup over points of the operator norm of the (J, K) slice."""
+    Each norm is the largest computed singular value raised by the SVD's
+    rounding error bound, taken as 8 max(J, K) eps relative, so the value
+    bounds the exact norm however the computed one rounds.
+    """
     slices = np.asarray(double(points), dtype=np.complex128)
     best = 0.0
     for p in range(slices.shape[0]):
-        m = slices[p]
-        val = np.linalg.norm(m, 2) if (exact or min(m.shape) <= 64) else _top_singular(m)
-        best = max(best, float(val))
-    return best
+        best = max(best, float(np.linalg.norm(slices[p], 2)))
+    return best * (1.0 + 8.0 * max(slices.shape[1:]) * np.finfo(float).eps)
 
 
 def rep_norm_certificate(rep: HaagerupRep, s1, s2, s3) -> RepNormCertificate:
@@ -237,8 +219,10 @@ def triple_spectral_sum(psi, a, b, c, t, r) -> np.ndarray:
     if isinstance(psi, HaagerupRep):
         vals = psi.evaluate_grid(la, mu, nu)
     else:
-        vals = np.asarray(psi(la[:, None, None], mu[None, :, None], nu[None, None, :]),
-                          dtype=np.complex128)
+        # an integrand free of some variable returns a broadcastable shape
+        vals = np.broadcast_to(np.asarray(
+            psi(la[:, None, None], mu[None, :, None], nu[None, None, :]),
+            dtype=np.complex128), (la.size, mu.size, nu.size))
     bad = ~np.isfinite(vals)
     if bad.any():
         i, j, k = np.argwhere(bad)[0]

@@ -192,3 +192,42 @@ def test_one_var_suite_constants_bounded():
     for row in res:
         assert np.isfinite(row["empirical_constant"])
         assert row["empirical_constant"] >= 0.0
+
+
+def _small_bump_pair():
+    rng = Xorshift64Star(2718)
+    a, b = almost_commuting_pair(rng, 5, rank=1)
+    phi = Function2D.closed_form("exp(-(x*x + y*y))")
+    psi = Function2D.closed_form("exp(-((x - 0.2)**2 + (y + 0.1)**2))")
+    return phi, psi, a, b, UniformGrid(dim=2, period=16 * np.pi, points=64)
+
+
+def test_pair_band_path_repeats_bit_identically():
+    phi, psi, a, b, grid = _small_bump_pair()
+    k1, rep1 = commutator_of_functions(phi, psi, a, b, j_max=16, grid=grid)
+    k2, rep2 = commutator_of_functions(phi, psi, a, b, j_max=16, grid=grid)
+    assert np.array_equal(k1, k2)
+    assert rep1 == rep2
+
+
+def test_one_lp_decomposition_per_function(monkeypatch):
+    from opintegral import besov, divdiff
+
+    calls = []
+    original = besov.lp_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(besov, "lp_decompose", counted)
+    monkeypatch.setattr(divdiff, "lp_decompose", counted)
+    phi, psi, a, b, grid = _small_bump_pair()
+    _, rep = commutator_of_functions(phi, psi, a, b, j_max=16, grid=grid)
+    assert len(calls) == 2
+    # the norms read from the shared decompositions are besov_norm's
+    assert rep.bound_ingredients["besov_phi"] == besov.besov_norm(phi, grid, warn=False).value
+    assert rep.bound_ingredients["besov_psi"] == besov.besov_norm(psi, grid, warn=False).value
+    calls.clear()
+    verify_theorem_41(phi, a, b, np.eye(5), j_max=16, grid=grid)
+    assert len(calls) == 1

@@ -6,8 +6,9 @@ from opintegral.divdiff import (besov_representation, divided_difference,
                                 polynomial_dd_rep, sinc_partition_deficit,
                                 sinc_representation)
 from opintegral.functions import Function1D, Function2D, UniformGrid
+from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose
-from opintegral.toi import eval_representation, triple_spectral_sum
+from opintegral.toi import eval_representation, rep_norm_certificate, triple_spectral_sum
 
 
 def _sin_x_sampled(points=256):
@@ -210,3 +211,39 @@ def test_grid_evaluator_matches_pointwise_divdiff_reps(rng):
             pointwise = rep.evaluate(la[:, None, None], mu[None, :, None],
                                      nu[None, None, :])
             assert np.abs(grid_vals - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
+
+
+def test_sinc_certificate_dominates_every_slice_norm():
+    # J = 257: slices large enough that an iterative norm estimate comes out low
+    rng = Xorshift64Star(77)
+    phi = Function2D.closed_form("cos(x) * sin(0.5 * y)")
+    spec = np.linalg.eigvalsh(rng.hermitian(6))
+    for axis in (1, 2):
+        sr = sinc_representation(phi, axis, sigma=2.0, j_max=128, domain_radius=2.0)
+        assert sr.rep.shape == (257, 257)
+        cert = rep_norm_certificate(sr.rep, spec, spec, spec)
+        slices = sr.rep.double(spec)
+        for m in slices:
+            assert cert.factor_norms[sr.rep.slot] >= np.linalg.norm(m, 2)
+
+
+def test_sampled_lattice_samples_match_grid_evaluation():
+    grid = UniformGrid(dim=2, period=16 * np.pi, points=64)
+    ax = grid.axis()
+    phi = Function2D.sampled(np.exp(-(ax[:, None] - 0.3) ** 2 - ax[None, :] ** 2), grid)
+    points = np.array([-0.7, 0.1, 0.9])
+    for axis in (1, 2):
+        sr = sinc_representation(phi, axis, sigma=2.0, j_max=8, skip_bandlimit_check=True)
+        lat = sr.lattice
+        if axis == 1:
+            vals, dvals = phi.eval_grid(lat, points), phi.partial(1).eval_grid(lat, points)
+        else:
+            vals = phi.eval_grid(points, lat).T
+            dvals = phi.partial(2).eval_grid(points, lat).T
+        diff = lat[:, None] - lat[None, :]
+        np.fill_diagonal(diff, 1.0)
+        got = sr.rep.double(points)
+        for p in range(points.size):
+            want = (vals[:, None, p] - vals[None, :, p]) / diff
+            np.fill_diagonal(want, dvals[:, p])
+            assert np.abs(got[p] - want).max() <= 1e-13 * np.abs(want).max()

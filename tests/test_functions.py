@@ -103,3 +103,52 @@ def test_grid_validation():
     grid = UniformGrid(dim=2, period=2 * np.pi, points=8)
     with pytest.raises(ValueError):
         Function2D.sampled(np.zeros((4, 4)), grid)
+
+
+def _smooth_sampled(points=32):
+    grid = UniformGrid(dim=2, period=2 * np.pi, points=points)
+    ax = grid.axis()
+    vals = (np.exp(np.sin(ax))[:, None] * np.cos(2 * ax + 0.3)[None, :]
+            + 0.5j * np.sin(ax)[:, None] * np.sin(3 * ax)[None, :])
+    return Function2D.sampled(vals, grid), vals
+
+
+def test_sampled_evaluations_repeat_bit_identically():
+    f, _ = _smooth_sampled()
+    xs, ys = np.linspace(-1.0, 1.2, 7), np.linspace(-0.4, 0.9, 3)
+    for axis in (1, 2):
+        assert np.array_equal(f.partial(axis).eval_grid(xs, ys),
+                              f.partial(axis).eval_grid(xs, ys))
+    assert np.array_equal(f.eval_grid(xs, ys), f.eval_grid(xs, ys))
+    assert np.array_equal(f(xs, xs[::-1]), f(xs, xs[::-1]))
+
+
+def test_sampled_evaluations_match_fresh_fft():
+    f, vals = _smooth_sampled()
+    grid = f.grid
+    spec = np.fft.fft2(vals)
+    ixi = 1j * grid.frequencies()
+
+    def fresh(s, xs, ys):
+        e = [np.exp(1j * np.outer(p - (-0.5 * grid.period), grid.frequencies())) / grid.points
+             for p in (xs, ys)]
+        return e[0] @ s @ e[1].T
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    many, few = np.linspace(-1.0, 1.2, 9), np.array([0.1, -0.7])
+    for xs, ys in ((many, few), (few, many)):      # both contraction orders
+        assert close(f.eval_grid(xs, ys), fresh(spec, xs, ys))
+        assert close(f.partial(1).eval_grid(xs, ys), fresh(spec * ixi[:, None], xs, ys))
+        assert close(f.partial(2).eval_grid(xs, ys), fresh(spec * ixi[None, :], xs, ys))
+    assert close(f(many, many[::-1]), np.diag(fresh(spec, many, many[::-1])))
+
+
+def test_from_spectrum_samples_on_demand():
+    f, vals = _smooth_sampled()
+    g = Function2D.from_spectrum(np.fft.fft2(vals), f.grid)
+    assert np.abs(g.data - vals).max() <= 1e-13
+    assert np.array_equal(g.eval_grid([0.2], [0.5]), f.eval_grid([0.2], [0.5]))
+    with pytest.raises(ValueError):
+        Function2D.from_spectrum(np.zeros((4, 4)), f.grid)

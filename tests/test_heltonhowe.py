@@ -152,3 +152,14 @@ def test_imag_residue_guard_polynomial_path():
     k = np.array([[1.0 + 1.0j, 0.0], [0.0, 1.0]])
     with pytest.raises(ArithmeticError, match="imaginary residue"):
         corner_trace(k, 2, 1e-10)
+
+
+def test_winding_rhs_true_is_rhs_integral():
+    from opintegral.heltonhowe import plateau_coordinate_pair
+
+    symbol = Symbol.from_dict({2: 1.0, 1: 0.5})
+    wf = winding_factor_experiment(symbol, n_table=(32,), resolution=128)
+    g = principal_function(symbol)
+    radius = float(np.abs(symbol.curve()).max())
+    phi, psi = plateau_coordinate_pair(radius + 0.4, radius + 1.6)
+    assert wf["rhs_true"] == rhs_integral(phi, psi, g, 128, box=g.bounding_box())[0]

@@ -5,6 +5,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import opintegral
 from opintegral import functions
 
@@ -31,3 +33,17 @@ def test_tracer_layer_names_exist():
 
 def test_rhs_integral_takes_resolution():
     assert "resolution" in inspect.signature(opintegral.heltonhowe.rhs_integral).parameters
+
+
+def test_band_certificate_call_on_small_instance():
+    # the call the band-path certificate item makes, on a J = 16, 64^2 instance
+    from opintegral.divdiff import besov_representation
+    from opintegral.functions import Function2D, UniformGrid
+
+    grid = UniformGrid(dim=2, period=16.0 * np.pi, points=64)
+    bump = Function2D.closed_form("exp(-((x - 0.1)**2 + (y + 0.2)**2))")
+    reps = besov_representation(bump, 1, j_max=16, grid=grid, domain_radius=1.1)
+    assert reps.items
+    assert all(np.isfinite(sr.tail_bound) for sr in reps.items.values())
+    s = np.linspace(-1.0, 1.0, 4)
+    assert np.isfinite(reps.aggregate_certificate(s, s, s))

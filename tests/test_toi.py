@@ -287,3 +287,15 @@ def test_trace_duality_rejects_haagerup_and_projective(rng):
     for repk in (rep, projective_to_kind(rep, "haagerup", *spectra)):
         with pytest.raises(ValueError, match="first/second kind"):
             eval_via_trace_duality(repk, a, t, a, t, a)
+
+
+def test_triple_sum_integrand_free_of_a_variable(rng):
+    a, b, c = rng.hermitian(3), rng.hermitian(4), rng.hermitian(5)
+    t, r = rng.complex_normal((3, 4)), rng.complex_normal((4, 5))
+    got = triple_spectral_sum(lambda x, y, z: np.sin(x + z), a, b, c, t, r)
+    want = triple_spectral_sum(lambda x, y, z: np.sin(x + z) + 0.0 * y, a, b, c, t, r)
+    assert np.array_equal(got, want)
+    eye = np.eye(3, dtype=np.complex128)
+    diag = np.diag([0.1, 0.5, -0.3])
+    out = triple_spectral_sum(lambda x, y, z: np.sin(x + z), diag, diag, diag, eye, eye)
+    assert np.allclose(out, np.diag(np.sin(2 * np.diag(diag))), rtol=0, atol=1e-15)
