@@ -61,19 +61,19 @@ def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _dd_terms(phi: Function2D, da, db, j_max: int, grid: UniformGrid | None,
-              band_range, domain_radius: float | None, axes=(2, 1)):
-    """({axis: representations of phi's axis divided difference}, one of the
-    BandRepLists they come from, None on the exact polynomial path).  One LP
-    decomposition of phi serves every axis."""
+              band_range, domain_radius: float | None):
+    """({axis: representations of phi's axis divided difference} for axes 2
+    and 1, one of the BandRepLists they come from, None on the exact
+    polynomial path).  One LP decomposition of phi serves both axes."""
     if phi.kind == "polynomial":
-        return {axis: [polynomial_dd_rep(phi, axis)] for axis in axes}, None
+        return {axis: [polynomial_dd_rep(phi, axis)] for axis in (2, 1)}, None
     if domain_radius is None:
         domain_radius = 1.1 * max(
             np.abs(da.eigenvalues).max(), np.abs(db.eigenvalues).max(), 1.0)
-    lists = band_representations(phi, axes, band_range=band_range, j_max=j_max,
+    lists = band_representations(phi, (2, 1), band_range=band_range, j_max=j_max,
                                  grid=grid, domain_radius=domain_radius)
-    return {axis: [sr.rep for _, sr in sorted(lists[axis].items.items())]
-            for axis in axes}, lists[axes[0]]
+    return {axis: [sr.rep for _, sr in sorted(bands.items.items())]
+            for axis, bands in lists.items()}, lists[2]
 
 
 def _sum_terms(reps: dict, da, db, comm_a, comm_b) -> np.ndarray:
@@ -109,14 +109,12 @@ def commutator_with_operator(psi: Function2D, da, db, which: str,
     """[A, psi(A,B)] or [B, psi(A,B)] via the identity with Q = A (resp. B).
 
     With Q = A the x-divided-difference term vanishes ([A, A] = 0), leaving
-    minus the y-term against [B, A]; symmetrically for Q = B.  Only the
-    representations of the surviving term are built.
+    minus the y-term against [B, A]; symmetrically for Q = B.
     """
     if which not in ("A", "B"):
         raise ValueError("which must be 'A' or 'B'")
     da, db = as_decomposition(da), as_decomposition(db)
-    reps, _ = _dd_terms(psi, da, db, j_max, grid, band_range, domain_radius,
-                        axes=(2 if which == "A" else 1,))
+    reps, _ = _dd_terms(psi, da, db, j_max, grid, band_range, domain_radius)
     return _with_operator(reps, da, db, which)
 
 

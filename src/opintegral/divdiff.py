@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .besov import DEFAULT_GRID_2D, bandlimit_check, default_band_range, lp_decompose
-from .functions import Function2D, UniformGrid, _interp_matrix
+from .functions import Function2D, UniformGrid
 from .toi import SLOTS, HaagerupRep, _double_norm, rep_norm_certificate
 
 
@@ -120,18 +120,10 @@ class SincRep:
 def _lattice_double(phi: Function2D, axis: int, lattice: np.ndarray):
     """points -> (npts, J, J) lattice divided differences of phi at the points.
 
-    For sampled phi the lattice interpolation matrix is built here, once per
-    representation, and each call contracts the cached spectrum with the
-    points once for both the values and the partial derivative.
+    A sampled phi's lattice evaluator is built here, once per representation.
     """
     if phi.kind == "sampled":
-        e_lat = _interp_matrix(phi.grid, lattice)                  # (J, N)
-        spec = phi.spectrum() if axis == 1 else phi.spectrum().T   # lattice axis first
-        ixi = 1j * phi.grid.frequencies()
-
-        def values(points):
-            m = spec @ _interp_matrix(phi.grid, points).T          # (N, npts)
-            return e_lat @ m, (e_lat * ixi) @ m
+        values = phi.lattice_evaluator(axis, lattice)
     else:
         dphi = phi.partial(axis)
 

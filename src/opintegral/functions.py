@@ -536,11 +536,29 @@ class Function2D:
         if self.kind == "sampled":
             ex = _interp_matrix(self.grid, xs)
             ey = _interp_matrix(self.grid, ys)
-            # contract the spectrum with the shorter side first
-            if xs.size > ys.size:
-                return ex @ (self.spectrum() @ ey.T)
             return ex @ self.spectrum() @ ey.T
         return self(xs[:, None], ys[None, :])
+
+    def lattice_evaluator(self, axis: int, lattice):
+        """points -> (values, partial values along axis), each (J, npts), of a
+        sampled function on the grid with the J lattice points in the given axis
+        and the points in the other.
+
+        The lattice interpolation matrix is built once, here; each call
+        contracts the spectrum with the points once for both results.
+        """
+        if self.kind != "sampled":
+            raise ValueError(f"a {self.kind} function has no grid spectrum")
+        if axis not in (1, 2):
+            raise ValueError("axis must be 1 or 2")
+        e_lat = _interp_matrix(self.grid, lattice)                   # (J, N)
+        spec = self.spectrum() if axis == 1 else self.spectrum().T   # lattice axis first
+        ixi = 1j * self.grid.frequencies()
+
+        def evaluate(points):
+            m = spec @ _interp_matrix(self.grid, points).T           # (N, npts)
+            return e_lat @ m, (e_lat * ixi) @ m
+        return evaluate
 
     def partial(self, axis: int) -> "Function2D":
         """Exact partial derivative along axis 1 (x) or 2 (y)."""

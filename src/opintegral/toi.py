@@ -175,9 +175,14 @@ def _column_norm(factors, points: np.ndarray) -> float:
 def _double_norm(double, points: np.ndarray) -> float:
     """sup over points of the operator norm of the (J, K) slice.
 
-    Each norm is the largest computed singular value raised by the SVD's
-    rounding error bound, taken as 8 max(J, K) eps relative, so the value
-    bounds the exact norm however the computed one rounds.
+    Each norm is the largest computed singular value (never an iterative
+    estimate, which can come out low), raised by a rounding margin of
+    8 max(J, K) eps relative.  The margin is a heuristic allowance, not a
+    proven bound: LAPACK bounds the singular-value error only as
+    p(J, K) eps sigma_1 with p an unspecified, modestly growing function
+    (LAPACK Users' Guide, 3rd ed., sec. 4.9), and rounding in the slice
+    entries is not accounted for.  It does cover the last-digit differences
+    between repeated computations of the same norm.
     """
     slices = np.asarray(double(points), dtype=np.complex128)
     best = 0.0

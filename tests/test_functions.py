@@ -138,7 +138,7 @@ def test_sampled_evaluations_match_fresh_fft():
         return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     many, few = np.linspace(-1.0, 1.2, 9), np.array([0.1, -0.7])
-    for xs, ys in ((many, few), (few, many)):      # both contraction orders
+    for xs, ys in ((many, few), (few, many)):      # more x than y points, and the reverse
         assert close(f.eval_grid(xs, ys), fresh(spec, xs, ys))
         assert close(f.partial(1).eval_grid(xs, ys), fresh(spec * ixi[:, None], xs, ys))
         assert close(f.partial(2).eval_grid(xs, ys), fresh(spec * ixi[None, :], xs, ys))
