@@ -132,10 +132,18 @@ def lp_decompose(values, grid: UniformGrid, band_range: tuple[int, int] | None =
     spec = fft(values)
     radii = grid.radial_frequencies()
 
+    # a band whose annulus ends at or below the lowest nonzero frequency has
+    # a zero window on every bin: it gets a shared zero array and no transform
+    r_min = float(np.min(radii, where=radii > 0, initial=np.inf))
+    empty = np.zeros(radii.shape, dtype=np.complex128)
+    empty.flags.writeable = False
     bands = {}
     sup_norms = {}
     covered = np.zeros_like(radii)
     for n in range(n_min, n_max + 1):
+        if 2.0 ** (n + 1) <= r_min:
+            bands[n], sup_norms[n] = empty, 0.0
+            continue
         w = window_eval(radii / 2.0 ** n)
         covered += w
         band = ifft(spec * w)

@@ -367,7 +367,8 @@ class Function1D:
     """One-variable function: polynomial coefficients, a closed form, or samples.
 
     Supports pointwise evaluation, exact/spectral differentiation, complex
-    conjugation, and uniform sup-norm estimation on an interval.
+    conjugation, and uniform sup-norm estimation on an interval.  A sampled
+    function computes its fft spectrum once per object.
     """
 
     def __init__(self, kind: str, data, grid: UniformGrid | None = None):
@@ -375,18 +376,25 @@ class Function1D:
             raise ValueError(f"unknown Function1D kind {kind!r}")
         self.kind = kind
         self.grid = grid
+        self._spec = None
         if kind == "polynomial":
-            self.data = np.atleast_1d(np.asarray(data, dtype=np.complex128))
+            self._data = np.atleast_1d(np.asarray(data, dtype=np.complex128))
         elif kind == "closed_form":
             if not isinstance(data, Expr):
                 raise TypeError("closed_form expects an Expr")
-            self.data = data
+            self._data = data
         else:
             if grid is None or grid.dim != 1:
                 raise ValueError("sampled Function1D needs a 1-d grid")
-            self.data = np.asarray(data, dtype=np.complex128)
-            if self.data.shape != (grid.points,):
+            self._data = np.asarray(data, dtype=np.complex128)
+            if self._data.shape != (grid.points,):
                 raise ValueError("sample count does not match grid")
+
+    @property
+    def data(self):
+        """Coefficients, expression tree or grid samples (read-only: the
+        spectrum of the samples is cached)."""
+        return self._data
 
     @classmethod
     def polynomial(cls, coeffs) -> "Function1D":
@@ -402,6 +410,14 @@ class Function1D:
     def sampled(cls, values, grid: UniformGrid) -> "Function1D":
         return cls("sampled", values, grid)
 
+    def spectrum(self) -> np.ndarray:
+        """fft of the samples of a sampled function, computed once per object."""
+        if self.kind != "sampled":
+            raise ValueError(f"a {self.kind} function has no grid spectrum")
+        if self._spec is None:
+            self._spec = np.fft.fft(self.data)
+        return self._spec
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
@@ -410,7 +426,7 @@ class Function1D:
             out = np.asarray(self.data.eval(x, None))
             return out + np.zeros(x.shape) if out.shape != x.shape else out
         e = _interp_matrix(self.grid, np.ravel(x))
-        vals = e @ np.fft.fft(self.data)
+        vals = e @ self.spectrum()
         return vals.reshape(np.shape(x))
 
     def derivative(self) -> "Function1D":
@@ -418,7 +434,7 @@ class Function1D:
             return Function1D.polynomial(np.polynomial.polynomial.polyder(self.data))
         if self.kind == "closed_form":
             return Function1D.closed_form(self.data.diff("x"))
-        spec = np.fft.fft(self.data) * (1j * self.grid.frequencies())
+        spec = self.spectrum() * (1j * self.grid.frequencies())
         return Function1D.sampled(np.fft.ifft(spec), self.grid)
 
     def conjugate(self) -> "Function1D":
@@ -537,6 +553,11 @@ class Function2D:
             ex = _interp_matrix(self.grid, xs)
             ey = _interp_matrix(self.grid, ys)
             return ex @ self.spectrum() @ ey.T
+        if self.kind == "polynomial":
+            # Horner in x on the axis, then in y: per element the operations
+            # of polyval2d on the broadcast grid, without its grid-sized stage
+            pv = np.polynomial.polynomial.polyval
+            return pv(ys[None, :], pv(xs, self.data)[:, :, None], tensor=False)
         return self(xs[:, None], ys[None, :])
 
     def lattice_evaluator(self, axis: int, lattice):

@@ -173,10 +173,11 @@ def decompose(h, cluster_tol: float | None = None, method: str = "lapack") -> Sp
         cluster_tol=float(cluster_tol),
         clusters=_greedy_clusters(w, float(cluster_tol)),
     )
-    residual = np.linalg.norm(dec.matrix() - a, 2)
+    # Frobenius norm: an upper bound for the 2-norm at a fraction of an SVD
+    residual = np.linalg.norm(dec.matrix() - a)
     if residual > RECONSTRUCTION_RTOL * norm:
         raise RuntimeError(
-            f"eigendecomposition residual {residual:.3g} exceeds "
+            f"eigendecomposition residual {residual:.3g} (Frobenius) exceeds "
             f"{RECONSTRUCTION_RTOL:.0e} * ||A||"
         )
     return dec

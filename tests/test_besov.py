@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from opintegral.besov import (DEFAULT_GRID_1D, DEFAULT_GRID_2D, bandlimit_check,
-                              besov_norm, lp_decompose, max_band, window_eval)
+                              besov_norm, lp_decompose, max_band, plateau, window_eval)
+from opintegral.commutator import SURROGATE_GRID_2D
 from opintegral.functions import Function2D, UniformGrid
 
 
@@ -167,3 +168,69 @@ def test_max_band_matches_nyquist():
     grid = DEFAULT_GRID_1D  # nyquist 64
     assert max_band(grid) == 5
     assert 2.0 ** (max_band(grid) + 1) <= grid.nyquist
+
+
+def _reference_lp(values, grid, band_range):
+    """Every window evaluated and every band transformed, empty or not."""
+    fft, ifft = (np.fft.fft2, np.fft.ifft2) if grid.dim == 2 else (np.fft.fft, np.fft.ifft)
+    spec = fft(np.asarray(values, dtype=np.complex128))
+    radii = grid.radial_frequencies()
+    bands, sups, covered = {}, {}, np.zeros_like(radii)
+    for n in range(band_range[0], band_range[1] + 1):
+        w = window_eval(radii / 2.0 ** n)
+        covered += w
+        bands[n] = ifft(spec * w)
+        sups[n] = float(np.abs(bands[n]).max())
+    mass = np.abs(spec) ** 2
+    total = float(mass.sum() - mass.flat[0])
+    leaked = float((mass * (1.0 - np.minimum(covered, 1.0))).sum() - mass.flat[0])
+    total_bands = np.zeros_like(bands[band_range[0]])
+    for n in sorted(bands):
+        total_bands = total_bands + bands[n]
+    return sups, leaked / total, total_bands
+
+
+def _cut_polynomial(grid):
+    ax = grid.axis()
+    cut = plateau(ax, 2.0, 6.0)
+    phi = Function2D.polynomial([[0.3, -1.0, 0.2], [1.5, 0.0, -0.4], [0.1, 0.7, 0.0]])
+    return phi.eval_grid(ax, ax) * np.outer(cut, cut)
+
+
+def test_lp_decompose_matches_all_window_reference_bitwise():
+    g1 = DEFAULT_GRID_1D.axis()
+    cases = [
+        (np.exp(-g1 ** 2) * np.cos(3.0 * g1), DEFAULT_GRID_1D, None),
+        (_cut_polynomial(SURROGATE_GRID_2D), SURROGATE_GRID_2D, None),
+        (_cut_polynomial(DEFAULT_GRID_2D), DEFAULT_GRID_2D, None),
+        (_cut_polynomial(DEFAULT_GRID_2D), DEFAULT_GRID_2D, (-4, 2)),   # no empty band
+    ]
+    for values, grid, band_range in cases:
+        dec = lp_decompose(values, grid, band_range, warn=False)
+        sups, uncovered, recon = _reference_lp(values, grid, dec.band_range)
+        assert dec.sup_norms == sups
+        assert sorted(dec.bands) == sorted(sups)
+        assert dec.uncovered_mass == uncovered
+        assert dec.reconstruction().tobytes() == recon.tobytes()
+        assert dec.besov_norm().value == float(np.sum([2.0 ** n * sups[n] for n in sorted(sups)]))
+
+
+def test_lp_decompose_empty_bands_shared_and_read_only():
+    dec = lp_decompose(_cut_polynomial(SURROGATE_GRID_2D), SURROGATE_GRID_2D, warn=False)
+    empty = [n for n in dec.bands if 2.0 ** (n + 1) <= 2 * np.pi / SURROGATE_GRID_2D.period]
+    assert empty == [-10, -9, -8, -7, -6, -5]
+    assert all(dec.bands[n] is dec.bands[empty[0]] for n in empty)
+    assert all(dec.sup_norms[n] == 0.0 for n in empty)
+    assert not dec.bands[-10].flags.writeable
+    with pytest.raises(ValueError):
+        dec.bands[-10][0, 0] = 1.0
+
+
+def test_lp_decompose_transforms_only_nonempty_bands(monkeypatch):
+    values = _cut_polynomial(SURROGATE_GRID_2D)
+    calls = []
+    ifft2 = np.fft.ifft2
+    monkeypatch.setattr(np.fft, "ifft2", lambda a, *args, **kw: calls.append(1) or ifft2(a, *args, **kw))
+    dec = lp_decompose(values, SURROGATE_GRID_2D, warn=False)
+    assert len(dec.bands) == 14
+    assert len(calls) == 8

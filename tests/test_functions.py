@@ -152,3 +152,40 @@ def test_from_spectrum_samples_on_demand():
     assert np.array_equal(g.eval_grid([0.2], [0.5]), f.eval_grid([0.2], [0.5]))
     with pytest.raises(ValueError):
         Function2D.from_spectrum(np.zeros((4, 4)), f.grid)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got.view(np.float64), want.view(np.float64))
+            and got.tobytes() == want.tobytes())
+
+
+def test_polynomial_eval_grid_matches_polyval2d_bitwise():
+    gen = np.random.default_rng(7)
+    coeffs = [gen.normal(size=(1, 1)), gen.normal(size=(3, 1)), gen.normal(size=(1, 2)),
+              gen.normal(size=(5, 5)) + 1j * gen.normal(size=(5, 5))]
+    for c in coeffs:
+        phi = Function2D.polynomial(c)
+        for nx, ny in ((7, 3), (3, 7), (1, 4), (5, 1), (1, 1)):
+            xs, ys = 3.0 * gen.normal(size=nx), 3.0 * gen.normal(size=ny)
+            want = np.polynomial.polynomial.polyval2d(
+                *np.broadcast_arrays(xs[:, None], ys[None, :]), phi.data)
+            assert _same_bits(phi.eval_grid(xs, ys), want), (c.shape, nx, ny)
+
+
+def test_sampled_one_var_spectrum_computed_once(monkeypatch):
+    grid = UniformGrid(dim=1, period=20.0, points=128)
+    samples = np.exp(-grid.axis() ** 2) * (1.0 + 0.5j * np.sin(grid.axis()))
+    f = Function1D.sampled(samples, grid)
+    pts = np.linspace(-3.0, 3.0, 11)
+    e = np.exp(1j * np.outer(pts + 0.5 * grid.period, grid.frequencies())) / grid.points
+    fresh = e @ np.fft.fft(samples)
+    fresh_deriv = np.fft.ifft(np.fft.fft(samples) * (1j * grid.frequencies()))
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: calls.append(1) or fft(a, *args, **kw))
+    for _ in range(3):
+        assert _same_bits(f(pts), fresh)
+    assert _same_bits(f.derivative().data, fresh_deriv)
+    assert len(calls) == 1

@@ -144,3 +144,17 @@ def test_non_finite_matrix_rejected():
         m[1, 2] = m[2, 1] = bad
         with pytest.raises(ValueError, match=r"non-finite entry \(1,2\)"):
             decompose(m)
+
+
+def test_perturbed_eigenvectors_fail_reconstruction_check(rng, monkeypatch):
+    a = rng.hermitian(12)
+    eigh = np.linalg.eigh
+
+    def perturbed(m):
+        w, u = eigh(m)
+        return w, u + 1e-8 * np.outer(np.ones(u.shape[0]), np.arange(u.shape[1]))
+
+    decompose(a)
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(RuntimeError, match="residual"):
+        decompose(a)
