@@ -367,8 +367,7 @@ class Function1D:
     """One-variable function: polynomial coefficients, a closed form, or samples.
 
     Supports pointwise evaluation, exact/spectral differentiation, complex
-    conjugation, and uniform sup-norm estimation on an interval.  A sampled
-    function computes its fft spectrum once per object.
+    conjugation, and uniform sup-norm estimation on an interval.
     """
 
     def __init__(self, kind: str, data, grid: UniformGrid | None = None):
@@ -376,25 +375,18 @@ class Function1D:
             raise ValueError(f"unknown Function1D kind {kind!r}")
         self.kind = kind
         self.grid = grid
-        self._spec = None
         if kind == "polynomial":
-            self._data = np.atleast_1d(np.asarray(data, dtype=np.complex128))
+            self.data = np.atleast_1d(np.asarray(data, dtype=np.complex128))
         elif kind == "closed_form":
             if not isinstance(data, Expr):
                 raise TypeError("closed_form expects an Expr")
-            self._data = data
+            self.data = data
         else:
             if grid is None or grid.dim != 1:
                 raise ValueError("sampled Function1D needs a 1-d grid")
-            self._data = np.asarray(data, dtype=np.complex128)
-            if self._data.shape != (grid.points,):
+            self.data = np.asarray(data, dtype=np.complex128)
+            if self.data.shape != (grid.points,):
                 raise ValueError("sample count does not match grid")
-
-    @property
-    def data(self):
-        """Coefficients, expression tree or grid samples (read-only: the
-        spectrum of the samples is cached)."""
-        return self._data
 
     @classmethod
     def polynomial(cls, coeffs) -> "Function1D":
@@ -410,14 +402,6 @@ class Function1D:
     def sampled(cls, values, grid: UniformGrid) -> "Function1D":
         return cls("sampled", values, grid)
 
-    def spectrum(self) -> np.ndarray:
-        """fft of the samples of a sampled function, computed once per object."""
-        if self.kind != "sampled":
-            raise ValueError(f"a {self.kind} function has no grid spectrum")
-        if self._spec is None:
-            self._spec = np.fft.fft(self.data)
-        return self._spec
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
@@ -426,7 +410,7 @@ class Function1D:
             out = np.asarray(self.data.eval(x, None))
             return out + np.zeros(x.shape) if out.shape != x.shape else out
         e = _interp_matrix(self.grid, np.ravel(x))
-        vals = e @ self.spectrum()
+        vals = e @ np.fft.fft(self.data)
         return vals.reshape(np.shape(x))
 
     def derivative(self) -> "Function1D":
@@ -434,7 +418,7 @@ class Function1D:
             return Function1D.polynomial(np.polynomial.polynomial.polyder(self.data))
         if self.kind == "closed_form":
             return Function1D.closed_form(self.data.diff("x"))
-        spec = self.spectrum() * (1j * self.grid.frequencies())
+        spec = np.fft.fft(self.data) * (1j * self.grid.frequencies())
         return Function1D.sampled(np.fft.ifft(spec), self.grid)
 
     def conjugate(self) -> "Function1D":

@@ -216,20 +216,10 @@ def triple_spectral_sum(psi, a, b, c, t, r) -> np.ndarray:
     whose integrand tensor comes from HaagerupRep.evaluate_grid.
     """
     da, db, dc = as_decomposition(a), as_decomposition(b), as_decomposition(c)
-    t, r = _operands(da, db, dc, t, r)
-    return _spectral_contraction(_integrand_tensor(psi, da, db, dc), da, db, dc, t, r)
-
-
-def _operands(da, db, dc, t, r):
     t = np.asarray(t, dtype=np.complex128)
     r = np.asarray(r, dtype=np.complex128)
     if t.shape != (da.dim, db.dim) or r.shape != (db.dim, dc.dim):
         raise ValueError("operator shapes incompatible with the spectra")
-    return t, r
-
-
-def _integrand_tensor(psi, da, db, dc) -> np.ndarray:
-    """Psi on the joint spectra, (n1, n2, n3); rejects non-finite values."""
     la, mu, nu = da.eigenvalues, db.eigenvalues, dc.eigenvalues
     if isinstance(psi, HaagerupRep):
         vals = psi.evaluate_grid(la, mu, nu)
@@ -243,11 +233,6 @@ def _integrand_tensor(psi, da, db, dc) -> np.ndarray:
         i, j, k = np.argwhere(bad)[0]
         raise ValueError(
             f"integrand not evaluable at ({la[i]:.6g}, {mu[j]:.6g}, {nu[k]:.6g})")
-    return vals
-
-
-def _spectral_contraction(vals, da, db, dc, t, r) -> np.ndarray:
-    """sum_ijk vals[i, j, k] P_i T Q_j R S_k, summed over j with Kahan."""
     tp = da.eigenvectors.conj().T @ t @ db.eigenvectors
     rp = db.eigenvectors.conj().T @ r @ dc.eigenvectors
     out = np.zeros((da.dim, dc.dim), dtype=np.complex128)
@@ -296,16 +281,13 @@ def eval_via_trace_duality(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
     decs = [as_decomposition(x) for x in (a, b, c)]
     n1, n3 = decs[0].dim, decs[2].dim
     tr = (np.asarray(t, dtype=np.complex128), np.asarray(r, dtype=np.complex128))
-    rotated = (decs[lo], decs[s], decs[hi])
-    # the rotated integrand tensor does not depend on the matrix unit
-    vals = _integrand_tensor(inner, *rotated)
     w = np.zeros((n1, n3), dtype=np.complex128)
     for p in range(n1):
         for q in range(n3):
             qmat = np.zeros((n3, n1), dtype=np.complex128)
             qmat[q, p] = 1.0
             ops = (*tr, qmat)
-            v = _spectral_contraction(vals, *rotated, *_operands(*rotated, ops[lo], ops[s]))
+            v = eval_representation(inner, decs[lo], ops[lo], decs[s], ops[s], decs[hi])
             w[p, q] = np.trace(v @ ops[hi])
     return w
 

@@ -172,20 +172,3 @@ def test_polynomial_eval_grid_matches_polyval2d_bitwise():
             want = np.polynomial.polynomial.polyval2d(
                 *np.broadcast_arrays(xs[:, None], ys[None, :]), phi.data)
             assert _same_bits(phi.eval_grid(xs, ys), want), (c.shape, nx, ny)
-
-
-def test_sampled_one_var_spectrum_computed_once(monkeypatch):
-    grid = UniformGrid(dim=1, period=20.0, points=128)
-    samples = np.exp(-grid.axis() ** 2) * (1.0 + 0.5j * np.sin(grid.axis()))
-    f = Function1D.sampled(samples, grid)
-    pts = np.linspace(-3.0, 3.0, 11)
-    e = np.exp(1j * np.outer(pts + 0.5 * grid.period, grid.frequencies())) / grid.points
-    fresh = e @ np.fft.fft(samples)
-    fresh_deriv = np.fft.ifft(np.fft.fft(samples) * (1j * grid.frequencies()))
-    calls = []
-    fft = np.fft.fft
-    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: calls.append(1) or fft(a, *args, **kw))
-    for _ in range(3):
-        assert _same_bits(f(pts), fresh)
-    assert _same_bits(f.derivative().data, fresh_deriv)
-    assert len(calls) == 1

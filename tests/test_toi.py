@@ -299,42 +299,3 @@ def test_triple_sum_integrand_free_of_a_variable(rng):
     diag = np.diag([0.1, 0.5, -0.3])
     out = triple_spectral_sum(lambda x, y, z: np.sin(x + z), diag, diag, diag, eye, eye)
     assert np.allclose(out, np.diag(np.sin(2 * np.diag(diag))), rtol=0, atol=1e-15)
-
-
-def test_trace_duality_builds_integrand_tensor_once(rng, monkeypatch):
-    a, b, c = rng.hermitian(6), rng.hermitian(5), rng.hermitian(4)
-    da, db, dc = decompose(a), decompose(b), decompose(c)
-    t = rng.complex_normal((6, 5))
-    r = rng.complex_normal((5, 4))
-    rep = _projective(_random_terms(rng))
-    evaluate_grid = HaagerupRep.evaluate_grid
-    calls = []
-
-    def counted(self, *points):
-        calls.append(1)
-        return evaluate_grid(self, *points)
-
-    for kind in ("first_kind", "second_kind"):
-        repk = projective_to_kind(rep, kind, da.eigenvalues, db.eigenvalues, dc.eigenvalues)
-        s = repk.slot
-        lo, hi = (s - 1) % 3, (s + 1) % 3
-        # the rotated Haagerup integral paired with every matrix unit, one
-        # integrand tensor per unit
-        inner = HaagerupRep(kind="haagerup", left=repk.factors[lo], right=repk.factors[hi],
-                            double=lambda p, d=repk.double: np.swapaxes(d(p), 1, 2),
-                            shape=(repk.shape[1], repk.shape[0]))
-        decs = (da, db, dc)
-        want = np.zeros((6, 4), dtype=np.complex128)
-        for p in range(6):
-            for q in range(4):
-                unit = np.zeros((4, 6), dtype=np.complex128)
-                unit[q, p] = 1.0
-                ops = (t, r, unit)
-                v = eval_representation(inner, decs[lo], ops[lo], decs[s], ops[s], decs[hi])
-                want[p, q] = np.trace(v @ ops[hi])
-        monkeypatch.setattr(HaagerupRep, "evaluate_grid", counted)
-        calls.clear()
-        got = eval_via_trace_duality(repk, da, t, db, r, dc)
-        monkeypatch.setattr(HaagerupRep, "evaluate_grid", evaluate_grid)
-        assert len(calls) == 1
-        assert got.tobytes() == want.tobytes()
