@@ -152,6 +152,9 @@ def lp_decompose(values, grid: UniformGrid, band_range: tuple[int, int] | None =
 
     mass = np.abs(spec) ** 2
     total = float(mass.sum() - mass.flat[0])  # zero bin excluded (norm mod constants)
+    if not np.isfinite(total):
+        raise ValueError("non-finite spectral mass: the samples contain NaN or "
+                         "infinite values, or are too large")
     leaked = float((mass * (1.0 - np.minimum(covered, 1.0))).sum() - mass.flat[0])
     uncovered = leaked / total if total > 0 else 0.0
     if warn and uncovered > LEAKAGE_TOL:

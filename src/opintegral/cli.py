@@ -83,7 +83,8 @@ def cmd_schur_norm(args) -> int:
     payload = {"command": "schur-norm", "matrix": str(args.matrix),
                "tol": args.tol, "upper": cert.upper, "lower": cert.lower,
                "gap": cert.gap, "converged": cert.converged,
-               "witness_min_eig": cert.witness_min_eig}
+               "witness_min_eig": cert.witness_min_eig,
+               "iterations": cert.iterations}
     _print(args, f"multiplier norm in [{cert.lower!r}, {cert.upper!r}] "
                  f"(gap {cert.gap:.3e}{'' if cert.converged else ', not within tol'})")
     _emit(args, payload)

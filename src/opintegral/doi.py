@@ -6,11 +6,17 @@ in the joint eigenbasis:
 
     U_A (Phi_hat o (U_A* T U_B)) U_B*,   Phi_hat[i, j] = Phi(lambda_i, mu_j).
 
-The multiplier norm of a finite matrix Phi_hat is certified from both sides:
-an upper bound from a positive semidefinite block witness
-[[X, Phi_hat], [Phi_hat*, Y]] >= 0 with capped diagonals (any factorization
-Phi_hat = P*Q yields one), and a lower bound from explicit contractions Z via
-||Phi_hat o Z|| / ||Z||.
+The multiplier norm of a finite matrix Phi_hat equals its Haagerup tensor
+norm, and by trace-class duality
+
+    ||S_Phi|| = max over x, y >= 0 with unit 2-norm of ||D_x Phi_hat D_y||_S1
+
+(Pisier, Similarity Problems and Completely Bounded Maps, ch. 5).  For
+weights x, y with D_x Phi_hat D_y = U S V*, both sides are certified by
+explicit witnesses: the contraction Z = conj(U V*) gives the lower bound
+||Phi_hat o Z|| / ||Z|| >= ||S||_1, and the factorization Phi_hat = P* Q with
+P = S^1/2 U* D_x^-1, Q = S^1/2 V* D_y^-1 gives a positive semidefinite block
+[[X, Phi_hat], [Phi_hat*, Y]] >= 0 whose capped diagonal is the upper bound.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import Function1D, Function2D
-from .rng import Xorshift64Star
 from .spectral import as_decomposition
 
 
@@ -113,15 +118,21 @@ def one_var_commutator_identity(f: Function1D, a, b, q) -> float:
 # ---------------------------------------------------------------------------
 # Schur multiplier norm certificates
 
+#: step cap of the dual weight iteration in schur_multiplier_norm; the
+#: slowest small inputs seen need about 2000 steps at tol 1e-6
+#: (docs/decisions.md)
+_MAX_ITERATIONS = 5000
+
 
 @dataclass(frozen=True)
 class SchurMultiplierCertificate:
     """Two-sided certificate for the Hadamard multiplier norm of a matrix.
 
-    lower comes from explicit contractions (always a valid lower bound);
+    lower comes from an explicit contraction (always a valid lower bound);
     upper from a PSD block witness [[X, Phi], [Phi*, Y]] with diagonals
     <= upper (always a valid upper bound).  witness_min_eig records the
-    most negative eigenvalue of the witness block (>= -1e-8 required).
+    most negative eigenvalue of the witness block (>= -1e-8 required);
+    iterations counts the dual weight updates that were made.
     """
 
     matrix: np.ndarray
@@ -133,83 +144,12 @@ class SchurMultiplierCertificate:
     witness_min_eig: float
     lower_witness: np.ndarray
     converged: bool
+    iterations: int
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-9:
             raise AssertionError(
                 f"certificate sandwich violated: lower {self.lower} > upper {self.upper}")
-
-
-def _hadamard_ratio(phi: np.ndarray, z: np.ndarray) -> float:
-    nz = np.linalg.norm(z, 2)
-    if nz == 0:
-        return 0.0
-    return float(np.linalg.norm(phi * z, 2) / nz)
-
-
-def _ascent_polish(phi: np.ndarray, z: np.ndarray, iters: int = 60) -> tuple[float, np.ndarray]:
-    """Alternating maximization of ||Phi o Z|| over contractions Z.
-
-    Each step is a certified evaluation, so the running best is always a
-    valid lower bound; the iteration climbs to a local maximum.
-    """
-    best = _hadamard_ratio(phi, z)
-    best_z = z / max(np.linalg.norm(z, 2), 1e-300)
-    z = best_z
-    for _ in range(iters):
-        m = phi * z
-        u, s, vh = np.linalg.svd(m)
-        top_u = u[:, 0]
-        top_v = vh[0, :].conj()
-        w = np.conj(top_u)[:, None] * phi * top_v[None, :]
-        uw, _, vwh = np.linalg.svd(np.conj(w), full_matrices=False)
-        z_new = uw @ vwh
-        r = _hadamard_ratio(phi, z_new)
-        if r <= best + 1e-14:
-            break
-        best, best_z, z = r, z_new, z_new
-    return best, best_z
-
-
-def _lower_bound(phi: np.ndarray, n_random: int, seed: int) -> tuple[float, np.ndarray]:
-    m, n = phi.shape
-    best = 0.0
-    best_z = np.zeros_like(phi)
-    # coordinate patterns certify max |phi_ij|
-    i, j = np.unravel_index(int(np.argmax(np.abs(phi))), phi.shape)
-    z = np.zeros_like(phi)
-    z[i, j] = 1.0
-    best, best_z = np.abs(phi[i, j]), z
-    # all +-1 rank-one sign patterns at small sizes (global sign fixed)
-    if m + n <= 14:
-        ss = np.array([[1 if (a >> k) & 1 else -1 for k in range(m)]
-                       for a in range(2 ** (m - 1))], dtype=float)
-        tt = np.array([[1 if (a >> k) & 1 else -1 for k in range(n)]
-                       for a in range(2 ** n)], dtype=float)
-        zs = ss[:, None, :, None] * tt[None, :, None, :]
-        ratios = np.linalg.norm(phi[None, None] * zs, ord=2, axis=(2, 3)) / np.sqrt(m * n)
-        a, b = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-        if ratios[a, b] > best:
-            best = float(ratios[a, b])
-            best_z = np.outer(ss[a], tt[b]) / np.sqrt(m * n)
-    # random complex contractions
-    rng = Xorshift64Star(seed)
-    promising = [best_z]
-    for _ in range(n_random):
-        z = rng.contraction(m, n)
-        r = _hadamard_ratio(phi, z)
-        if r > best:
-            best, best_z = r, z
-            promising.append(z)
-    # polish by alternating ascent: entrywise-phase start (all entries active),
-    # a few random unitaries, and the most promising raw samples
-    phase = np.conj(phi / np.maximum(np.abs(phi), 1e-300))
-    starts = [phase] + [rng.unitary(max(m, n))[:m, :n] for _ in range(4)] + promising[-4:]
-    for z0 in starts:
-        r, z = _ascent_polish(phi, z0, iters=150)
-        if r > best:
-            best, best_z = r, z
-    return float(best), best_z
 
 
 def _witness_from_factorization(p: np.ndarray, q: np.ndarray):
@@ -224,154 +164,99 @@ def _witness_from_factorization(p: np.ndarray, q: np.ndarray):
     return c * x, y / c, float(np.sqrt(dx * dy))
 
 
-def _svd_witness(phi: np.ndarray):
-    u, s, vh = np.linalg.svd(phi)
-    r = s.shape[0]
-    p = (np.sqrt(s)[:, None] * u.conj().T[:r, :])
-    q = (np.sqrt(s)[:, None] * vh[:r, :])
-    return _witness_from_factorization(p, q)
-
-
-def _l1_witness(phi: np.ndarray):
-    """Witness with X, Y diagonal: absolute row and column sums."""
-    x = np.diag(np.abs(phi).sum(axis=1)).astype(np.complex128)
-    y = np.diag(np.abs(phi).sum(axis=0)).astype(np.complex128)
-    dx = float(np.max(np.diag(x).real))
-    dy = float(np.max(np.diag(y).real))
-    c = np.sqrt(dy / max(dx, 1e-300))
-    return c * x, y / c, float(np.sqrt(dx * dy))
-
-
-def _repair(phi: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Turn approximate blocks into a rigorous witness by shifting with -lambda_min."""
+def _block(phi: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Hermitian block [[X, Phi], [Phi*, Y]]."""
     m, n = phi.shape
     block = np.zeros((m + n, m + n), dtype=np.complex128)
     block[:m, :m] = 0.5 * (x + x.conj().T)
     block[m:, m:] = 0.5 * (y + y.conj().T)
     block[:m, m:] = phi
     block[m:, :m] = phi.conj().T
-    lam_min = float(np.linalg.eigvalsh(block)[0])
-    shift = max(0.0, -lam_min)
+    return block
+
+
+def _repair(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """Rigorous witness from Phi ~ P* Q; returns (X, Y, bound).
+
+    The balanced blocks of the factorization are joined by phi itself, not by
+    P* Q, and shifted by -lambda_min when the block is not PSD, so the bound
+    absorbs the rounding of the factors.
+    """
+    m, n = phi.shape
+    block = _block(phi, *_witness_from_factorization(p, q)[:2])
+    shift = max(0.0, -float(np.linalg.eigvalsh(block)[0]))
     xr = block[:m, :m] + shift * np.eye(m)
     yr = block[m:, m:] + shift * np.eye(n)
     bound = float(max(np.max(np.diag(xr).real), np.max(np.diag(yr).real)))
-    return xr, yr, bound, lam_min + shift
+    return xr, yr, bound
 
 
-def _dykstra_feasibility(phi: np.ndarray, t: float, x0, y0, max_iter: int,
-                         feas_tol: float):
-    """Dykstra alternating projections between the PSD cone and the affine set
-    {off-diagonal block = Phi, diagonal <= t}.  Returns repaired witness data."""
-    m, n = phi.shape
-    d = m + n
-
-    def proj_affine(mat):
-        out = 0.5 * (mat + mat.conj().T)
-        out[:m, m:] = phi
-        out[m:, :m] = phi.conj().T
-        dg = np.minimum(np.diag(out).real, t)
-        out[np.arange(d), np.arange(d)] = dg
-        return out
-
-    def proj_psd(mat):
-        w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-        w = np.maximum(w, 0.0)
-        return (v * w) @ v.conj().T
-
-    x = np.zeros((d, d), dtype=np.complex128)
-    x[:m, :m] = x0
-    x[m:, m:] = y0
-    x = proj_affine(x)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    scale = max(np.linalg.norm(phi), 1e-300)
-    for _ in range(max_iter):
-        y = proj_psd(x + p)
-        p = x + p - y
-        x_new = proj_affine(y + q)
-        q = y + q - x_new
-        drift = np.linalg.norm(x_new - x)
-        x = x_new
-        if drift <= 0.05 * feas_tol * scale and np.linalg.norm(x - y) <= feas_tol * scale:
-            break
-    return _repair(phi, x[:m, :m], x[m:, m:])
-
-
-def schur_multiplier_norm(phi_hat, tol: float = 1e-6, max_iter: int = 5000,
-                          n_random: int = 200, seed: int = 7,
+def schur_multiplier_norm(phi_hat, tol: float = 1e-6,
                           factorizations=()) -> SchurMultiplierCertificate:
     """Certified Hadamard multiplier norm of a finite matrix.
 
-    The upper bound is the best PSD block witness found among: an exact
-    balanced-SVD factorization, any caller-supplied factorizations (pairs
-    (P, Q) with Phi = P* Q), and a bisection refined by Dykstra alternating
-    projections with the iteration budget max_iter.  The lower bound samples
-    coordinate and sign-pattern contractions, n_random random contractions,
-    and polishes by alternating ascent.  gap = upper - lower; converged is
-    set when the gap is within tol.
+    Alternates on the weights of the trace-class dual: from uniform x, y,
+    each step takes D_x Phi D_y = U S V* and sets x_i^2 = (U S U*)_ii / ||S||_1
+    and y_j^2 = (V S V*)_jj / ||S||_1, mixed toward uniform by
+    eps = min(1/2, tol / (100 max|Phi_ij|)) so that 1/x_i stays bounded.
+    The lower bound is the best of the coordinate witness max|Phi_ij| and
+    the contractions conj(U V*); the upper bound is the best repaired block
+    witness of the factorizations Phi = P* Q, P = S^1/2 U* D_x^-1,
+    Q = S^1/2 V* D_y^-1, and of any caller-supplied pairs (P, Q).  The
+    iteration stops once gap = upper - lower <= tol (converged) or after a
+    fixed number of steps (not converged).
     """
     phi = np.asarray(phi_hat, dtype=np.complex128)
     if phi.ndim != 2:
         raise ValueError("expected a matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if not np.all(np.isfinite(phi)):
         raise ValueError("matrix has non-finite entries")
     scale = float(np.abs(phi).max())
     if scale == 0.0:
         z = np.zeros_like(phi)
         return SchurMultiplierCertificate(phi, 0.0, 0.0, 0.0, z @ z.conj().T,
-                                          z.conj().T @ z, 0.0, z, True)
+                                          z.conj().T @ z, 0.0, z, True, 0)
 
-    lower, lower_z = _lower_bound(phi, n_random, seed)
-
-    best_x, best_y, best_upper = _svd_witness(phi)
-    for x, y, bound in (_l1_witness(phi),):
-        if bound < best_upper:
-            best_x, best_y, best_upper = x, y, bound
+    m, n = phi.shape
+    lower_z = np.zeros_like(phi)
+    lower_z[np.unravel_index(int(np.argmax(np.abs(phi))), phi.shape)] = 1.0
+    lower = scale
+    witness = (None, None, np.inf)
     for p, q in factorizations:
         p = np.asarray(p, dtype=np.complex128)
         q = np.asarray(q, dtype=np.complex128)
         if np.linalg.norm(p.conj().T @ q - phi) > 1e-8 * max(scale, 1.0):
             raise ValueError("supplied factorization does not reproduce the matrix")
-        x, y, bound = _witness_from_factorization(p, q)
-        if bound < best_upper:
-            best_x, best_y, best_upper = x, y, bound
+        witness = min(witness, _repair(phi, p, q), key=lambda w: w[2])
 
-    # bisection with Dykstra only if the cheap witnesses leave a gap
-    if best_upper - lower > tol:
-        lo = max(lower, tol)
-        hi = best_upper
-        feas_tol = 1e-9
-        steps = int(np.ceil(np.log2(max((hi - lo) / tol, 2.0)))) + 4
-        warm_x, warm_y = best_x, best_y
-        for _ in range(steps):
-            if hi - lo <= 0.25 * tol:
-                break
-            mid = 0.5 * (lo + hi)
-            xr, yr, bound, _ = _dykstra_feasibility(
-                phi, mid, warm_x, warm_y, max_iter, feas_tol)
-            if bound < best_upper:
-                best_x, best_y, best_upper = xr, yr, bound
-            if bound <= mid + max(0.1 * tol, 1e-3 * (hi - lo)):
-                hi = min(bound, mid)
-                warm_x, warm_y = xr, yr
-            else:
-                lo = mid
+    eps = min(0.5, tol / (100.0 * scale))
+    wx, wy = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    iterations = 0
+    while witness[2] - lower > tol and iterations < _MAX_ITERATIONS:
+        iterations += 1
+        x, y = np.sqrt(wx), np.sqrt(wy)
+        u, s, vh = np.linalg.svd(x[:, None] * phi * y[None, :], full_matrices=False)
+        z = np.conj(u @ vh)
+        ratio = float(np.linalg.norm(phi * z, 2) / np.linalg.norm(z, 2))
+        if ratio > lower:
+            lower, lower_z = ratio, z
+        root = np.sqrt(s)[:, None]
+        witness = min(witness, _repair(phi, root * u.conj().T / x, root * vh / y),
+                      key=lambda w: w[2])
+        nuclear = float(s.sum())
+        wx = (1.0 - eps) * (np.abs(u) ** 2 @ s) / nuclear + eps / m
+        wy = (1.0 - eps) * (np.abs(vh.T) ** 2 @ s) / nuclear + eps / n
 
-    m, n = phi.shape
-    block = np.zeros((m + n, m + n), dtype=np.complex128)
-    block[:m, :m] = best_x
-    block[m:, m:] = best_y
-    block[:m, m:] = phi
-    block[m:, :m] = phi.conj().T
-    min_eig = float(np.linalg.eigvalsh(block)[0])
-    upper = max(best_upper, lower)
+    best_x, best_y, upper = witness
+    min_eig = float(np.linalg.eigvalsh(_block(phi, best_x, best_y))[0])
+    upper = max(upper, lower)
     gap = upper - lower
     return SchurMultiplierCertificate(
         matrix=phi, upper=upper, lower=lower, gap=gap,
         witness_x=best_x, witness_y=best_y, witness_min_eig=min_eig,
-        lower_witness=lower_z, converged=bool(gap <= tol))
+        lower_witness=lower_z, converged=bool(gap <= tol), iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The generator is xorshift64* with the multiplier 0x2545F4914F6CDD1D and
 shift triple (12, 25, 27); seeds pass through one splitmix64 scramble so
 that small seeds give unrelated streams.  The point of pinning the exact
 generator is that every sampled ensemble (random Hermitian matrices,
-contractions, trial suites) is reproducible bit-for-bit from a 64-bit
+unitaries, trial suites) is reproducible bit-for-bit from a 64-bit
 seed, independently of numpy's RNG evolution.
 """
 
@@ -74,8 +74,3 @@ class Xorshift64Star:
         """Haar-ish random unitary via QR of a complex Gaussian."""
         q, r = np.linalg.qr(self.complex_normal((n, n)))
         return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    def contraction(self, m: int, n: int) -> np.ndarray:
-        """Random complex matrix normalized to operator norm 1."""
-        z = self.complex_normal((m, n))
-        return z / np.linalg.norm(z, 2)

@@ -90,6 +90,17 @@ def test_uncovered_mass_warning():
         lp_decompose(np.sin(40.0 * x), grid, band_range=(-2, 2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_lp_decompose_rejects_non_finite_samples(bad):
+    grid = UniformGrid(dim=1, period=2 * np.pi, points=64)
+    v = np.sin(grid.axis())
+    v[5] = bad
+    with pytest.raises(ValueError, match="non-finite spectral mass"):
+        lp_decompose(v, grid, band_range=(-2, 4))
+    with pytest.raises(ValueError, match="non-finite spectral mass"):
+        besov_norm(v, grid, band_range=(-2, 4))
+
+
 def test_besov_sin_value_one():
     grid = DEFAULT_GRID_1D
     bn = besov_norm(np.sin(grid.axis()), grid)

@@ -89,6 +89,15 @@ def test_cli_besov_on_bundled_sin(capsys):
     assert abs(payload["value"] - 1.0) <= 1e-6
 
 
+def test_cli_besov_rejects_non_finite_samples(tmp_path, capsys):
+    grid = UniformGrid(dim=1, period=2 * np.pi, points=64)
+    vals = np.sin(grid.axis()).astype(np.complex128)
+    vals[3] = np.nan
+    write_samples(tmp_path / "f.opfun", vals, grid)
+    assert main(["besov-norm", "--input", str(tmp_path / "f.opfun")]) == 1
+    assert "non-finite spectral mass" in capsys.readouterr().err
+
+
 def test_cli_trace_formula_bundled(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["trace-formula", "--config", str(DATA_DIR / "shift_suite.cfg"),
@@ -129,6 +138,7 @@ def test_cli_schur_norm(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["upper"] == pytest.approx(1.0, abs=1e-9)
+    assert payload["iterations"] == 1
 
 
 def test_cli_commutator_suite(tmp_path, capsys):

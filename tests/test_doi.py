@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opintegral.doi import (double_operator_integral, funcalc,
                             one_var_commutator_identity, projective_decompose_trig,
@@ -175,13 +177,39 @@ def test_schur_sign_matrix():
 def test_schur_sandwich_and_witness(rng):
     for k in range(4):
         m = rng.complex_normal((5, 5))
-        cert = schur_multiplier_norm(m, tol=1e-3)
-        assert cert.lower <= cert.upper + 1e-9
-        assert cert.witness_min_eig >= -1e-8
-        # lower bound witness is a genuine contraction achieving its ratio
-        z = cert.lower_witness
-        ratio = np.linalg.norm(m * z, 2) / np.linalg.norm(z, 2)
-        assert ratio == pytest.approx(cert.lower, rel=1e-9)
+        for tol in (1e-3, 1e-6):
+            cert = schur_multiplier_norm(m, tol=tol)
+            assert cert.converged and cert.gap <= tol
+            assert cert.lower <= cert.upper + 1e-9
+            assert cert.witness_min_eig >= -1e-8
+            # lower bound witness is a genuine contraction achieving its ratio
+            z = cert.lower_witness
+            ratio = np.linalg.norm(m * z, 2) / np.linalg.norm(z, 2)
+            assert ratio == pytest.approx(cert.lower, rel=1e-9)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 6), rank=st.integers(1, 6),
+       zeroed=st.sampled_from(["none", "row", "column"]),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_schur_certificate_properties(m, n, rank, zeroed, seed):
+    # rank-deficient whenever rank < min(m, n); a row or column is zeroed
+    # only when another one is left, so the matrix stays nonzero
+    rng = Xorshift64Star(seed)
+    r = min(rank, m, n)
+    phi = rng.complex_normal((m, r)) @ rng.complex_normal((r, n))
+    if zeroed == "row" and m > 1:
+        phi[seed % m] = 0.0
+    if zeroed == "column" and n > 1:
+        phi[:, seed % n] = 0.0
+    cert = schur_multiplier_norm(phi, tol=1e-6)
+    assert cert.converged
+    assert cert.lower <= cert.upper + 1e-9
+    assert cert.upper >= np.abs(phi).max()
+    assert cert.witness_min_eig >= -1e-8
+    z = cert.lower_witness
+    assert np.linalg.norm(phi * z, 2) / np.linalg.norm(z, 2) == pytest.approx(
+        cert.lower, rel=1e-9)
 
 
 def test_schur_zero_matrix():
@@ -196,8 +224,9 @@ def test_schur_identity_matrix():
 
 
 def test_schur_requires_positive_tol():
-    with pytest.raises(ValueError):
-        schur_multiplier_norm(np.eye(2), tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            schur_multiplier_norm(np.eye(2), tol=tol)
 
 
 def test_schur_bad_factorization_rejected(rng):
@@ -253,3 +282,4 @@ def test_projective_bound_dominates_schur_upper():
     assert np.linalg.norm(p.conj().T @ q - sampled) <= 1e-9 * np.abs(sampled).max()
     cert = schur_multiplier_norm(sampled, tol=1e-4, factorizations=[(p, q)])
     assert cert.upper <= rows.bound + 1e-9
+    assert cert.converged
