@@ -27,8 +27,7 @@ from .rng import Xorshift64Star
 from .spectral import (HermitianOperator, SpectralDecomposition, decompose,
                        jacobi_eigh, schatten_norm, spectral_projection)
 from .toi import (HaagerupRep, RepNormCertificate, S1Certificate,
-                  eval_representation, eval_via_trace_duality, s1_certificate,
-                  triple_spectral_sum)
+                  eval_representation, s1_certificate, triple_spectral_sum)
 
 __version__ = "0.1.0"
 
@@ -42,7 +41,7 @@ __all__ = [
     "bandlimit_check", "besov_norm", "besov_representation",
     "commutator_of_functions", "commutator_via_toi", "decompose",
     "divided_difference", "double_operator_integral", "eval_representation",
-    "eval_via_trace_duality", "funcalc", "hankel_matrix", "jacobi_eigh",
+    "funcalc", "hankel_matrix", "jacobi_eigh",
     "lhs_corner_trace", "lp_decompose", "one_var_commutator_identity",
     "parse_expr", "polynomial_suite", "principal_function", "probe_problem1",
     "probe_problem2", "projective_decompose_trig", "rhs_integral",

@@ -22,13 +22,14 @@ representations sum to a representation of the whole divided difference.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .besov import DEFAULT_GRID_2D, bandlimit_check, default_band_range, lp_decompose
 from .functions import Function2D, UniformGrid
-from .toi import SLOTS, HaagerupRep, _double_norm, rep_norm_certificate
+from .toi import SLOTS, HaagerupRep, _double_norm, _LazyFloat, rep_norm_certificate
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,10 @@ class SincRep:
     The lattice is j pi / sigma, |j| <= J.  rep is first_kind for axis 1
     (doubly-indexed lattice samples as functions of y) and second_kind for
     axis 2.  delta_norm is the measured sup (over probe points) operator
-    norm of the lattice sample matrix; tail_bound is the recorded truncation
-    bound, valid for evaluation points within domain_radius.
+    norm of the lattice sample matrix; tail_bound (the same value as
+    rep.tail_bound) is the recorded truncation bound, valid for evaluation
+    points within domain_radius.  Both are computed on first read and
+    cached: building a representation takes no slice norms.
     """
 
     sigma: float
@@ -112,9 +115,9 @@ class SincRep:
     axis: int
     lattice: np.ndarray
     rep: HaagerupRep
-    delta_norm: float
-    tail_bound: float
     domain_radius: float
+    delta_norm: float = _LazyFloat()
+    tail_bound: float = _LazyFloat()
 
 
 def _lattice_double(phi: Function2D, axis: int, lattice: np.ndarray):
@@ -160,8 +163,12 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    if sigma <= 0:
-        raise ValueError("band radius must be positive")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"band radius must be positive and finite, got {sigma!r}")
+    if not isinstance(j_max, (int, np.integer)) or j_max < 0:
+        raise ValueError(f"j_max must be a non-negative integer, got {j_max!r}")
+    if domain_radius is not None and not (np.isfinite(domain_radius) and domain_radius >= 0):
+        raise ValueError(f"domain radius must be finite and non-negative, got {domain_radius!r}")
     if not skip_bandlimit_check:
         if phi.kind == "sampled":
             samples, grid = phi.data, phi.grid
@@ -173,39 +180,37 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
             raise ValueError(
                 f"function is not band-limited to {sigma:g}: relative spectral "
                 f"leakage {leakage:.3g}")
-    step = np.pi / sigma
-    lattice = step * np.arange(-j_max, j_max + 1)
+    js = np.arange(-j_max, j_max + 1)
+    lattice = np.pi / sigma * js
     if domain_radius is None:
         domain_radius = 0.5 * lattice[-1]
 
-    def sinc_factor(j):
-        return lambda x, j=j: np.sinc(sigma * np.asarray(x, dtype=float) / np.pi - j)
-
-    singles = [sinc_factor(j) for j in range(-j_max, j_max + 1)]
+    def sincs(x):
+        return np.sinc(sigma * np.asarray(x, dtype=float) / np.pi - js[:, None])
 
     double = _lattice_double(phi, axis, lattice)
 
-    # measured operator norm of the sample matrix at probe points
+    # measured operator norm of the sample matrix at probe points (on first read)
     probes = np.linspace(-domain_radius, domain_radius, 5)
-    dn = _double_norm(double, probes)
-
+    delta_norm = functools.cache(lambda: _double_norm(double, probes))
     slack = max(j_max - sigma * domain_radius / np.pi - 1.0, 0.5)
-    tail = 3.0 * max(dn, 1e-300) * np.sqrt(2.0) / (np.pi * np.sqrt(slack))
+    tail = functools.cache(
+        lambda: 3.0 * max(delta_norm(), 1e-300) * np.sqrt(2.0) / (np.pi * np.sqrt(slack)))
 
-    rep = _axis_rep(axis, singles, double, tail_bound=tail,
+    rep = _axis_rep(axis, sincs, js.size, double, tail_bound=tail,
                     meta={"sigma": sigma, "j_max": j_max})
     return SincRep(sigma=sigma, j_max=j_max, axis=axis, lattice=lattice, rep=rep,
-                   delta_norm=dn, tail_bound=tail, domain_radius=float(domain_radius))
+                   domain_radius=float(domain_radius), delta_norm=delta_norm,
+                   tail_bound=tail)
 
 
-def _axis_rep(axis: int, singles: list, double, **extra) -> HaagerupRep:
+def _axis_rep(axis: int, family, size: int, double, **extra) -> HaagerupRep:
     """Representation of an axis divided difference from its single-index
-    family (in both differenced variables) and its doubly-indexed family (in
-    the other variable): axis 1 is first kind, axis 2 second kind."""
+    family of size factors (in both differenced variables) and its doubly-
+    indexed family (in the other variable): axis 1 first, axis 2 second kind."""
     kind = "first_kind" if axis == 1 else "second_kind"
-    lists = [None if i == SLOTS[kind] else list(singles) for i in range(3)]
-    return HaagerupRep(kind, *lists, double=double,
-                       shape=(len(singles), len(singles)), **extra)
+    families = [None if i == SLOTS[kind] else family for i in range(3)]
+    return HaagerupRep(kind, *families, double=double, shape=(size, size), **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +241,10 @@ def polynomial_dd_rep(phi: Function2D, axis: int) -> HaagerupRep:
                     out[:, l, m] = np.polynomial.polynomial.polyval(pts, table[l + m])
         return out
 
-    singles = [lambda x, p=p: np.asarray(x, dtype=np.complex128) ** p
-               for p in range(n_idx)]
-    return _axis_rep(axis, singles, double, meta={"exact": True, "axis": axis})
+    def powers(x):
+        return np.array([np.asarray(x, dtype=np.complex128) ** p for p in range(n_idx)])
+
+    return _axis_rep(axis, powers, n_idx, double, meta={"exact": True, "axis": axis})
 
 
 # ---------------------------------------------------------------------------

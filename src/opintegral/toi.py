@@ -38,30 +38,53 @@ SLOTS = {"second_kind": 0, "haagerup": 1, "projective": 1, "first_kind": 2}
 _CERT_EXPONENTS = ((1, np.inf, 1), (np.inf, np.inf, np.inf), (1, 1, np.inf))
 
 
-def _eval_factor(f, points: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(points), dtype=np.complex128)
-    if vals.shape != points.shape:
-        vals = np.broadcast_to(vals, points.shape).astype(np.complex128)
-    return vals
+def _family(factors):
+    """A single-index slot as one callable, points -> (J, npts); a list of
+    per-index callables (each broadcast to the points) is wrapped once into
+    such a family."""
+    if factors is None or callable(factors):
+        return factors
+    factors = list(factors)
+    return lambda points: np.array([np.broadcast_to(
+        np.asarray(f(points), dtype=np.complex128), points.shape) for f in factors])
 
 
-def _eval_factor_list(factors, points: np.ndarray) -> np.ndarray:
-    """Stack factor evaluations into a (len(factors), npts) matrix."""
-    return np.array([_eval_factor(f, points) for f in factors])
+def _weighted(family, weights):
+    """The family with row n scaled by weights[n]."""
+    column = np.asarray(weights)[:, None]
+    return lambda points: family(points) * column
 
 
-def _diagonal(factors, weights):
-    """Doubly-indexed family with weights[n] * factors[n] on the diagonal."""
-    n = len(factors)
-
+def _diagonal(family):
+    """Doubly-indexed family with the rows of family on the diagonal."""
     def build(points):
         pts = np.asarray(points, dtype=float)
-        mat = _eval_factor_list(factors, pts) * np.asarray(weights)[:, None]
+        mat = np.asarray(family(pts), dtype=np.complex128)
+        n = mat.shape[0]
         out = np.zeros((pts.size, n, n), dtype=np.complex128)
         idx = np.arange(n)
         out[:, idx, idx] = mat.T
         return out
     return build
+
+
+class _LazyFloat:
+    """Dataclass field descriptor for a float that may be given as a
+    zero-argument callable, called on first read and its result cached."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return 0.0
+        value = obj.__dict__[self.key]
+        if callable(value):
+            value = obj.__dict__[self.key] = float(value())
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.key] = value
 
 
 @dataclass
@@ -71,39 +94,43 @@ class HaagerupRep:
     The integrand is sum_jk u_j(x_p) D_jk(x_s) v_k(x_q).  The doubly-indexed
     family D sits at the slot s = SLOTS[kind] (second_kind 0, haagerup 1,
     first_kind 2, zero-based), and double(points) -> (npts, J, K) evaluates
-    it.  Of the single-index lists left (x1), mid (x2) and right (x3), the
+    it.  Of the single-index families left (x1), mid (x2) and right (x3), the
     one at slot s is unused; the other two are u (J factors, lower slot) and
-    v (K factors, higher slot).
+    v (K factors, higher slot).  A single-index family is one vectorised
+    callable, points -> (J, npts); a list of per-index callables given at
+    construction is wrapped once into such a family.
 
     kind "projective": left/mid/right are equal-length factor lists and the
     integrand is sum_n left_n(x1) mid_n(x2) right_n(x3), the haagerup case
     whose doubly-indexed family is the diagonal of mid.
 
     tail_bound documents the truncation error of the producer (zero for
-    exact finite representations).
+    exact finite representations); given as a zero-argument callable, it is
+    computed on first read and cached.
     """
 
     kind: str
-    left: list | None = None
-    mid: list | None = None
-    right: list | None = None
+    left: object | None = None
+    mid: object | None = None
+    right: object | None = None
     double: object | None = None
     shape: tuple[int, int] = (0, 0)
-    tail_bound: float = 0.0
+    tail_bound: float = _LazyFloat()
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in SLOTS:
             raise ValueError(f"unknown representation kind {self.kind!r}")
         if self.kind == "projective":
-            if not (self.left and self.mid and self.right) or not (
+            if not all(isinstance(f, (list, tuple)) and f for f in self.factors) or not (
                     len(self.left) == len(self.mid) == len(self.right)):
                 raise ValueError("projective representation needs three equal-length factor lists")
-            n = len(self.mid)
-            self.double = _diagonal(self.mid, np.ones(n))
-            self.shape = (n, n)
+            self.shape = (len(self.mid), len(self.mid))
         elif self.double is None:
             raise ValueError(f"{self.kind} representation needs a doubly-indexed factor")
+        self.left, self.mid, self.right = (_family(f) for f in self.factors)
+        if self.kind == "projective":
+            self.double = _diagonal(self.mid)
 
     @property
     def slot(self) -> int:
@@ -111,15 +138,15 @@ class HaagerupRep:
 
     @property
     def factors(self) -> tuple:
-        """The single-index lists (left, mid, right), indexed by slot."""
+        """The single-index families (left, mid, right), indexed by slot."""
         return self.left, self.mid, self.right
 
     def _parts(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, D, v) on per-slot point sets: (J, n_p), (n_s, J, K), (K, n_q)."""
         p, q = (i for i in range(3) if i != self.slot)
-        return (_eval_factor_list(self.factors[p], points[p]),
+        return (np.asarray(self.factors[p](points[p]), dtype=np.complex128),
                 np.asarray(self.double(points[self.slot]), dtype=np.complex128),
-                _eval_factor_list(self.factors[q], points[q]))
+                np.asarray(self.factors[q](points[q]), dtype=np.complex128))
 
     def evaluate(self, x1, x2, x3) -> np.ndarray:
         """Pointwise value of the represented integrand (broadcasting).
@@ -166,9 +193,9 @@ def _kahan(total, comp, term):
     return t, comp
 
 
-def _column_norm(factors, points: np.ndarray) -> float:
+def _column_norm(family, points: np.ndarray) -> float:
     """sup over points of the l^2 norm of the factor column."""
-    mat = _eval_factor_list(factors, points)
+    mat = family(points)
     return float(np.sqrt((np.abs(mat) ** 2).sum(axis=0)).max())
 
 
@@ -200,8 +227,7 @@ def rep_norm_certificate(rep: HaagerupRep, s1, s2, s3) -> RepNormCertificate:
     """
     spectra = [np.asarray(s, dtype=float) for s in (s1, s2, s3)]
     if rep.kind == "projective":
-        sups = [np.abs(_eval_factor_list(f, s)).max(axis=1)
-                for f, s in zip(rep.factors, spectra)]
+        sups = [np.abs(f(s)).max(axis=1) for f, s in zip(rep.factors, spectra)]
         value = float(np.sum(sups[0] * sups[1] * sups[2]))
         return RepNormCertificate("projective", value, tuple(float(s.max()) for s in sups))
     norms = tuple(_double_norm(rep.double, s) if i == rep.slot
@@ -248,53 +274,9 @@ def eval_representation(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
 
     In finite dimensions every kind reduces to the spectral sum over its
     integrand tensor on the joint spectra; first/second kinds agree with
-    their trace-duality definitions, see eval_via_trace_duality.
+    their trace-duality definitions (a reference the tests check against).
     """
     return triple_spectral_sum(rep, a, b, c, t, r)
-
-
-def _transposed_double(double):
-    def swapped(points):
-        return np.swapaxes(np.asarray(double(points), dtype=np.complex128), 1, 2)
-    return swapped
-
-
-def eval_via_trace_duality(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
-    """First/second-kind integrals through their defining trace pairing.
-
-    The integral is the operator W with trace(W Q) = trace(V X) for every Q,
-    where the cycle (A, T, B, R, C, Q) is rotated so that the doubly-indexed
-    slot sits in the middle, V is the Haagerup integral of the rotated
-    integrand and X the operator left over: for the first kind V acts on
-    (R, Q) over (B, C, A) and X = T; for the second kind V acts on (Q, T)
-    over (C, A, B) and X = R.  Reconstructs W by pairing with all matrix
-    units, so use at small dimensions; agreement with eval_representation is
-    the definitional consistency check.
-    """
-    s = rep.slot
-    if s == 1:
-        raise ValueError("trace duality applies to first/second kind representations")
-    lo, hi = (s - 1) % 3, (s + 1) % 3
-    inner = HaagerupRep(kind="haagerup", left=rep.factors[lo],
-                        double=_transposed_double(rep.double), right=rep.factors[hi],
-                        shape=(rep.shape[1], rep.shape[0]))
-    decs = [as_decomposition(x) for x in (a, b, c)]
-    n1, n3 = decs[0].dim, decs[2].dim
-    tr = (np.asarray(t, dtype=np.complex128), np.asarray(r, dtype=np.complex128))
-    w = np.zeros((n1, n3), dtype=np.complex128)
-    for p in range(n1):
-        for q in range(n3):
-            qmat = np.zeros((n3, n1), dtype=np.complex128)
-            qmat[q, p] = 1.0
-            ops = (*tr, qmat)
-            v = eval_representation(inner, decs[lo], ops[lo], decs[s], ops[s], decs[hi])
-            w[p, q] = np.trace(v @ ops[hi])
-    return w
-
-
-def _scaled(factors, weights):
-    return [(lambda x, f=f, w=w: w * np.asarray(f(x), dtype=np.complex128))
-            for f, w in zip(factors, weights)]
 
 
 def projective_to_kind(rep: HaagerupRep, kind: str, s1, s2, s3) -> HaagerupRep:
@@ -310,14 +292,13 @@ def projective_to_kind(rep: HaagerupRep, kind: str, s1, s2, s3) -> HaagerupRep:
     if kind not in ("haagerup", "first_kind", "second_kind"):
         raise ValueError(f"cannot convert projective representation to {kind!r}")
     s = SLOTS[kind]
-    sups = [np.maximum(np.abs(_eval_factor_list(f, np.asarray(x, dtype=float))).max(axis=1),
-                       1e-300) for f, x in zip(rep.factors, (s1, s2, s3))]
-    lists = [None if i == s else
-             _scaled(f, np.sqrt(np.prod(sups[:i] + sups[i + 1:], axis=0) / sups[i]))
-             for i, f in enumerate(rep.factors)]
-    n = len(rep.left)
-    return HaagerupRep(kind, *lists, double=_diagonal(rep.factors[s], 1.0 / sups[s]),
-                       shape=(n, n), tail_bound=rep.tail_bound)
+    sups = [np.maximum(np.abs(f(np.asarray(x, dtype=float))).max(axis=1), 1e-300)
+            for f, x in zip(rep.factors, (s1, s2, s3))]
+    families = [None if i == s else
+                _weighted(f, np.sqrt(np.prod(sups[:i] + sups[i + 1:], axis=0) / sups[i]))
+                for i, f in enumerate(rep.factors)]
+    return HaagerupRep(kind, *families, double=_diagonal(_weighted(rep.factors[s], 1.0 / sups[s])),
+                       shape=rep.shape, tail_bound=rep.tail_bound)
 
 
 @dataclass(frozen=True)

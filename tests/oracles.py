@@ -1,0 +1,49 @@
+"""Reference implementations the tests compare the library against.
+
+They take a different route to the same mathematical object, so they stay
+independent of the library path they check.
+"""
+
+import numpy as np
+
+from opintegral.spectral import as_decomposition
+from opintegral.toi import HaagerupRep, eval_representation
+
+
+def _transposed_double(double):
+    def swapped(points):
+        return np.swapaxes(np.asarray(double(points), dtype=np.complex128), 1, 2)
+    return swapped
+
+
+def eval_via_trace_duality(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
+    """First/second-kind integrals through their defining trace pairing.
+
+    The integral is the operator W with trace(W Q) = trace(V X) for every Q,
+    where the cycle (A, T, B, R, C, Q) is rotated so that the doubly-indexed
+    slot sits in the middle, V is the Haagerup integral of the rotated
+    integrand and X the operator left over: for the first kind V acts on
+    (R, Q) over (B, C, A) and X = T; for the second kind V acts on (Q, T)
+    over (C, A, B) and X = R.  Reconstructs W by pairing with all matrix
+    units, so use at small dimensions; agreement with eval_representation is
+    the definitional consistency check.
+    """
+    s = rep.slot
+    if s == 1:
+        raise ValueError("trace duality applies to first/second kind representations")
+    lo, hi = (s - 1) % 3, (s + 1) % 3
+    inner = HaagerupRep(kind="haagerup", left=rep.factors[lo],
+                        double=_transposed_double(rep.double), right=rep.factors[hi],
+                        shape=(rep.shape[1], rep.shape[0]))
+    decs = [as_decomposition(x) for x in (a, b, c)]
+    n1, n3 = decs[0].dim, decs[2].dim
+    tr = (np.asarray(t, dtype=np.complex128), np.asarray(r, dtype=np.complex128))
+    w = np.zeros((n1, n3), dtype=np.complex128)
+    for p in range(n1):
+        for q in range(n3):
+            qmat = np.zeros((n3, n1), dtype=np.complex128)
+            qmat[q, p] = 1.0
+            ops = (*tr, qmat)
+            v = eval_representation(inner, decs[lo], ops[lo], decs[s], ops[s], decs[hi])
+            w[p, q] = np.trace(v @ ops[hi])
+    return w

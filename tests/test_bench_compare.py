@@ -1,0 +1,52 @@
+"""Summary arithmetic of the paired benchmark driver, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+COMPARE = Path(__file__).resolve().parents[1] / "bench" / "compare.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_compare", COMPARE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPEC = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def _pairs(base, change):
+    return [{"base": {"wall_s": b, "peak_rss_mb": 100.0},
+             "change": {"wall_s": c, "peak_rss_mb": 120.0 if k else 100.0}}
+            for k, (b, c) in enumerate(zip(base, change))]
+
+
+def test_summary_medians_spread_wins_and_bounds():
+    summary = _load().summarize(_pairs(range(10, 20), range(5, 15)), SPEC)
+    wall = summary["wall_s"]
+    assert (wall["base_q1"], wall["base_median"], wall["base_q3"]) == (12.25, 14.5, 16.75)
+    assert wall["base_spread"] == 4.5 and wall["change_median"] == 9.5
+    assert (wall["wins"], wall["losses"], wall["ties"]) == (10, 0, 0)
+    assert wall["gain_shown"] and wall["within_bound"]
+    assert wall["worse_over_bound"] == pytest.approx(-5.0 / 14.5 / 0.25)
+    rss = summary["peak_rss_mb"]
+    # one tie, nine losses, median 20% worse against a 10% bound
+    assert (rss["wins"], rss["losses"], rss["ties"]) == (0, 9, 1)
+    assert not rss["within_bound"] and not rss["gain_shown"]
+    assert rss["worse_over_bound"] == pytest.approx(2.0)
+
+
+def test_gain_needs_nine_tenths_and_more_than_the_spread():
+    compare = _load()
+    # eight wins of ten: not enough, however large the difference
+    base, change = [10.0] * 10, [5.0] * 8 + [11.0] * 2
+    assert not compare.summarize(_pairs(base, change), SPEC)["wall_s"]["gain_shown"]
+    # every pair won, but by less than the base's quartile spread
+    base = [float(v) for v in range(10, 20)]
+    change = [v - 0.5 for v in base]
+    wall = compare.summarize(_pairs(base, change), SPEC)["wall_s"]
+    assert wall["wins"] == 10 and not wall["gain_shown"]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from opintegral import divdiff
 from opintegral.besov import bandlimit_check
-from opintegral.divdiff import (besov_representation, divided_difference,
+from opintegral.divdiff import (band_representations, besov_representation,
+                                divided_difference,
                                 polynomial_dd_rep, sinc_partition_deficit,
                                 sinc_representation)
 from opintegral.functions import Function1D, Function2D, UniformGrid
@@ -247,3 +249,55 @@ def test_sampled_lattice_samples_match_grid_evaluation():
             want = (vals[:, None, p] - vals[None, :, p]) / diff
             np.fill_diagonal(want, dvals[:, p])
             assert np.abs(got[p] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"sigma": np.nan}, "band radius"), ({"sigma": np.inf}, "band radius"),
+    ({"j_max": -3}, "j_max"), ({"j_max": 2.5}, "j_max"),
+    ({"domain_radius": np.nan}, "domain radius"), ({"domain_radius": -1.0}, "domain radius"),
+])
+def test_sinc_rep_rejects_bad_inputs(kwargs, match):
+    args = {"sigma": 1.0, "j_max": 16, "domain_radius": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        sinc_representation(_sin_x_sampled(), axis=1, skip_bandlimit_check=True, **args)
+
+
+def _count_double_norms(monkeypatch) -> list:
+    calls = []
+    real = divdiff._double_norm
+    monkeypatch.setattr(divdiff, "_double_norm",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_building_reps_takes_no_slice_norms(monkeypatch):
+    calls = _count_double_norms(monkeypatch)
+    sinc_representation(_sin_x_sampled(), axis=1, sigma=1.0, j_max=32)
+    grid = UniformGrid(dim=2, period=16.0 * np.pi, points=64)
+    bump = Function2D.closed_form("exp(-((x - 0.1)**2 + (y + 0.2)**2))")
+    reps = band_representations(bump, j_max=16, grid=grid, domain_radius=1.1)
+    assert all(lst.items for lst in reps.values())
+    assert calls == []
+
+
+def test_tail_bound_computed_once_on_first_read(monkeypatch):
+    calls = _count_double_norms(monkeypatch)
+    sr = sinc_representation(_sin_x_sampled(), axis=1, sigma=1.0, j_max=32,
+                             domain_radius=2.0)
+    reads = [sr.delta_norm, sr.delta_norm, sr.tail_bound, sr.tail_bound,
+             sr.rep.tail_bound, sr.rep.tail_bound]
+    assert len(calls) == 1
+    assert sr.rep.tail_bound == sr.tail_bound == reads[2] == reads[5]
+    slack = max(32 - 2.0 / np.pi - 1.0, 0.5)
+    assert sr.tail_bound == 3.0 * sr.delta_norm * np.sqrt(2.0) / (np.pi * np.sqrt(slack))
+
+
+def test_sinc_family_matches_per_index_stack():
+    sr = sinc_representation(_sin_x_sampled(), axis=1, sigma=1.0, j_max=128,
+                             skip_bandlimit_check=True)
+    points = Xorshift64Star(5).normal(40) * 30.0
+    family = sr.rep.factors[0](points)
+    assert family.shape == (257, points.size)
+    stack = np.array([np.sinc(sr.sigma * points / np.pi - j)
+                      for j in range(-sr.j_max, sr.j_max + 1)])
+    np.testing.assert_array_equal(family, stack)

@@ -3,9 +3,9 @@ import pytest
 
 from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose, schatten_norm
-from opintegral.toi import (HaagerupRep, eval_representation, eval_via_trace_duality,
-                            projective_to_kind, rep_norm_certificate, s1_certificate,
-                            triple_spectral_sum)
+from opintegral.toi import (HaagerupRep, eval_representation, projective_to_kind,
+                            rep_norm_certificate, s1_certificate, triple_spectral_sum)
+from oracles import eval_via_trace_duality
 
 
 def _ones():
@@ -299,3 +299,22 @@ def test_triple_sum_integrand_free_of_a_variable(rng):
     diag = np.diag([0.1, 0.5, -0.3])
     out = triple_spectral_sum(lambda x, y, z: np.sin(x + z), diag, diag, diag, eye, eye)
     assert np.allclose(out, np.diag(np.sin(2 * np.diag(diag))), rtol=0, atol=1e-15)
+
+
+def test_list_and_converted_reps_match_recorded_values():
+    # recorded from the per-index list evaluation that the factor families
+    # replaced; the sups are powers of 4, so every weight and grid value is
+    # exact and the figures do not depend on the summation order
+    la, mu, nu = np.array([-1.0, 0.5]), np.array([0.25, 2.0, -0.5]), np.array([-0.5, 1.0])
+    rep = HaagerupRep(kind="projective", left=[lambda x: 4.0 * x, lambda x: 1.0],
+                      mid=[lambda y: 2.0 * y, lambda y: y * y],
+                      right=[lambda z: 4.0 * z, lambda z: 0.25])
+    want = np.array([4.015625, -7.984375, 33.0, -63.0, -7.9375, 16.0625, -1.984375,
+                     4.015625, -15.0, 33.0, 4.0625, -7.9375]).reshape(2, 3, 2)
+    certs = {"projective": 65.0, "haagerup": 65.00000000000023,
+             "first_kind": 65.00000000000021, "second_kind": 65.00000000000023}
+    reps = [rep] + [projective_to_kind(rep, kind, la, mu, nu)
+                    for kind in ("haagerup", "first_kind", "second_kind")]
+    for repk in reps:
+        np.testing.assert_array_equal(repk.evaluate_grid(la, mu, nu), want)
+        assert rep_norm_certificate(repk, la, mu, nu).value == certs[repk.kind]
