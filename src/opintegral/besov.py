@@ -62,7 +62,8 @@ class LPDecomposition:
     bands maps n to the sampled band function (spectrum multiplied by
     w(|xi|/2^n)); sup_norms holds the grid sup of each band.  uncovered_mass
     is the relative spectral mass (squared modulus, zero bin excluded)
-    falling outside the union of covered annuli.
+    falling outside the union of covered annuli.  Bands of real samples are
+    float64, bands of samples with a nonzero imaginary part complex128.
     """
 
     grid: UniformGrid
@@ -112,9 +113,10 @@ def lp_decompose(values, grid: UniformGrid, band_range: tuple[int, int] | None =
     Requesting a band above the grid's Nyquist limit is rejected with the
     resolution that would be needed.  Spectral mass that no covered annulus
     captures is measured and reported (a warning above LEAKAGE_TOL), never
-    silently dropped.
+    silently dropped.  Real samples (a real dtype, or an imaginary part exactly
+    zero everywhere) take real transforms and give float64 bands.
     """
-    values = np.asarray(values, dtype=np.complex128)
+    values = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
     if band_range is None:
         band_range = default_band_range(grid)
     n_min, n_max = band_range
@@ -127,15 +129,17 @@ def lp_decompose(values, grid: UniformGrid, band_range: tuple[int, int] | None =
             f"resolves only |xi| <= {grid.nyquist:g}; need >= {need} points per axis"
         )
 
-    fft = np.fft.fft2 if grid.dim == 2 else np.fft.fft
-    ifft = np.fft.ifft2 if grid.dim == 2 else np.fft.ifft
-    spec = fft(values)
-    radii = grid.radial_frequencies()
+    # real samples take real transforms on the half plane of their Hermitian
+    # spectrum; complex samples are split into real and imaginary parts
+    parts = (values.real, values.imag) if values.imag.any() else (values.real,)
+    axes = tuple(range(values.ndim))
+    specs = [np.fft.rfftn(part) for part in parts]
+    radii = grid.radial_frequencies()[..., :grid.points // 2 + 1]   # half plane
 
     # a band whose annulus ends at or below the lowest nonzero frequency has
     # a zero window on every bin: it gets a shared zero array and no transform
     r_min = float(np.min(radii, where=radii > 0, initial=np.inf))
-    empty = np.zeros(radii.shape, dtype=np.complex128)
+    empty = np.zeros(values.shape, dtype=np.complex128 if len(parts) == 2 else np.float64)
     empty.flags.writeable = False
     bands = {}
     sup_norms = {}
@@ -146,11 +150,14 @@ def lp_decompose(values, grid: UniformGrid, band_range: tuple[int, int] | None =
             continue
         w = window_eval(radii / 2.0 ** n)
         covered += w
-        band = ifft(spec * w)
-        bands[n] = band
-        sup_norms[n] = float(np.abs(band).max())
+        re, *im = [np.fft.irfftn(spec * w, values.shape, axes) for spec in specs]
+        bands[n] = re + 1j * im[0] if im else re
+        sup_norms[n] = float(np.abs(bands[n]).max())
 
-    mass = np.abs(spec) ** 2
+    # each half-plane column other than 0 and N/2 stands for two conjugate bins
+    weight = np.ones(radii.shape[-1])
+    weight[1:(grid.points + 1) // 2] = 2.0
+    mass = sum(np.abs(spec) ** 2 for spec in specs) * weight
     total = float(mass.sum() - mass.flat[0])  # zero bin excluded (norm mod constants)
     if not np.isfinite(total):
         raise ValueError("non-finite spectral mass: the samples contain NaN or "
@@ -205,7 +212,7 @@ def besov_norm(f, grid: UniformGrid | None = None, s: float = 1.0, p: float = np
     else:
         if grid is None:
             raise ValueError("sample arrays need an explicit grid")
-        values = np.asarray(f, dtype=np.complex128)
+        values = f
     return lp_decompose(values, grid, band_range, warn=warn).besov_norm(s, p, q)
 
 

@@ -165,10 +165,7 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
         raise ValueError("axis must be 1 or 2")
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"band radius must be positive and finite, got {sigma!r}")
-    if not isinstance(j_max, (int, np.integer)) or j_max < 0:
-        raise ValueError(f"j_max must be a non-negative integer, got {j_max!r}")
-    if domain_radius is not None and not (np.isfinite(domain_radius) and domain_radius >= 0):
-        raise ValueError(f"domain radius must be finite and non-negative, got {domain_radius!r}")
+    _check_lattice_args(j_max, domain_radius)
     if not skip_bandlimit_check:
         if phi.kind == "sampled":
             samples, grid = phi.data, phi.grid
@@ -202,6 +199,13 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
     return SincRep(sigma=sigma, j_max=j_max, axis=axis, lattice=lattice, rep=rep,
                    domain_radius=float(domain_radius), delta_norm=delta_norm,
                    tail_bound=tail)
+
+
+def _check_lattice_args(j_max, domain_radius) -> None:
+    if not isinstance(j_max, (int, np.integer)) or j_max < 0:
+        raise ValueError(f"j_max must be a non-negative integer, got {j_max!r}")
+    if domain_radius is not None and not (np.isfinite(domain_radius) and domain_radius >= 0):
+        raise ValueError(f"domain radius must be finite and non-negative, got {domain_radius!r}")
 
 
 def _axis_rep(axis: int, family, size: int, double, **extra) -> HaagerupRep:
@@ -304,6 +308,7 @@ def band_representations(phi: Function2D, axes=(1, 2),
     """
     if any(axis not in (1, 2) for axis in axes):
         raise ValueError("axis must be 1 or 2")
+    _check_lattice_args(j_max, domain_radius)
     if phi.kind == "polynomial":
         grid = grid or DEFAULT_GRID_2D
         return {axis: BandRepList(axis=axis, items={}, grid=grid, uncovered_mass=0.0,

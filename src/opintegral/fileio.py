@@ -67,13 +67,14 @@ def read_samples(path):
     if len(head) != 4 or head[0] != "grid":
         raise ValueError(f"{path}: bad header {lines[0]!r}, expected 'grid d L N'")
     dim, period, points = int(head[1]), float(head[2]), int(head[3])
+    if not np.isfinite(period):
+        raise ValueError(f"{path}: non-finite number in line {lines[0]!r}")
     grid = UniformGrid(dim=dim, period=period, points=points)
     body = [ln for ln in lines[1:] if ln.strip()]
     count = points ** dim
     if len(body) != count:
         raise ValueError(f"{path}: expected {count} values, found {len(body)}")
-    vals = np.array([complex(float(a), float(b)) for a, b in
-                     (ln.split() for ln in body)])
+    vals = np.array([_complex(path, ln, ln.split()) for ln in body])
     shape = (points,) if dim == 1 else (points, points)
     return vals.reshape(shape), grid
 
@@ -96,7 +97,7 @@ def read_symbol(path) -> Symbol:
     entries = {}
     for ln in lines[1:]:
         k, re, im = ln.split()
-        entries[int(k)] = complex(float(re), float(im))
+        entries[int(k)] = _complex(path, ln, (re, im))
     return Symbol.from_dict(entries, deg)
 
 
@@ -141,8 +142,7 @@ def read_function_spec(path) -> Function2D:
             parts = ln.split()
             if parts[0] != "coeff" or len(parts) != 5:
                 raise ValueError(f"{path}: bad coeff line {ln!r}")
-            entries.append((int(parts[1]), int(parts[2]),
-                            complex(float(parts[3]), float(parts[4]))))
+            entries.append((int(parts[1]), int(parts[2]), _complex(path, ln, parts[3:])))
         if not entries:
             return Function2D.polynomial([[0.0]])
         dj = max(e[0] for e in entries) + 1
@@ -167,6 +167,15 @@ def read_function_spec(path) -> Function2D:
             raise ValueError(f"{path}: sampled Function2D needs a 2-d grid")
         return Function2D.sampled(values, grid)
     raise ValueError(f"{path}: unknown variant {variant!r}")
+
+
+def _complex(path, line: str, fields) -> complex:
+    """re + i im from the two fields of line; NaN and infinity are rejected."""
+    re, im = fields
+    z = complex(float(re), float(im))
+    if not np.isfinite(z):
+        raise ValueError(f"{path}: non-finite number in line {line!r}")
+    return z
 
 
 def _get_key(lines, key, path) -> str:

@@ -530,7 +530,8 @@ class Function2D:
         return vals.reshape(shape)
 
     def eval_grid(self, xs, ys) -> np.ndarray:
-        """Matrix of values phi(xs[i], ys[j]) on the tensor grid xs x ys."""
+        """Matrix of values phi(xs[i], ys[j]) on the tensor grid xs x ys;
+        float64 for a polynomial whose coefficients are all real."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if self.kind == "sampled":
@@ -539,9 +540,12 @@ class Function2D:
             return ex @ self.spectrum() @ ey.T
         if self.kind == "polynomial":
             # Horner in x on the axis, then in y: per element the operations
-            # of polyval2d on the broadcast grid, without its grid-sized stage
+            # of polyval2d on the broadcast grid, without its grid-sized stage;
+            # real coefficients take the same steps in real arithmetic, which
+            # give the real part of the complex result bit for bit
             pv = np.polynomial.polynomial.polyval
-            return pv(ys[None, :], pv(xs, self.data)[:, :, None], tensor=False)
+            a = self.data if self.data.imag.any() else self.data.real
+            return pv(ys[None, :], pv(xs, a)[:, :, None], tensor=False)
         return self(xs[:, None], ys[None, :])
 
     def lattice_evaluator(self, axis: int, lattice):

@@ -182,7 +182,8 @@ def test_max_band_matches_nyquist():
 
 
 def _reference_lp(values, grid, band_range):
-    """Every window evaluated and every band transformed, empty or not."""
+    """Every window evaluated and every band transformed, empty or not, by
+    complex full-plane transforms."""
     fft, ifft = (np.fft.fft2, np.fft.ifft2) if grid.dim == 2 else (np.fft.fft, np.fft.ifft)
     spec = fft(np.asarray(values, dtype=np.complex128))
     radii = grid.radial_frequencies()
@@ -198,7 +199,37 @@ def _reference_lp(values, grid, band_range):
     total_bands = np.zeros_like(bands[band_range[0]])
     for n in sorted(bands):
         total_bands = total_bands + bands[n]
-    return sups, leaked / total, total_bands
+    return sups, leaked / total, total_bands, bands
+
+
+def _reference_lp_half(values, grid, band_range):
+    """The real twin of _reference_lp: every window evaluated on the half
+    plane and every band transformed, real and imaginary parts separately by
+    rfft/irfft; half-plane columns other than 0 and N/2 count twice."""
+    values = np.asarray(values)
+    parts = [values.real, values.imag] if np.iscomplexobj(values) else [values]
+    if grid.dim == 2:
+        fft, ifft = np.fft.rfft2, (lambda a: np.fft.irfft2(a, s=values.shape))
+    else:
+        fft, ifft = np.fft.rfft, (lambda a: np.fft.irfft(a, n=values.shape[0]))
+    specs = [fft(part) for part in parts]
+    cols = grid.points // 2 + 1
+    radii = grid.radial_frequencies()[..., :cols]
+    bands, sups, covered = {}, {}, np.zeros_like(radii)
+    for n in range(band_range[0], band_range[1] + 1):
+        w = window_eval(radii / 2.0 ** n)
+        covered += w
+        pieces = [ifft(spec * w) for spec in specs]
+        bands[n] = pieces[0] if len(pieces) == 1 else pieces[0] + 1j * pieces[1]
+        sups[n] = float(np.abs(bands[n]).max())
+    weight = np.array([1.0 if k == 0 or 2 * k == grid.points else 2.0 for k in range(cols)])
+    mass = sum(np.abs(spec) ** 2 for spec in specs) * weight
+    total = float(mass.sum() - mass.flat[0])
+    leaked = float((mass * (1.0 - np.minimum(covered, 1.0))).sum() - mass.flat[0])
+    total_bands = np.zeros_like(bands[band_range[0]])
+    for n in sorted(bands):
+        total_bands = total_bands + bands[n]
+    return sups, leaked / total, total_bands, bands
 
 
 def _cut_polynomial(grid):
@@ -208,22 +239,47 @@ def _cut_polynomial(grid):
     return phi.eval_grid(ax, ax) * np.outer(cut, cut)
 
 
-def test_lp_decompose_matches_all_window_reference_bitwise():
+ODD_GRID_2D = UniformGrid(dim=2, period=16.0 * np.pi, points=129)
+
+
+def _lp_cases():
+    """Real samples on the 1-d grid and on even and odd 2-d grids, then the
+    same times 1 + 0.5j."""
     g1 = DEFAULT_GRID_1D.axis()
-    cases = [
+    real = [
         (np.exp(-g1 ** 2) * np.cos(3.0 * g1), DEFAULT_GRID_1D, None),
         (_cut_polynomial(SURROGATE_GRID_2D), SURROGATE_GRID_2D, None),
         (_cut_polynomial(DEFAULT_GRID_2D), DEFAULT_GRID_2D, None),
         (_cut_polynomial(DEFAULT_GRID_2D), DEFAULT_GRID_2D, (-4, 2)),   # no empty band
+        (_cut_polynomial(ODD_GRID_2D), ODD_GRID_2D, None),              # no Nyquist column
     ]
-    for values, grid, band_range in cases:
+    return real + [((1.0 + 0.5j) * values, grid, br) for values, grid, br in real]
+
+
+def test_lp_decompose_matches_all_window_reference_bitwise():
+    for values, grid, band_range in _lp_cases():
         dec = lp_decompose(values, grid, band_range, warn=False)
-        sups, uncovered, recon = _reference_lp(values, grid, dec.band_range)
+        sups, uncovered, recon, _ = _reference_lp_half(values, grid, dec.band_range)
+        assert recon.dtype == (np.complex128 if np.iscomplexobj(values) else np.float64)
         assert dec.sup_norms == sups
         assert sorted(dec.bands) == sorted(sups)
         assert dec.uncovered_mass == uncovered
         assert dec.reconstruction().tobytes() == recon.tobytes()
         assert dec.besov_norm().value == float(np.sum([2.0 ** n * sups[n] for n in sorted(sups)]))
+
+
+def test_lp_decompose_agrees_with_complex_full_plane_reference():
+    for values, grid, band_range in _lp_cases():
+        dec = lp_decompose(values, grid, band_range, warn=False)
+        sups, uncovered, _, bands = _reference_lp(values, grid, dec.band_range)
+        peak = max(sups.values())
+        for n in sups:
+            assert np.abs(dec.bands[n] - bands[n]).max() <= 1e-13 * peak
+            assert abs(dec.sup_norms[n] - sups[n]) <= 1e-13 * peak
+        # uncovered_mass is itself a fraction of the total spectral mass
+        assert abs(dec.uncovered_mass - uncovered) <= 1e-13 * max(uncovered, 1.0)
+        value = float(np.sum([2.0 ** n * sups[n] for n in sorted(sups)]))
+        assert abs(dec.besov_norm().value - value) <= 1e-13 * value
 
 
 def test_lp_decompose_empty_bands_shared_and_read_only():
@@ -233,6 +289,7 @@ def test_lp_decompose_empty_bands_shared_and_read_only():
     assert all(dec.bands[n] is dec.bands[empty[0]] for n in empty)
     assert all(dec.sup_norms[n] == 0.0 for n in empty)
     assert not dec.bands[-10].flags.writeable
+    assert all(band.dtype == np.float64 for band in dec.bands.values())
     with pytest.raises(ValueError):
         dec.bands[-10][0, 0] = 1.0
 
@@ -240,8 +297,12 @@ def test_lp_decompose_empty_bands_shared_and_read_only():
 def test_lp_decompose_transforms_only_nonempty_bands(monkeypatch):
     values = _cut_polynomial(SURROGATE_GRID_2D)
     calls = []
-    ifft2 = np.fft.ifft2
-    monkeypatch.setattr(np.fft, "ifft2", lambda a, *args, **kw: calls.append(1) or ifft2(a, *args, **kw))
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn",
+                        lambda a, *args, **kw: calls.append(1) or irfftn(a, *args, **kw))
     dec = lp_decompose(values, SURROGATE_GRID_2D, warn=False)
     assert len(dec.bands) == 14
     assert len(calls) == 8
+    calls.clear()     # complex samples: one real transform per part and band
+    lp_decompose((1.0 + 0.5j) * values, SURROGATE_GRID_2D, warn=False)
+    assert len(calls) == 16

@@ -93,9 +93,45 @@ def test_cli_besov_rejects_non_finite_samples(tmp_path, capsys):
     grid = UniformGrid(dim=1, period=2 * np.pi, points=64)
     vals = np.sin(grid.axis()).astype(np.complex128)
     vals[3] = np.nan
-    write_samples(tmp_path / "f.opfun", vals, grid)
-    assert main(["besov-norm", "--input", str(tmp_path / "f.opfun")]) == 1
+    path = tmp_path / "f.opfun"
+    write_samples(path, vals, grid)
+    assert main(["besov-norm", "--input", str(path)]) == 1
+    assert f"{path}: non-finite number in line 'nan 0.0'" in capsys.readouterr().err
+    # finite samples whose spectral mass overflows are rejected by the LP analysis
+    vals[3] = 1e200
+    write_samples(path, vals, grid)
+    assert main(["besov-norm", "--input", str(path)]) == 1
     assert "non-finite spectral mass" in capsys.readouterr().err
+    path.write_text("grid 1 inf 2\n0.0 0.0\n1.0 0.0\n", encoding="utf-8")
+    assert main(["besov-norm", "--input", str(path)]) == 1
+    assert f"{path}: non-finite number in line 'grid 1 inf 2'" in capsys.readouterr().err
+
+
+def _single_trace_config(tmp_path, phi, symbol="shift"):
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(f"mode single\nsymbol {symbol}\nphi {phi}\n"
+                   f"psi {DATA_DIR / 'psi_y.spec'}\nn 16\nresolution 64\nn_table 16\n",
+                   encoding="utf-8")
+    return cfg
+
+
+def test_cli_rejects_non_finite_spec_coefficient(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("variant polynomial\ncoeff 1 0 nan 0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="non-finite number in line 'coeff 1 0 nan 0'"):
+        read_function_spec(spec)
+    assert main(["trace-formula", "--config", str(_single_trace_config(tmp_path, spec))]) == 1
+    assert f"{spec}: non-finite number in line 'coeff 1 0 nan 0'" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_symbol_coefficient(tmp_path, capsys):
+    sym = tmp_path / "bad.sym"
+    sym.write_text("deg 1\n-1 0.0 0.0\n0 0.0 0.0\n1 inf 0.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="non-finite number in line '1 inf 0.0'"):
+        read_symbol(sym)
+    cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", symbol=sym)
+    assert main(["trace-formula", "--config", str(cfg)]) == 1
+    assert f"{sym}: non-finite number in line '1 inf 0.0'" in capsys.readouterr().err
 
 
 def test_cli_trace_formula_bundled(tmp_path, capsys):

@@ -262,6 +262,20 @@ def test_sinc_rep_rejects_bad_inputs(kwargs, match):
         sinc_representation(_sin_x_sampled(), axis=1, skip_bandlimit_check=True, **args)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"j_max": -3}, "j_max"), ({"domain_radius": np.nan}, "domain radius"),
+])
+def test_band_reps_reject_bad_inputs_when_no_sinc_rep_is_built(kwargs, match):
+    grid = UniformGrid(dim=2, period=8.0 * np.pi, points=32)
+    flat = Function2D.sampled(np.ones((32, 32)), grid)       # every band below band_tol
+    for phi in (Function2D.polynomial([[0, 1], [1, 0]]), flat):
+        assert besov_representation(phi, 1, grid=grid).items == {}
+        with pytest.raises(ValueError, match=match):
+            besov_representation(phi, 1, grid=grid, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            band_representations(phi, grid=grid, **kwargs)
+
+
 def _count_double_norms(monkeypatch) -> list:
     calls = []
     real = divdiff._double_norm

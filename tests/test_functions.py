@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from opintegral.commutator import random_polynomial
 from opintegral.functions import (Function1D, Function2D, UniformGrid, parse_expr)
+from opintegral.rng import Xorshift64Star
 
 
 def test_polynomial_eval_exact():
@@ -54,6 +56,31 @@ def test_conjugate_variants():
     assert phi.conjugate()(2.0, 0.0) == pytest.approx(np.conj(phi(2.0, 0.0)))
     g = Function2D.closed_form("exp(-(x*x))")
     assert g.conjugate()(1.0, 0.0) == pytest.approx(g(1.0, 0.0))
+
+
+def _complex_horner(phi, xs, ys):
+    """The tensor-grid Horner of eval_grid carried out on complex coefficients."""
+    pv = np.polynomial.polynomial.polyval
+    return pv(ys[None, :], pv(xs, phi.data)[:, :, None], tensor=False)
+
+
+def test_real_coefficient_polynomials_take_real_horner():
+    gen = np.random.default_rng(3)
+    small = (3.0 * gen.normal(size=37), 3.0 * gen.normal(size=53))
+    mid = -1.1 + 2.2 * (np.arange(2048) + 0.5) / 2048        # rhs_integral's midpoints
+    suite = [Function2D.polynomial(c) for c in
+             ([[0], [1]], [[0, 1]], [[0], [0], [1]], [[0, 0, 1]], [[0, 0], [0, 1]])]
+    cases = [(random_polynomial(Xorshift64Star(seed), 4), small) for seed in (1, 2, 3)]
+    cases += [(f.partial(axis), (mid, mid)) for f in suite for axis in (1, 2)]
+    for phi, (xs, ys) in cases:
+        got, want = phi.eval_grid(xs, ys), _complex_horner(phi, xs, ys)
+        assert got.dtype == np.float64 and got.shape == (xs.size, ys.size)
+        assert not want.imag.any()
+        assert got.tobytes() == np.ascontiguousarray(want.real).tobytes()
+    phi = Function2D.polynomial(gen.normal(size=(4, 3)) + 1j * gen.normal(size=(4, 3)))
+    got = phi.eval_grid(*small)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == _complex_horner(phi, *small).tobytes()
 
 
 def test_sampled_trig_interpolation():
@@ -171,4 +198,7 @@ def test_polynomial_eval_grid_matches_polyval2d_bitwise():
             xs, ys = 3.0 * gen.normal(size=nx), 3.0 * gen.normal(size=ny)
             want = np.polynomial.polynomial.polyval2d(
                 *np.broadcast_arrays(xs[:, None], ys[None, :]), phi.data)
+            if not np.iscomplexobj(c):      # real coefficients: the real part
+                assert not want.imag.any()
+                want = want.real
             assert _same_bits(phi.eval_grid(xs, ys), want), (c.shape, nx, ny)
