@@ -10,7 +10,8 @@ directory, the committed files only; the change side is the working tree.
 Writes FILE (JSON) with every pair's end-to-end metrics, each side's median
 and quartiles per metric, the base's quartile spread, the change's win
 count, the median change relative to the metric's BENCHMARK.json bound, and
-the provenance line each run printed.
+the provenance line each run printed.  At the end it prints one summary line
+per workload and seed to stdout.
 
 A gain is shown when the change wins at least nine tenths of the pairs (ties
 count for neither side) and the medians differ by more than the base's
@@ -64,6 +65,15 @@ def summarize(pairs: list[dict], spec: list[dict]) -> dict:
             "gain_shown": wins >= 0.9 * len(pairs) and improvement > bq3 - bq1,
         }
     return out
+
+
+def summary_line(result: dict) -> str:
+    """One line for a workload and seed: for each end-to-end metric, the base
+    and change medians, the change's wins/losses, within_bound and gain_shown."""
+    metrics = [f"{name} {m['base_median']:.4g} -> {m['change_median']:.4g} "
+               f"({m['wins']}/{m['losses']}, within_bound {m['within_bound']}, "
+               f"gain_shown {m['gain_shown']})" for name, m in result["summary"].items()]
+    return f"{result['workload']} seed {result['seed']}: " + "; ".join(metrics)
 
 
 def _git(*args: str) -> str:
@@ -138,6 +148,8 @@ def main(argv=None) -> int:
                     "all_correct": all(p[side]["correct"] for p in pairs for side in sides),
                     "summary": summarize(values, bench["end_to_end"]), "pairs": pairs})
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    for result in report["results"]:
+        print(summary_line(result))
     return 0
 
 

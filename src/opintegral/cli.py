@@ -163,6 +163,8 @@ def _symbol_from_cfg(cfg: dict, base: Path) -> models.Symbol:
         for part in spec.split(","):
             k, re, im = part.split(":")
             entries[int(k)] = complex(float(re), float(im))
+            if not np.isfinite(entries[int(k)]):
+                raise ValueError(f"non-finite number in symbol entry {part!r}")
         return models.Symbol.from_dict(entries)
     p = Path(spec)
     return fileio.read_symbol(p if p.is_absolute() else base / p)

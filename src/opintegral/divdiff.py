@@ -103,11 +103,11 @@ class SincRep:
 
     The lattice is j pi / sigma, |j| <= J.  rep is first_kind for axis 1
     (doubly-indexed lattice samples as functions of y) and second_kind for
-    axis 2.  delta_norm is the measured sup (over probe points) operator
-    norm of the lattice sample matrix; tail_bound (the same value as
-    rep.tail_bound) is the recorded truncation bound, valid for evaluation
-    points within domain_radius.  Both are computed on first read and
-    cached: building a representation takes no slice norms.
+    axis 2; all its families are float64 for a real band.  delta_norm is the
+    measured sup (over probe points) operator norm of the lattice sample
+    matrix, symmetric for a real band (see _double_norm); tail_bound, also
+    rep.tail_bound, is the recorded truncation bound, valid for evaluation
+    points within domain_radius.  Both are computed on first read and cached.
     """
 
     sigma: float
@@ -143,7 +143,8 @@ def _lattice_double(phi: Function2D, axis: int, lattice: np.ndarray):
     def double(points):
         vals, dvals = values(np.asarray(points, dtype=float))   # (J, npts) each
         v = vals.T
-        out = (v[:, :, None] - v[:, None, :]) / safe
+        out = v[:, :, None] - v[:, None, :]
+        out /= safe                    # in place: no second (npts, J, J) tensor
         out[:, idx, idx] = dvals.T
         return out
     return double
@@ -318,7 +319,8 @@ def band_representations(phi: Function2D, axes=(1, 2),
     # uncovered spectral mass is carried on the result instead of warning
     dec = lp_decompose(phi.sample(grid).data, grid, band_range, warn=False)
     peak = max(dec.sup_norms.values(), default=0.0)
-    bands = {n: Function2D.from_spectrum(np.fft.fft2(dec.bands[n]), grid)
+    bands = {n: Function2D.from_spectrum(np.fft.fft2(dec.bands[n]), grid,
+                                         real=np.isrealobj(dec.bands[n]))
              for n in sorted(dec.bands)
              if dec.sup_norms[n] > band_tol * max(peak, 1e-300)}
     fields = {"grid": grid, "uncovered_mass": dec.uncovered_mass,

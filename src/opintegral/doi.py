@@ -50,9 +50,16 @@ def double_operator_integral(phi, a, t, b) -> np.ndarray:
     t = np.asarray(t, dtype=np.complex128)
     if t.shape != (da.dim, db.dim):
         raise ValueError(f"T has shape {t.shape}, expected {(da.dim, db.dim)}")
+    return _weighted_sum(phi, da, db, t)
+
+
+def _weighted_sum(phi, da, db, t) -> np.ndarray:
+    """U_A (phi_hat * U_A* T U_B) U_B*; t None is T = I, not multiplied out.
+    U_A* T U_B stays an unnamed temporary, so numpy reuses its buffer (and
+    swaps the Hadamard operands) alike in both cases: the bits agree."""
     phi_hat = _eval_grid(phi, da.eigenvalues, db.eigenvalues)
-    ua, ub = da.eigenvectors, db.eigenvectors
-    return ua @ (phi_hat * (ua.conj().T @ t @ ub)) @ ub.conj().T
+    uah, ub = da.eigenvectors.conj().T, db.eigenvectors
+    return da.eigenvectors @ (phi_hat * (uah @ ub if t is None else uah @ t @ ub)) @ ub.conj().T
 
 
 def funcalc(phi, a, b) -> np.ndarray:
@@ -63,8 +70,9 @@ def funcalc(phi, a, b) -> np.ndarray:
     """
     da = as_decomposition(a)
     db = as_decomposition(b)
-    eye = np.eye(da.dim, dtype=np.complex128)
-    return double_operator_integral(phi, da, eye, db)
+    if da.dim != db.dim:
+        raise ValueError(f"A and B must have the same size, got {da.dim} and {db.dim}")
+    return _weighted_sum(phi, da, db, None)
 
 
 def scalar_calculus(f: Function1D, a) -> np.ndarray:

@@ -269,9 +269,12 @@ def parse_expr(text: str) -> Expr:
             return Var(tok)
         take()
         try:
-            return Const(float(tok))
+            value = float(tok)
         except ValueError:
             raise ValueError(f"unexpected token {tok!r} in {text!r}") from None
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite number {tok!r} in {text!r}")
+        return Const(value)
 
     node = parse_sum()
     if pos[0] != len(tokens):
@@ -449,6 +452,7 @@ class Function2D:
         self.kind = kind
         self.grid = grid
         self._spec = None
+        self.real = False
         if kind == "polynomial":
             self._data = np.atleast_2d(np.asarray(data, dtype=np.complex128))
         elif kind == "product":
@@ -500,12 +504,14 @@ class Function2D:
         return cls("closed_form", expr)
 
     @classmethod
-    def from_spectrum(cls, spec, grid: UniformGrid) -> "Function2D":
-        """Sampled function given by the fft2 of its samples on grid."""
+    def from_spectrum(cls, spec, grid: UniformGrid, real: bool = False) -> "Function2D":
+        """Sampled function given by the fft2 of its samples on grid; real
+        marks real samples with no Nyquist content (an LP band of real
+        samples), whose interpolant is real up to rounding."""
         spec = np.asarray(spec, dtype=np.complex128)
         _check_square_grid(grid, spec.shape)
         out = cls.__new__(cls)
-        out.kind, out.grid, out._data, out._spec = "sampled", grid, None, spec
+        out.kind, out.grid, out._data, out._spec, out.real = "sampled", grid, None, spec, real
         return out
 
     def __call__(self, x, y):
@@ -554,7 +560,8 @@ class Function2D:
         and the points in the other.
 
         The lattice interpolation matrix is built once, here; each call
-        contracts the spectrum with the points once for both results.
+        contracts the spectrum with the points once for both results, and
+        keeps their real parts for a function marked real (from_spectrum).
         """
         if self.kind != "sampled":
             raise ValueError(f"a {self.kind} function has no grid spectrum")
@@ -566,7 +573,8 @@ class Function2D:
 
         def evaluate(points):
             m = spec @ _interp_matrix(self.grid, points).T           # (N, npts)
-            return e_lat @ m, (e_lat * ixi) @ m
+            vals, dvals = e_lat @ m, (e_lat * ixi) @ m
+            return (vals.real, dvals.real) if self.real else (vals, dvals)
         return evaluate
 
     def partial(self, axis: int) -> "Function2D":

@@ -142,11 +142,13 @@ class HaagerupRep:
         return self.left, self.mid, self.right
 
     def _parts(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, D, v) on per-slot point sets: (J, n_p), (n_s, J, K), (K, n_q)."""
+        """(u, D, v) on per-slot point sets: (J, n_p), (n_s, J, K), (K, n_q);
+        float64 when all three are real, complex128 otherwise."""
         p, q = (i for i in range(3) if i != self.slot)
-        return (np.asarray(self.factors[p](points[p]), dtype=np.complex128),
-                np.asarray(self.double(points[self.slot]), dtype=np.complex128),
-                np.asarray(self.factors[q](points[q]), dtype=np.complex128))
+        parts = (self.factors[p](points[p]), self.double(points[self.slot]),
+                 self.factors[q](points[q]))
+        dtype = np.complex128 if any(map(np.iscomplexobj, parts)) else np.float64
+        return tuple(np.asarray(x, dtype=dtype) for x in parts)
 
     def evaluate(self, x1, x2, x3) -> np.ndarray:
         """Pointwise value of the represented integrand (broadcasting).
@@ -202,19 +204,22 @@ def _column_norm(family, points: np.ndarray) -> float:
 def _double_norm(double, points: np.ndarray) -> float:
     """sup over points of the operator norm of the (J, K) slice.
 
-    Each norm is the largest computed singular value (never an iterative
-    estimate, which can come out low), raised by a rounding margin of
-    8 max(J, K) eps relative.  The margin is a heuristic allowance, not a
-    proven bound: LAPACK bounds the singular-value error only as
-    p(J, K) eps sigma_1 with p an unspecified, modestly growing function
-    (LAPACK Users' Guide, 3rd ed., sec. 4.9), and rounding in the slice
-    entries is not accounted for.  It does cover the last-digit differences
+    Each norm is exact, never an iterative estimate (which can come out low):
+    max |eigenvalue| from eigvalsh for a real, exactly symmetric slice (a
+    real band's Loewner slice is, bit for bit), else the largest singular
+    value; raised by a rounding margin of 8 max(J, K) eps relative.  The
+    margin is a heuristic allowance, not a proven bound: LAPACK bounds both
+    errors only as p(n) eps ||D||_2 with p unspecified and modestly growing
+    (LAPACK Users' Guide, 3rd ed., secs. 4.7 and 4.9), and rounding in the
+    slice entries is not counted.  It does cover the last-digit differences
     between repeated computations of the same norm.
     """
-    slices = np.asarray(double(points), dtype=np.complex128)
+    slices = np.asarray(double(points))
     best = 0.0
-    for p in range(slices.shape[0]):
-        best = max(best, float(np.linalg.norm(slices[p], 2)))
+    for s in slices:
+        sym = np.isrealobj(s) and np.array_equal(s, s.T)
+        best = max(best, float(np.abs(np.linalg.eigvalsh(s)).max() if sym
+                               else np.linalg.norm(s, 2)))
     return best * (1.0 + 8.0 * max(slices.shape[1:]) * np.finfo(float).eps)
 
 

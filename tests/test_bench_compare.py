@@ -50,3 +50,14 @@ def test_gain_needs_nine_tenths_and_more_than_the_spread():
     change = [v - 0.5 for v in base]
     wall = compare.summarize(_pairs(base, change), SPEC)["wall_s"]
     assert wall["wins"] == 10 and not wall["gain_shown"]
+
+
+def test_summary_line_per_workload_and_seed():
+    compare = _load()
+    summary = compare.summarize(_pairs(range(10, 20), range(5, 15)), SPEC)
+    line = compare.summary_line({"workload": "band-path", "seed": 104729,
+                                 "summary": summary})
+    assert line == (
+        "band-path seed 104729: "
+        "wall_s 14.5 -> 9.5 (10/0, within_bound True, gain_shown True); "
+        "peak_rss_mb 100 -> 120 (0/9, within_bound False, gain_shown False)")

@@ -134,6 +134,23 @@ def test_cli_rejects_non_finite_symbol_coefficient(tmp_path, capsys):
     assert f"{sym}: non-finite number in line '1 inf 0.0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr, token", [("nan*x", "nan"), ("y + inf", "inf"),
+                                         ("1e999*x*y", "1e999")])
+def test_cli_rejects_non_finite_expression_number(tmp_path, capsys, expr, token):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"variant closed_form\nexpr {expr}\n", encoding="utf-8")
+    assert main(["trace-formula", "--config", str(_single_trace_config(tmp_path, spec))]) == 1
+    assert f"non-finite number {token!r} in {expr!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symbol", ["1:nan:0", "-1:0.5:0,1:0:inf"])
+def test_cli_rejects_non_finite_inline_symbol(tmp_path, capsys, symbol):
+    cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", symbol=symbol)
+    assert main(["trace-formula", "--config", str(cfg)]) == 1
+    bad = symbol.split(",")[-1]
+    assert f"non-finite number in symbol entry {bad!r}" in capsys.readouterr().err
+
+
 def test_cli_trace_formula_bundled(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["trace-formula", "--config", str(DATA_DIR / "shift_suite.cfg"),

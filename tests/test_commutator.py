@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opintegral.commutator import (almost_commuting_pair, commutator_of_functions,
                                    commutator_via_toi, function_pair_trial_suite,
@@ -52,6 +54,26 @@ def test_verify_theorem_41_xy(rng):
     assert rep.lhs_s1 == pytest.approx(rep.rhs_s1, rel=1e-9)
     assert np.isfinite(rep.empirical_constant)
     assert "cutoff" in rep.notes
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(k=st.integers(2, 6), m=st.integers(0, 4), degree=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_identity_exact_with_repeated_eigenvalues(k, m, degree, seed):
+    # A = I_k (+) a small Hermitian perturbation: the eigenvalue 1 has
+    # multiplicity at least k, so divided differences meet coincident points
+    rng = Xorshift64Star(seed)
+    n = k + m
+    a = np.eye(n, dtype=np.complex128)
+    a[k:, k:] += 0.1 * rng.hermitian(m)
+    b = rng.hermitian(n, 0.5)
+    q = rng.complex_normal((n, n))
+    phi = random_polynomial(rng, degree)
+    grid = UniformGrid(dim=2, period=32.0 * np.pi, points=64)
+    rep = verify_theorem_41(phi, a, b, q, grid=grid)
+    assert rep.residual_s1 <= 1e-10 * max(rep.lhs_s1, 1.0)
+    f = funcalc(phi, a, b)
+    assert rep.rhs_s1 == pytest.approx(schatten_norm(f @ q - q @ f, 1), rel=1e-12, abs=1e-12)
 
 
 def test_commuting_everything_gives_zeros(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opintegral import divdiff
-from opintegral.besov import bandlimit_check
+from opintegral.besov import bandlimit_check, lp_decompose
 from opintegral.divdiff import (band_representations, besov_representation,
                                 divided_difference,
                                 polynomial_dd_rep, sinc_partition_deficit,
@@ -315,3 +315,74 @@ def test_sinc_family_matches_per_index_stack():
     stack = np.array([np.sinc(sr.sigma * points / np.pi - j)
                       for j in range(-sr.j_max, sr.j_max + 1)])
     np.testing.assert_array_equal(family, stack)
+
+
+# the band-path certificate bump (seed 1) on the band-path grid, at three of
+# its spectral points
+BAND_GRID = UniformGrid(dim=2, period=16.0 * np.pi, points=512)
+BUMP = Function2D.closed_form(
+    "exp(-((x - -0.12745004803385265)**2 + (y - 0.2615601268986089)**2))")
+BUMP_POINTS = np.array([-0.94799947, 0.24423297, 0.88986641])
+
+
+def _bump_bands(grid=BAND_GRID, scale=1.0):
+    """{n: (band samples, fft2 spectrum)} of the LP bands of scale * BUMP."""
+    dec = lp_decompose(scale * BUMP.sample(grid).data, grid, warn=False)
+    peak = max(dec.sup_norms.values())
+    return {n: (dec.bands[n], np.fft.fft2(dec.bands[n])) for n in dec.bands
+            if dec.sup_norms[n] > 1e-12 * peak}
+
+
+def test_real_band_lattice_values_are_the_real_part():
+    lattice = np.pi / 8.0 * np.arange(-16, 17)
+    for band, spec in _bump_bands().values():
+        assert band.dtype == np.float64
+        real = Function2D.from_spectrum(spec, BAND_GRID, real=True)
+        cplx = Function2D.from_spectrum(spec, BAND_GRID)
+        for axis in (1, 2):
+            got = real.lattice_evaluator(axis, lattice)(BUMP_POINTS)
+            want = cplx.lattice_evaluator(axis, lattice)(BUMP_POINTS)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64
+                np.testing.assert_array_equal(g, w.real)
+                # the band vanishes at the Nyquist bin: the imaginary part is rounding
+                assert np.abs(w.imag).max() <= 1e-13 * np.abs(w).max()
+
+
+def test_real_band_slice_norms_match_complex_svd_norms():
+    eps = np.finfo(float).eps
+    reps = besov_representation(BUMP, 1, j_max=128, grid=BAND_GRID, domain_radius=1.1)
+    bands = _bump_bands()
+    assert sorted(reps.items) == sorted(bands)
+    for n, sr in reps.items.items():
+        slices = sr.rep.double(BUMP_POINTS)
+        assert slices.dtype == np.float64 and slices.shape[1:] == (257, 257)
+        assert all(np.array_equal(m, m.T) for m in slices)      # bit for bit
+        cplx = sinc_representation(Function2D.from_spectrum(bands[n][1], BAND_GRID), 1,
+                                   sigma=sr.sigma, j_max=128, domain_radius=1.1,
+                                   skip_bandlimit_check=True)
+        ref = cplx.rep.double(BUMP_POINTS)
+        assert ref.dtype == np.complex128
+        for m, r in zip(slices, ref):
+            want = np.linalg.norm(r, 2)
+            assert abs(np.abs(np.linalg.eigvalsh(m)).max() - want) <= 8 * 257 * eps * want
+
+
+def test_complex_sampled_band_stays_complex(monkeypatch):
+    grid = UniformGrid(dim=2, period=16.0 * np.pi, points=64)
+    phi = Function2D.sampled((1.0 + 0.5j) * BUMP.sample(grid).data, grid)
+    real = Function2D.sampled(BUMP.sample(grid).data.real, grid)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    for f, dtype in ((phi, np.complex128), (real, np.float64)):
+        reps = band_representations(f, j_max=8, domain_radius=1.1)
+        for axis, lst in reps.items():
+            assert lst.items
+            for sr in lst.items.values():
+                assert sr.rep.double(BUMP_POINTS).dtype == dtype
+                assert sr.rep.evaluate_grid(BUMP_POINTS, BUMP_POINTS, BUMP_POINTS).dtype == dtype
+        calls.clear()
+        reps[1].aggregate_certificate(BUMP_POINTS, BUMP_POINTS, BUMP_POINTS)
+        assert len(calls) == (0 if dtype == np.complex128 else
+                              len(reps[1].items) * BUMP_POINTS.size)

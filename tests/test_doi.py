@@ -89,6 +89,11 @@ def test_funcalc_polynomial_matches_matrix_powers(rng):
     assert np.linalg.norm(out - expected, 2) <= 1e-10 * scale
 
 
+def test_funcalc_rejects_operators_of_different_sizes(rng):
+    with pytest.raises(ValueError, match="same size, got 3 and 4"):
+        funcalc(Function2D.polynomial([[0.0, 1.0]]), rng.hermitian(3), rng.hermitian(4))
+
+
 def test_funcalc_linearity(rng):
     a = rng.hermitian(6)
     b = rng.hermitian(6)
@@ -99,6 +104,31 @@ def test_funcalc_linearity(rng):
     lhs = funcalc(mix, da, db)
     rhs = 2.0 * funcalc(phi, da, db) + 3.0 * funcalc(psi, da, db)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(lhs), 1.0)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2 ** 64 - 1),
+       alpha=st.floats(-4.0, 4.0), beta=st.floats(-4.0, 4.0))
+def test_doi_linear_in_phi_and_in_t(n, m, seed, alpha, beta):
+    rng = Xorshift64Star(seed)
+    a, b = rng.hermitian(n), rng.hermitian(m)
+    t, s = rng.complex_normal((n, m)), rng.complex_normal((n, m))
+    phi = Function2D.polynomial(rng.normal(12).reshape(3, 4))
+    psi = Function2D.closed_form("sin(x)*cos(2.0*y) + exp(0.5*x*y)")
+
+    def mix(x, y):
+        return alpha * phi(x, y) + beta * psi(x, y)
+
+    def close(lhs, parts):
+        scale = sum(abs(c) * np.linalg.norm(p) for c, p in parts)
+        assert np.linalg.norm(lhs - sum(c * p for c, p in parts)) <= 1e-12 * max(scale, 1.0)
+
+    close(double_operator_integral(mix, a, t, b),
+          [(alpha, double_operator_integral(phi, a, t, b)),
+           (beta, double_operator_integral(psi, a, t, b))])
+    close(double_operator_integral(psi, a, alpha * t + beta * s, b),
+          [(alpha, double_operator_integral(psi, a, t, b)),
+           (beta, double_operator_integral(psi, a, s, b))])
 
 
 def test_one_var_identity_linear(rng):

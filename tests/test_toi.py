@@ -3,8 +3,9 @@ import pytest
 
 from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose, schatten_norm
-from opintegral.toi import (HaagerupRep, eval_representation, projective_to_kind,
-                            rep_norm_certificate, s1_certificate, triple_spectral_sum)
+from opintegral.toi import (HaagerupRep, _double_norm, eval_representation,
+                            projective_to_kind, rep_norm_certificate, s1_certificate,
+                            triple_spectral_sum)
 from oracles import eval_via_trace_duality
 
 
@@ -318,3 +319,42 @@ def test_list_and_converted_reps_match_recorded_values():
     for repk in reps:
         np.testing.assert_array_equal(repk.evaluate_grid(la, mu, nu), want)
         assert rep_norm_certificate(repk, la, mu, nu).value == certs[repk.kind]
+
+
+def _count_norm_kernels(monkeypatch) -> dict:
+    calls = {"eigvalsh": 0, "norm": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_double_norm_takes_eigvalsh_only_for_real_symmetric_slices(monkeypatch):
+    rng = Xorshift64Star(11)
+    g = rng.normal(36).reshape(6, 6)
+    sym = g + g.T
+    upper = np.triu(g, 1)                        # eigvalsh reads one triangle: 0 here
+    near = sym.copy()
+    near[0, 5] = np.nextafter(near[0, 5], np.inf)     # symmetric but for one ulp
+    herm = rng.hermitian(6)
+    csym = rng.complex_normal((6, 6))
+    csym = csym + csym.T                         # complex symmetric, not Hermitian
+    margin = 1.0 + 8.0 * 6 * np.finfo(float).eps
+    cases = [  # (slices, eigvalsh calls, SVD norm calls)
+        (np.array([sym]), 1, 0), (np.array([upper]), 0, 1), (np.array([near]), 0, 1),
+        (np.array([g]), 0, 1), (np.array([herm]), 0, 1), (np.array([csym]), 0, 1),
+        (np.array([sym, upper, g]), 1, 2)]
+    for slices, n_eig, n_svd in cases:
+        calls = _count_norm_kernels(monkeypatch)
+        got = _double_norm(lambda pts, s=slices: s, np.zeros(slices.shape[0]))
+        assert calls == {"eigvalsh": n_eig, "norm": n_svd}
+        want = max(np.linalg.svd(s, compute_uv=False)[0] for s in slices) * margin
+        assert got == pytest.approx(want, rel=8.0 * 6 * np.finfo(float).eps)
+        monkeypatch.undo()
+    # a real non-symmetric slice keeps its true norm
+    assert _double_norm(lambda pts: np.array([upper]), np.zeros(1)) >= \
+        np.linalg.svd(upper, compute_uv=False)[0] > 0.1
