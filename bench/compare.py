@@ -10,8 +10,11 @@ directory, the committed files only; the change side is the working tree.
 Writes FILE (JSON) with every pair's end-to-end metrics, each side's median
 and quartiles per metric, the base's quartile spread, the change's win
 count, the median change relative to the metric's BENCHMARK.json bound, and
-the provenance line each run printed.  At the end it prints one summary line
-per workload and seed to stdout.
+the provenance line each run printed.  Per workload and seed it also writes
+an item summary: each item's base and change medians of its per-pair
+median_s, and whether its digest and details were equal on both sides in
+every pair.  At the end it prints, per workload and seed, one summary line
+and one line per item to stdout.
 
 A gain is shown when the change wins at least nine tenths of the pairs (ties
 count for neither side) and the medians differ by more than the base's
@@ -76,6 +79,40 @@ def summary_line(result: dict) -> str:
     return f"{result['workload']} seed {result['seed']}: " + "; ".join(metrics)
 
 
+def item_summary(pairs: list[dict]) -> dict:
+    """{item: {base_median_s, change_median_s, details_identical}} over pairs
+    [{"base": {"items": ...}, "change": {"items": ...}}] of run_once results;
+    an item missing on one side has no median there and is not identical."""
+    names = sorted({name for p in pairs for side in ("base", "change")
+                    for name in p[side]["items"]})
+    out = {}
+    for name in names:
+        runs = {side: [p[side]["items"].get(name) for p in pairs] for side in ("base", "change")}
+        medians = {side: statistics.median(r["median_s"] for r in rs) if None not in rs else None
+                   for side, rs in runs.items()}
+        out[name] = {"base_median_s": medians["base"], "change_median_s": medians["change"],
+                     "details_identical": all(b is not None and c is not None
+                                              and _outputs(b) == _outputs(c)
+                                              for b, c in zip(runs["base"], runs["change"]))}
+    return out
+
+
+def _outputs(item: dict) -> dict:
+    return {k: v for k, v in item.items() if k != "median_s"}
+
+
+def item_lines(result: dict) -> list[str]:
+    """One line per item of a workload and seed: median seconds, base -> change,
+    and details_identical."""
+    return [f"  {name}: median_s {_fmt(s['base_median_s'])} -> {_fmt(s['change_median_s'])}"
+            f" (details_identical {s['details_identical']})"
+            for name, s in result["items"].items()]
+
+
+def _fmt(value) -> str:
+    return "missing" if value is None else f"{value:.4g}"
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -91,7 +128,7 @@ def export(rev: str, dest: Path) -> None:
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run in checkout root: its metrics, provenance and
-    per-item median seconds and details."""
+    per-item median seconds, report digest and details."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=root, capture_output=True, text=True)
@@ -103,7 +140,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "provenance": info["provenance"],
-            "items": {it["name"]: {"median_s": it["median_s"], **it["detail"]}
+            "items": {it["name"]: {"median_s": it["median_s"], "digest": it["digest"],
+                                   **it["detail"]}
                       for it in info["items"]}}
 
 
@@ -146,10 +184,13 @@ def main(argv=None) -> int:
                     "attempted": {side: sum(p[side]["attempted"] for p in pairs)
                                   for side in sides},
                     "all_correct": all(p[side]["correct"] for p in pairs for side in sides),
-                    "summary": summarize(values, bench["end_to_end"]), "pairs": pairs})
+                    "summary": summarize(values, bench["end_to_end"]),
+                    "items": item_summary(pairs), "pairs": pairs})
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for result in report["results"]:
         print(summary_line(result))
+        for line in item_lines(result):
+            print(line)
     return 0
 
 

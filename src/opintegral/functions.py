@@ -446,6 +446,8 @@ class Function2D:
     it directly); closed_form: an expression tree.
     """
 
+    _lattice = (None, None)     # (lattice bytes, interpolation matrix): lattice_evaluator
+
     def __init__(self, kind: str, data, grid: UniformGrid | None = None):
         if kind not in ("polynomial", "product", "sampled", "closed_form"):
             raise ValueError(f"unknown Function2D kind {kind!r}")
@@ -559,15 +561,17 @@ class Function2D:
         sampled function on the grid with the J lattice points in the given axis
         and the points in the other.
 
-        The lattice interpolation matrix is built once, here; each call
-        contracts the spectrum with the points once for both results, and
-        keeps their real parts for a function marked real (from_spectrum).
+        The function keeps the interpolation matrix of its last lattice (both
+        axes of a band share one); each call contracts the spectrum with the
+        points once, keeping real parts for a function marked real.
         """
         if self.kind != "sampled":
             raise ValueError(f"a {self.kind} function has no grid spectrum")
         if axis not in (1, 2):
             raise ValueError("axis must be 1 or 2")
-        e_lat = _interp_matrix(self.grid, lattice)                   # (J, N)
+        if self._lattice[0] != (key := np.asarray(lattice, dtype=float).tobytes()):
+            self._lattice = (key, _interp_matrix(self.grid, lattice))
+        e_lat = self._lattice[1]                                      # (J, N)
         spec = self.spectrum() if axis == 1 else self.spectrum().T   # lattice axis first
         ixi = 1j * self.grid.frequencies()
 

@@ -11,8 +11,8 @@ by verify_hankel_identity).
 
 For T = T_f the essential spectrum is the symbol curve f(T); off the curve,
 the principal function attached to (Re T, Im T) is the winding number of
-f - lambda, evaluated here by argument accumulation along a fine
-discretization of the curve.
+f - lambda around a fine discretization of the curve: by argument
+accumulation at a point, by signed crossing counts on a grid.
 """
 
 from __future__ import annotations
@@ -84,25 +84,23 @@ class Symbol:
 
 def toeplitz_matrix(f: Symbol, n: int) -> np.ndarray:
     """(T_f)_{jk} = fhat(j - k) on the n-dimensional truncation."""
-    if n <= f.degree:
-        raise ValueError(f"truncation {n} must exceed the symbol degree {f.degree}")
     j = np.arange(n)
-    diffs = j[:, None] - j[None, :]
-    out = np.zeros((n, n), dtype=np.complex128)
-    mask = np.abs(diffs) <= f.degree
-    out[mask] = f.coeffs[diffs[mask] + f.degree]
-    return out
+    return _coefficient_matrix(f, n, j[:, None] - j[None, :])
 
 
 def hankel_matrix(f: Symbol, n: int) -> np.ndarray:
     """(H_f)_{jk} = fhat(-(j + k + 1)); finite rank = deg f for trig polynomials."""
+    j = np.arange(n)
+    return _coefficient_matrix(f, n, -(j[:, None] + j[None, :] + 1))
+
+
+def _coefficient_matrix(f: Symbol, n: int, index: np.ndarray) -> np.ndarray:
+    """n x n matrix of fhat(index), zero where |index| > deg f."""
     if n <= f.degree:
         raise ValueError(f"truncation {n} must exceed the symbol degree {f.degree}")
-    j = np.arange(n)
-    sums = -(j[:, None] + j[None, :] + 1)
     out = np.zeros((n, n), dtype=np.complex128)
-    mask = np.abs(sums) <= f.degree
-    out[mask] = f.coeffs[sums[mask] + f.degree]
+    mask = np.abs(index) <= f.degree
+    out[mask] = f.coeffs[index[mask] + f.degree]
     return out
 
 
@@ -149,37 +147,34 @@ def winding_number(f: Symbol, lam: complex, points: int = CURVE_POINTS) -> int:
 
 
 def winding_grid(f: Symbol, xs, ys, points: int = CURVE_POINTS) -> np.ndarray:
-    """Winding numbers on a tensor grid by signed ray-crossing counts per row.
+    """Winding numbers of the curve of f on the ascending axes xs, ys, shape
+    (len(ys), len(xs)), as the transpose of a C-contiguous (x, y) array.
 
-    Each closed polyline segment crossing the horizontal line y = ys[r]
-    contributes +-1 (by direction) to all grid points left of the crossing;
-    grid points within CURVE_PROXIMITY of a crossing get the sentinel filled
-    by their right neighbor.  O(rows * curve points + crossings log).
+    One pass of signed crossing counts over the closed polyline's segments:
+    a segment crosses row y0 when min(y1, y2) <= y0 < max(y1, y2), and counts
+    +1 upward, -1 downward, at every grid point strictly left of the crossing.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = (np.asarray(a, dtype=float) for a in (xs, ys))
+    if any(a.ndim != 1 or not np.isfinite(a).all() or (np.diff(a) < 0).any() for a in (xs, ys)):
+        raise ValueError("grid axes xs and ys must be finite 1-d arrays sorted ascending")
     curve = f.curve(points)
-    cx, cy = curve.real, curve.imag
-    nx, ny2 = cx, np.roll(cx, -1)
-    y1, y2 = cy, np.roll(cy, -1)
-    out = np.zeros((ys.size, xs.size), dtype=np.int64)
-    for r, y0 in enumerate(ys):
-        up = (y1 <= y0) & (y2 > y0)
-        dn = (y2 <= y0) & (y1 > y0)
-        hit = up | dn
-        if not hit.any():
-            continue
-        t = (y0 - y1[hit]) / (y2[hit] - y1[hit])
-        xc = nx[hit] + t * (ny2[hit] - nx[hit])
-        sign = np.where(up[hit], 1, -1)
-        order = np.argsort(xc)
-        xc = xc[order]
-        sign = sign[order]
-        # winding at x = number of signed crossings strictly to the right
-        cum = np.concatenate([np.cumsum(sign[::-1])[::-1], [0]])
-        idx = np.searchsorted(xc, xs, side="right")
-        out[r, :] = cum[idx]
-    return out
+    x1, y1 = curve.real, curve.imag
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    lo, hi = np.searchsorted(ys, [np.minimum(y1, y2), np.maximum(y1, y2)])
+    n = hi - lo                       # the rows lo, ..., hi - 1 each segment crosses
+    seg = np.repeat(np.arange(curve.size), n)
+    rows = (lo - np.cumsum(n) + n)[seg] + np.arange(seg.size)
+    t = (ys[rows] - y1[seg]) / (y2[seg] - y1[seg])
+    xc = x1[seg] + t * (x2[seg] - x1[seg])
+    sign = np.where(y2[seg] > y1[seg], 1, -1)
+    # +sign at column 0 and -sign at the first column with x >= xc, summed
+    # along x row by row (contiguous adds; np.cumsum(axis=0) reads with a stride)
+    counts = np.zeros((xs.size + 1, ys.size), dtype=np.int64)
+    np.add.at(counts, (0, rows), sign)
+    np.add.at(counts, (np.searchsorted(xs, xc, side="left"), rows), -sign)
+    for j in range(1, xs.size):
+        counts[j] += counts[j - 1]
+    return counts[:-1].T
 
 
 @dataclass(frozen=True)
@@ -211,19 +206,20 @@ class PrincipalFunction:
         return 0
 
     def on_grid(self, xs, ys) -> np.ndarray:
-        """Values g(x, y) as an array of shape (len(ys), len(xs)); cached."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        """Values g(x, y), shape (len(ys), len(xs)): the transpose of a
+        C-contiguous (x, y) array, so .T is in eval_grid's layout without a
+        copy.  Winding numbers are cached per grid."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         if self.symbol is not None:
             key = (xs.tobytes(), ys.tobytes())
             if key not in self._cache:
                 self._cache[key] = winding_grid(self.symbol, xs, ys, self.curve_points)
             return self._cache[key]
-        out = np.zeros((ys.size, xs.size))
-        gx, gy = np.meshgrid(xs, ys)
+        out = np.zeros((xs.size, ys.size))
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
         for indicator, value in self.regions:
             out = np.where(np.asarray(indicator(gx, gy)), value, out)
-        return out
+        return out.T
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) covering the support of g."""

@@ -47,3 +47,36 @@ def eval_via_trace_duality(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
             v = eval_representation(inner, decs[lo], ops[lo], decs[s], ops[s], decs[hi])
             w[p, q] = np.trace(v @ ops[hi])
     return w
+
+
+def winding_grid_rows(f, xs, ys, points):
+    """Winding numbers of the curve of f on the grid xs x ys, shape
+    (len(ys), len(xs)), by one ray-crossing count per row.
+
+    For each row y0 the polyline segments with min(y1, y2) <= y0 < max(y1, y2)
+    are cut at their crossing abscissae, sorted, and each grid point takes the
+    signed count of the crossings strictly to its right.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    curve = f.curve(points)
+    cx, cy = curve.real, curve.imag
+    nx, ny2 = cx, np.roll(cx, -1)
+    y1, y2 = cy, np.roll(cy, -1)
+    out = np.zeros((ys.size, xs.size), dtype=np.int64)
+    for r, y0 in enumerate(ys):
+        up = (y1 <= y0) & (y2 > y0)
+        dn = (y2 <= y0) & (y1 > y0)
+        hit = up | dn
+        if not hit.any():
+            continue
+        t = (y0 - y1[hit]) / (y2[hit] - y1[hit])
+        xc = nx[hit] + t * (ny2[hit] - nx[hit])
+        sign = np.where(up[hit], 1, -1)
+        order = np.argsort(xc)
+        xc = xc[order]
+        sign = sign[order]
+        cum = np.concatenate([np.cumsum(sign[::-1])[::-1], [0]])
+        idx = np.searchsorted(xc, xs, side="right")
+        out[r, :] = cum[idx]
+    return out

@@ -61,3 +61,34 @@ def test_summary_line_per_workload_and_seed():
         "band-path seed 104729: "
         "wall_s 14.5 -> 9.5 (10/0, within_bound True, gain_shown True); "
         "peak_rss_mb 100 -> 120 (0/9, within_bound False, gain_shown False)")
+
+
+def _items(seconds, **outputs):
+    return {"items": {name: {"median_s": s, "digest": None, **outputs.get(name, {})}
+                      for name, s in seconds.items()}}
+
+
+def test_item_summary_medians_and_identical_details():
+    compare = _load()
+    pairs = [{"base": _items({"pair": 2.0 + k, "cert": 1.0}, pair={"residual_s1": 3e-7}),
+              "change": _items({"pair": 1.0 + k, "cert": 1.5}, pair={"residual_s1": 3e-7})}
+             for k in range(5)]
+    # one pair's change reports a different detail for cert, another a different digest
+    pairs[3]["change"]["items"]["cert"]["certificate"] = 2.43
+    items = compare.item_summary(pairs)
+    assert items["pair"] == {"base_median_s": 4.0, "change_median_s": 3.0,
+                             "details_identical": True}
+    assert items["cert"] == {"base_median_s": 1.0, "change_median_s": 1.5,
+                             "details_identical": False}
+    pairs[3]["change"]["items"]["cert"].pop("certificate")
+    assert compare.item_summary(pairs)["cert"]["details_identical"]
+    pairs[0]["base"]["items"]["pair"]["digest"] = "d232de27"
+    assert not compare.item_summary(pairs)["pair"]["details_identical"]
+    # an item that only one side runs has no median on the other side
+    pairs[1]["change"]["items"]["extra"] = {"median_s": 0.5, "digest": None}
+    extra = compare.item_summary(pairs)["extra"]
+    assert extra["base_median_s"] is None and not extra["details_identical"]
+    lines = compare.item_lines({"items": compare.item_summary(pairs)})
+    assert lines == ["  cert: median_s 1 -> 1.5 (details_identical True)",
+                     "  extra: median_s missing -> missing (details_identical False)",
+                     "  pair: median_s 4 -> 3 (details_identical False)"]

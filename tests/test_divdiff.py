@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opintegral import divdiff
+from opintegral import divdiff, functions
 from opintegral.besov import bandlimit_check, lp_decompose
 from opintegral.divdiff import (band_representations, besov_representation,
                                 divided_difference,
@@ -386,3 +386,31 @@ def test_complex_sampled_band_stays_complex(monkeypatch):
         reps[1].aggregate_certificate(BUMP_POINTS, BUMP_POINTS, BUMP_POINTS)
         assert len(calls) == (0 if dtype == np.complex128 else
                               len(reps[1].items) * BUMP_POINTS.size)
+
+
+def test_band_lattice_matrix_built_once_for_both_axes(monkeypatch):
+    j_max = 16
+    built = []
+    interp = functions._interp_matrix
+
+    def counting(grid, points):
+        built.append(np.size(points))
+        return interp(grid, points)
+    monkeypatch.setattr(functions, "_interp_matrix", counting)
+    grid = UniformGrid(dim=2, period=16.0 * np.pi, points=64)
+    reps = band_representations(BUMP, j_max=j_max, grid=grid, domain_radius=1.1)
+    assert len(reps[1].items) >= 2 and sorted(reps[1].items) == sorted(reps[2].items)
+    assert built.count(2 * j_max + 1) == len(reps[1].items)
+
+
+def test_lattice_evaluator_rebuilds_for_another_lattice():
+    spec = next(iter(_bump_bands().values()))[1]
+    shared = Function2D.from_spectrum(spec, BAND_GRID, real=True)
+    coarse, fine = np.pi / 4.0 * np.arange(-8, 9), np.pi / 8.0 * np.arange(-16, 17)
+    for lattice in (coarse, fine, coarse):
+        for axis in (1, 2):
+            got = shared.lattice_evaluator(axis, lattice)(BUMP_POINTS)
+            fresh = Function2D.from_spectrum(spec, BAND_GRID, real=True)
+            want = fresh.lattice_evaluator(axis, lattice)(BUMP_POINTS)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)

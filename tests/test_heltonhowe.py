@@ -4,7 +4,7 @@ import pytest
 from opintegral.doi import funcalc
 from opintegral.functions import Function2D, UniformGrid
 from opintegral.heltonhowe import (SHIFT_SYMBOL, TraceExperimentConfig,
-                                   band_additivity_check, corner_trace,
+                                   _midpoint_jacobian, band_additivity_check, corner_trace,
                                    lhs_corner_trace, model_pair, polynomial_suite,
                                    rhs_integral, trace_formula_experiment,
                                    winding_factor_experiment)
@@ -51,6 +51,36 @@ def test_rhs_with_winding_principal_function():
     g = principal_function(SHIFT_SYMBOL)
     val, _ = rhs_integral(X, Y, g, resolution=1024)
     assert val == pytest.approx(0.5, abs=5e-3)
+
+
+Y2 = Function2D.polynomial([[0, 0, 1]])
+SUITE = {"x,y": (X, Y), "x^2,y": (X2, Y), "x,y^2": (X, Y2), "x^2,y^2": (X2, Y2),
+         "x^2,xy": (X2, XY)}
+
+
+def test_rhs_integral_bits_of_the_row_loop_quadrature():
+    # (integral, scale) as float.hex, recorded with the row-by-row winding grid
+    # and the strided g weights that preceded the one-pass crossing count
+    shift = {"x,y": ("0x1.ffd86bfaa823fp-2", "0x1.ffd86bfaa823fp-2"),
+             "x^2,y": ("0x0.0p+0", "0x1.b26d871a4703ap-2"),
+             "x,y^2": ("0x1.3e8bdfeb696fap-58", "0x1.b26d871a4703ap-2"),
+             "x^2,y^2": ("0x1.492c2eb99afdap-60", "0x1.45df5778297e9p-2"),
+             "x^2,xy": ("0x1.ffb0dd12a262cp-3", "0x1.ffb0dd12a262cp-3")}
+    g = principal_function(SHIFT_SYMBOL)
+    for name, (phi, psi) in SUITE.items():
+        assert tuple(v.hex() for v in rhs_integral(phi, psi, g, 512)) == shift[name], name
+    disk = disk_principal_function(radius=0.8, value=2, center=0.1 + 0.2j)
+    assert tuple(v.hex() for v in rhs_integral(X, Y, disk, 512)) == (
+        "0x1.47aff297e5d3bp-1", "0x1.47aff297e5d3bp-2")
+    assert tuple(v.hex() for v in rhs_integral(X2, Y, disk, 512)) == (
+        "0x1.06265bacb7dc8p-3", "0x1.c773e489221a3p-3")
+
+
+def test_midpoint_jacobian_weights_are_c_contiguous():
+    for g in (principal_function(SHIFT_SYMBOL), disk_principal_function()):
+        jac, gvals, _ = _midpoint_jacobian(X, Y, g, 64, g.bounding_box())
+        assert gvals.shape == jac.shape == (64, 64)
+        assert gvals.flags.c_contiguous
 
 
 def test_lhs_antisymmetry_and_bilinearity():

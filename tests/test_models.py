@@ -6,6 +6,8 @@ from opintegral.models import (Symbol, disk_principal_function, hankel_matrix,
                                verify_hankel_identity, winding_grid, winding_number)
 from opintegral.rng import Xorshift64Star
 
+from oracles import winding_grid_rows
+
 E1 = Symbol.from_dict({1: 1.0})
 COS = Symbol.from_dict({1: 0.5, -1: 0.5})
 SIN = Symbol.from_dict({1: -0.5j, -1: 0.5j})
@@ -149,6 +151,74 @@ def test_winding_grid_matches_pointwise():
         assert grid[i, j] == w
         checked += 1
     assert checked >= 40
+
+
+DOUBLE = Symbol.from_dict({2: 1.0, 1: 0.5})
+# the self-crossing product f g of test_winding_additivity
+PRODUCT = DOUBLE.multiply(Symbol.from_dict({1: 1.0, 0: 0.3}))
+
+
+def _same_grid(f, xs, ys, points=2 ** 14):
+    new = winding_grid(f, xs, ys, points)
+    ref = winding_grid_rows(f, xs, ys, points)
+    assert new.shape == ref.shape == (np.size(ys), np.size(xs))
+    assert new.dtype == ref.dtype == np.int64
+    assert np.array_equal(new, ref)
+    return new
+
+
+@pytest.mark.parametrize("f", [E1, DOUBLE, PRODUCT], ids=["shift", "double", "product"])
+def test_winding_grid_matches_row_loop_oracle(f):
+    grid = _same_grid(f, np.linspace(-1.7, 1.7, 23), np.linspace(-1.6, 1.6, 19))
+    assert np.abs(grid).max() >= 1
+    k = np.linspace(-1.3, 1.3, 37)
+    _same_grid(f, k, [0.05])
+    _same_grid(f, [0.05], k)
+    _same_grid(f, [-0.1], [0.2])
+
+
+def _crossing_abscissae(f, ys, points):
+    """Every abscissa at which a segment of the polyline crosses a row of ys."""
+    curve = f.curve(points)
+    x1, y1 = curve.real, curve.imag
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    out = []
+    for y0 in ys:
+        hit = (np.minimum(y1, y2) <= y0) & (y0 < np.maximum(y1, y2))
+        t = (y0 - y1[hit]) / (y2[hit] - y1[hit])
+        out.append(x1[hit] + t * (x2[hit] - x1[hit]))
+    return np.unique(np.concatenate(out))
+
+
+@pytest.mark.parametrize("f, points", [(E1, 12), (DOUBLE, 24), (PRODUCT, 30)],
+                         ids=["shift", "double", "product"])
+def test_winding_grid_ties_on_vertex_rows_and_crossing_columns(f, points):
+    # rows exactly on vertex ordinates test the half-open row rule; columns
+    # exactly on crossing abscissae test "crossings strictly to the right"
+    ys = np.unique(f.curve(points).imag)
+    xs = _crossing_abscissae(f, ys, points)
+    grid = _same_grid(f, xs, ys, points)
+    assert grid.any()
+
+
+def test_winding_grid_rejects_bad_axes_and_takes_empty_ones():
+    ok = np.linspace(-1.0, 1.0, 5)
+    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf], [1.0, 0.5, 2.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="finite 1-d arrays sorted ascending"):
+            winding_grid(E1, bad, ok)
+        with pytest.raises(ValueError, match="finite 1-d arrays sorted ascending"):
+            winding_grid(E1, ok, bad)
+    assert winding_grid(E1, [], ok).shape == (5, 0)
+    empty = winding_grid(E1, ok, [])
+    assert empty.shape == (0, 5) and empty.dtype == np.int64
+
+
+def test_on_grid_is_the_transpose_of_a_c_contiguous_xy_array():
+    xs, ys = np.linspace(-1.5, 1.5, 7), np.linspace(-1.2, 1.2, 5)
+    for g in (principal_function(E1), disk_principal_function(radius=1.0, value=2)):
+        vals = g.on_grid(xs, ys)
+        assert vals.shape == (5, 7) and vals.T.flags.c_contiguous
+        assert vals[2, 3] == g(0.0, 0.0) and vals[0, 0] == 0
 
 
 def test_principal_function_shift_disk():
