@@ -22,10 +22,9 @@ from .heltonhowe import (TraceExperimentConfig, TraceReport, lhs_corner_trace,
                          polynomial_suite, rhs_integral, trace_formula_experiment,
                          winding_factor_experiment)
 from .models import (PrincipalFunction, Symbol, hankel_matrix, principal_function,
-                     toeplitz_matrix, verify_hankel_identity, winding_number)
+                     toeplitz_matrix, verify_hankel_identity)
 from .rng import Xorshift64Star
-from .spectral import (HermitianOperator, SpectralDecomposition, decompose,
-                       jacobi_eigh, schatten_norm, spectral_projection)
+from .spectral import HermitianOperator, SpectralDecomposition, decompose, schatten_norm
 from .toi import (HaagerupRep, RepNormCertificate, S1Certificate,
                   eval_representation, s1_certificate, triple_spectral_sum)
 
@@ -41,13 +40,12 @@ __all__ = [
     "bandlimit_check", "besov_norm", "besov_representation",
     "commutator_of_functions", "commutator_via_toi", "decompose",
     "divided_difference", "double_operator_integral", "eval_representation",
-    "funcalc", "hankel_matrix", "jacobi_eigh",
-    "lhs_corner_trace", "lp_decompose", "one_var_commutator_identity",
-    "parse_expr", "polynomial_suite", "principal_function", "probe_problem1",
-    "probe_problem2", "projective_decompose_trig", "rhs_integral",
-    "s1_certificate", "schatten_norm", "schur_multiplier_norm",
-    "sinc_representation", "spectral_projection", "toeplitz_matrix",
-    "trace_formula_experiment", "triple_spectral_sum", "verify_hankel_identity",
-    "verify_theorem_41", "window_eval", "winding_number",
+    "funcalc", "hankel_matrix", "lhs_corner_trace", "lp_decompose",
+    "one_var_commutator_identity", "parse_expr", "polynomial_suite",
+    "principal_function", "probe_problem1", "probe_problem2",
+    "projective_decompose_trig", "rhs_integral", "s1_certificate",
+    "schatten_norm", "schur_multiplier_norm", "sinc_representation",
+    "toeplitz_matrix", "trace_formula_experiment", "triple_spectral_sum",
+    "verify_hankel_identity", "verify_theorem_41", "window_eval",
     "winding_factor_experiment",
 ]

@@ -29,8 +29,8 @@ def _print(args, text):
         print(text)
 
 
-def _emit(args, payload, out=None):
-    target = out or getattr(args, "out", None)
+def _emit(args, payload):
+    target = getattr(args, "out", None)
     if target:
         fileio.write_report(target, payload)
         _print(args, f"report written to {target}")

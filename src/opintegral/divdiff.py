@@ -32,6 +32,21 @@ from .functions import Function2D, UniformGrid
 from .toi import SLOTS, HaagerupRep, _double_norm, _LazyFloat, rep_norm_certificate
 
 
+def divided_quotient(f, df, z1, z2, tol=None) -> np.ndarray:
+    """(f(z1) - f(z2)) / (z1 - z2), broadcast, with df at the midpoint (called
+    only then) where |z1 - z2| <= tol, by default 1e-7 times the span of z1, z2."""
+    if tol is None:
+        span = max(np.max(z1), np.max(z2)) - min(np.min(z1), np.min(z2))
+        tol = 1e-7 * max(float(span), 1e-300)
+    diff = z1 - z2
+    near = np.abs(diff) <= tol
+    safe = np.where(near, 1.0, diff)
+    vals = (f(z1) - f(z2)) / safe
+    if near.any():
+        vals = np.where(near, df(0.5 * (z1 + z2)), vals)
+    return vals
+
+
 @dataclass(frozen=True)
 class DividedDifference:
     """Callable divided difference with a diagonal (derivative) convention.
@@ -45,13 +60,6 @@ class DividedDifference:
     coincidence_tol: float | None
     _partial: Function2D = field(repr=False, default=None)
 
-    def _tol(self, u, v) -> float:
-        if self.coincidence_tol is not None:
-            return self.coincidence_tol
-        span = max(float(np.max(u)), float(np.max(v))) - \
-            min(float(np.min(u)), float(np.min(v)))
-        return 1e-7 * max(span, 1e-300)
-
     def __call__(self, u, v, w):
         """axis 1: arguments (x1, x2, y); axis 2: arguments (x, y1, y2)."""
         u, v, w = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (u, v, w)))
@@ -60,14 +68,9 @@ class DividedDifference:
         def at(z):
             return (z, fixed) if self.axis == 1 else (fixed, z)
 
-        tol = self._tol(z1, z2)
-        diff = z1 - z2
-        near = np.abs(diff) <= tol
-        safe = np.where(near, 1.0, diff)
-        vals = (self.source(*at(z1)) - self.source(*at(z2))) / safe
-        if near.any():
-            vals = np.where(near, self._partial(*at(0.5 * (z1 + z2))), vals)
-        return vals
+        return divided_quotient(lambda z: self.source(*at(z)),
+                                lambda z: self._partial(*at(z)),
+                                z1, z2, self.coincidence_tol)
 
 
 def divided_difference(phi: Function2D, axis: int,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divdiff import divided_quotient
 from .functions import Function1D, Function2D
 from .spectral import as_decomposition
 
@@ -83,27 +84,6 @@ def scalar_calculus(f: Function1D, a) -> np.ndarray:
     return (u * vals) @ u.conj().T
 
 
-def divided_difference_matrix(f: Function1D, xs, ys,
-                              coincidence_tol: float | None = None) -> np.ndarray:
-    """Matrix of (f(x_i) - f(y_j)) / (x_i - y_j), derivative near coincidence."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if coincidence_tol is None:
-        diam = max(xs.max(), ys.max()) - min(xs.min(), ys.min())
-        coincidence_tol = 1e-7 * max(diam, 1e-30)
-    fx = np.asarray(f(xs), dtype=np.complex128)
-    fy = np.asarray(f(ys), dtype=np.complex128)
-    diff = xs[:, None] - ys[None, :]
-    near = np.abs(diff) <= coincidence_tol
-    safe = np.where(near, 1.0, diff)
-    d = (fx[:, None] - fy[None, :]) / safe
-    if near.any():
-        fprime = f.derivative()
-        mid = 0.5 * (xs[:, None] + ys[None, :])
-        d = np.where(near, np.asarray(fprime(mid), dtype=np.complex128), d)
-    return d
-
-
 def one_var_commutator_identity(f: Function1D, a, b, q) -> float:
     """Residual of f(A)Q - Qf(B) = DOI(divided difference of f; A, AQ - QB, B).
 
@@ -116,7 +96,9 @@ def one_var_commutator_identity(f: Function1D, a, b, q) -> float:
     lhs = scalar_calculus(f, da) @ q - q @ scalar_calculus(f, db)
     amat = da.matrix()
     bmat = db.matrix()
-    dd = divided_difference_matrix(f, da.eigenvalues, db.eigenvalues)
+    dd = divided_quotient(lambda z: np.asarray(f(z), dtype=np.complex128),
+                          lambda z: np.asarray(f.derivative()(z), dtype=np.complex128),
+                          da.eigenvalues[:, None], db.eigenvalues[None, :])
     ua, ub = da.eigenvectors, db.eigenvectors
     inner = ua.conj().T @ (amat @ q - q @ bmat) @ ub
     rhs = ua @ (dd * inner) @ ub.conj().T

@@ -90,6 +90,8 @@ def write_symbol(path, sym: Symbol) -> None:
 def read_symbol(path) -> Symbol:
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ValueError(f"{path}: symbol file has no 'deg d' header")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "deg":
         raise ValueError(f"{path}: bad header {lines[0]!r}, expected 'deg d'")
@@ -133,9 +135,10 @@ def read_function_spec(path) -> Function2D:
     base = Path(path).parent
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("variant"):
-        raise ValueError(f"{path}: function spec must start with a 'variant' line")
-    variant = lines[0].split(None, 1)[1].strip()
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "variant":
+        raise ValueError(f"{path}: function spec must start with a 'variant <kind>' line")
+    variant = head[1]
     if variant == "polynomial":
         entries = []
         for ln in lines[1:]:
@@ -198,7 +201,7 @@ def read_config(path) -> dict:
 
 
 def write_report(path, payload: dict) -> None:
-    """Deterministic JSON: sorted keys, minimal separators, trailing newline."""
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
     Path(path).write_text(text + "\n", encoding="utf-8")
 

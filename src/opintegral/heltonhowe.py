@@ -164,6 +164,8 @@ def _midpoint_jacobian(phi: Function2D, psi: Function2D, g: PrincipalFunction,
     """(Jacobian d(phi, psi)/d(x, y), g, cell area) at the midpoints of a
     resolution x resolution tensor grid over box, both arrays in (x, y)
     indexing."""
+    if resolution < 1:
+        raise ValueError(f"quadrature resolution must be at least 1, got {resolution}")
     xmin, xmax, ymin, ymax = box
     xs = xmin + (xmax - xmin) * (np.arange(resolution) + 0.5) / resolution
     ys = ymin + (ymax - ymin) * (np.arange(resolution) + 0.5) / resolution

@@ -11,8 +11,8 @@ by verify_hankel_identity).
 
 For T = T_f the essential spectrum is the symbol curve f(T); off the curve,
 the principal function attached to (Re T, Im T) is the winding number of
-f - lambda around a fine discretization of the curve: by argument
-accumulation at a point, by signed crossing counts on a grid.
+f - lambda around a fine discretization of the curve, computed on a grid by
+signed crossing counts.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CURVE_POINTS = 2 ** 14
-CURVE_PROXIMITY = 1e-9
-WINDING_DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -124,28 +122,6 @@ def verify_hankel_identity(f: Symbol, g: Symbol, n: int, window: int) -> float:
     return float(np.abs((lhs - rhs)[:window, :window]).max())
 
 
-def winding_number(f: Symbol, lam: complex, points: int = CURVE_POINTS) -> int:
-    """Winding of theta -> f(e^{i theta}) - lam around zero.
-
-    Accumulates argument increments over a fine curve discretization; the
-    rounded integer is checked against the raw sum (drift <= 1e-6) and the
-    query point must keep distance > 1e-9 from the curve.
-    """
-    curve = f.curve(points) - lam
-    dist = np.abs(curve).min()
-    if dist <= CURVE_PROXIMITY:
-        raise ValueError(
-            f"query point {lam:.6g} lies on the symbol curve (distance {dist:.3g})")
-    rolled = np.roll(curve, -1)
-    increments = np.angle(rolled / curve)
-    total = float(increments.sum() / (2.0 * np.pi))
-    wind = int(np.rint(total))
-    if abs(total - wind) > WINDING_DRIFT_TOL:
-        raise ArithmeticError(
-            f"winding accumulation drifted: raw {total}, rounded {wind}")
-    return wind
-
-
 def winding_grid(f: Symbol, xs, ys, points: int = CURVE_POINTS) -> np.ndarray:
     """Winding numbers of the curve of f on the ascending axes xs, ys, shape
     (len(ys), len(xs)), as the transpose of a C-contiguous (x, y) array.
@@ -181,29 +157,16 @@ def winding_grid(f: Symbol, xs, ys, points: int = CURVE_POINTS) -> np.ndarray:
 class PrincipalFunction:
     """Integer-valued function on the plane attached to an almost commuting pair.
 
-    Either lazily computed winding numbers of a symbol curve, or an explicit
-    region list [(indicator(x, y) -> bool array, value)].  Values vanish on
-    the unbounded component; on each complement component of the curve the
-    value is minus the Fredholm index of T - lambda.
+    Either winding numbers of a symbol curve, computed per grid, or an
+    explicit region list [(indicator(x, y) -> bool array, value)].  Values
+    vanish on the unbounded component; on each complement component of the
+    curve the value is minus the Fredholm index of T - lambda.
     """
 
     symbol: Symbol | None = None
     regions: tuple = ()
-    curve_points: int = CURVE_POINTS
     box: tuple | None = None
     _cache: dict = field(default_factory=dict, repr=False)
-
-    def __call__(self, x: float, y: float) -> int:
-        if self.symbol is not None:
-            key = (float(x), float(y))
-            if key not in self._cache:
-                self._cache[key] = winding_number(self.symbol, complex(x, y),
-                                                  self.curve_points)
-            return self._cache[key]
-        for indicator, value in self.regions:
-            if np.asarray(indicator(np.asarray(x), np.asarray(y))).item():
-                return value
-        return 0
 
     def on_grid(self, xs, ys) -> np.ndarray:
         """Values g(x, y), shape (len(ys), len(xs)): the transpose of a
@@ -213,7 +176,7 @@ class PrincipalFunction:
         if self.symbol is not None:
             key = (xs.tobytes(), ys.tobytes())
             if key not in self._cache:
-                self._cache[key] = winding_grid(self.symbol, xs, ys, self.curve_points)
+                self._cache[key] = winding_grid(self.symbol, xs, ys)
             return self._cache[key]
         out = np.zeros((xs.size, ys.size))
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -226,7 +189,7 @@ class PrincipalFunction:
         if self.box is not None:
             return self.box
         if self.symbol is not None:
-            curve = self.symbol.curve(self.curve_points)
+            curve = self.symbol.curve()
             pad = 1e-6 + 1e-3 * (np.abs(curve).max() + 1.0)
             return (float(curve.real.min() - pad), float(curve.real.max() + pad),
                     float(curve.imag.min() - pad), float(curve.imag.max() + pad))

@@ -1,4 +1,4 @@
-"""Dense complex Hermitian eigensystems, spectral projections, Schatten norms.
+"""Dense complex Hermitian eigensystems and Schatten norms.
 
 Everything downstream (operator integrals, functional calculus, trace
 experiments) is built on the decompositions produced here.  All inputs are
@@ -7,7 +7,7 @@ dense complex matrices at desk scale; there is no sparse or iterative path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,17 +61,11 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix with eigenvalues grouped in clusters.
-
-    eigenvalues are ascending; eigenvectors are the columns of a unitary
-    matrix.  Clusters partition the index range so that eigenvalues within a
-    cluster differ by at most cluster_tol (greedy ascending grouping).
-    """
+    """Eigensystem of a Hermitian matrix: ascending eigenvalues, and the
+    eigenvectors as the columns of a unitary matrix."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    cluster_tol: float
-    clusters: tuple[tuple[int, ...], ...] = field(default=())
 
     @property
     def dim(self) -> int:
@@ -83,96 +77,17 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-def _greedy_clusters(eigenvalues: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
-    clusters = []
-    current = [0]
-    lo = eigenvalues[0]
-    for i in range(1, len(eigenvalues)):
-        if eigenvalues[i] - lo <= tol:
-            current.append(i)
-        else:
-            clusters.append(tuple(current))
-            current = [i]
-            lo = eigenvalues[i]
-    clusters.append(tuple(current))
-    return tuple(clusters)
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
-    """Cyclic Jacobi eigensolver for complex Hermitian matrices.
-
-    Sweeps over all (p, q) pairs applying complex rotations until the
-    off-diagonal Frobenius mass falls below tol * ||A||_F.  Self-contained
-    cross-check for the LAPACK path; O(n^3) per sweep, intended for n
-    up to a few hundred.
-    """
-    a = _as_complex_matrix(a).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    norm_a = max(np.linalg.norm(a), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= tol * norm_a:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-2 * tol * norm_a / n:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # G differs from I in rows/cols (p, q): [[c, sigma], [-conj(sigma), c]];
-                # A <- G* A G zeroes the (p, q) entry of the 2x2 block.
-                phase = apq / abs(apq)
-                theta = 0.5 * np.arctan2(2.0 * abs(apq), aqq - app)
-                c = np.cos(theta)
-                sigma = np.sin(theta) * phase
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - sigma * rq
-                a[q, :] = np.conj(sigma) * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - np.conj(sigma) * cq
-                a[:, q] = sigma * cp + c * cq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - np.conj(sigma) * vq
-                v[:, q] = sigma * vp + c * vq
-    else:
-        raise RuntimeError(f"Jacobi sweep budget exhausted ({max_sweeps} sweeps)")
-    w = np.diag(a).real
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def decompose(h, cluster_tol: float | None = None, method: str = "lapack") -> SpectralDecomposition:
-    """Eigendecomposition with eigenvalue clustering.
-
-    cluster_tol defaults to 1e-8 times the operator norm; clusters are formed
-    by greedy ascending grouping, so within a cluster max - min <= cluster_tol.
-    method is "lapack" (default) or "jacobi" (self-contained cross-check).
-    """
+def decompose(h) -> SpectralDecomposition:
+    """Eigendecomposition by LAPACK (numpy.linalg.eigh), with the Hermitian
+    check of HermitianOperator and a reconstruction-residual check."""
     if isinstance(h, SpectralDecomposition):
         return h
     if not isinstance(h, HermitianOperator):
-        h = HermitianOperator(_as_complex_matrix(h))
+        h = HermitianOperator(h)
     a = h.entries
-    if method == "lapack":
-        w, u = np.linalg.eigh(a)
-    elif method == "jacobi":
-        w, u = jacobi_eigh(a)
-    else:
-        raise ValueError(f"unknown eigensolver method '{method}'")
+    w, u = np.linalg.eigh(a)
     norm = max(float(np.abs(w).max()) if w.size else 0.0, 1e-300)
-    if cluster_tol is None:
-        cluster_tol = 1e-8 * norm
-    dec = SpectralDecomposition(
-        eigenvalues=w,
-        eigenvectors=u,
-        cluster_tol=float(cluster_tol),
-        clusters=_greedy_clusters(w, float(cluster_tol)),
-    )
+    dec = SpectralDecomposition(eigenvalues=w, eigenvectors=u)
     # Frobenius norm: an upper bound for the 2-norm at a fraction of an SVD
     residual = np.linalg.norm(dec.matrix() - a)
     if residual > RECONSTRUCTION_RTOL * norm:
@@ -183,11 +98,11 @@ def decompose(h, cluster_tol: float | None = None, method: str = "lapack") -> Sp
     return dec
 
 
-def as_decomposition(x, cluster_tol: float | None = None) -> SpectralDecomposition:
+def as_decomposition(x) -> SpectralDecomposition:
     """Accept a SpectralDecomposition, HermitianOperator, or raw matrix."""
     if isinstance(x, SpectralDecomposition):
         return x
-    return decompose(x, cluster_tol=cluster_tol)
+    return decompose(x)
 
 
 def schatten_norm(m, p: float) -> float:
@@ -203,15 +118,3 @@ def schatten_norm(m, p: float) -> float:
     if np.isinf(p):
         return float(s[0]) if s.size else 0.0
     return float(np.sum(s ** p) ** (1.0 / p))
-
-
-def spectral_projection(dec: SpectralDecomposition, cluster_index: int) -> np.ndarray:
-    """Orthogonal projection onto the eigenspace of one cluster."""
-    if not 0 <= cluster_index < len(dec.clusters):
-        raise IndexError(
-            f"cluster index {cluster_index} out of range "
-            f"(decomposition has {len(dec.clusters)} clusters)"
-        )
-    idx = list(dec.clusters[cluster_index])
-    u = dec.eigenvectors[:, idx]
-    return u @ u.conj().T

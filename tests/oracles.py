@@ -6,8 +6,12 @@ independent of the library path they check.
 
 import numpy as np
 
-from opintegral.spectral import as_decomposition
+from opintegral.models import CURVE_POINTS, Symbol
+from opintegral.spectral import _as_complex_matrix, as_decomposition
 from opintegral.toi import HaagerupRep, eval_representation
+
+CURVE_PROXIMITY = 1e-9
+WINDING_DRIFT_TOL = 1e-6
 
 
 def _transposed_double(double):
@@ -80,3 +84,73 @@ def winding_grid_rows(f, xs, ys, points):
         idx = np.searchsorted(xc, xs, side="right")
         out[r, :] = cum[idx]
     return out
+
+
+def winding_number(f: Symbol, lam: complex, points: int = CURVE_POINTS) -> int:
+    """Winding of theta -> f(e^{i theta}) - lam around zero.
+
+    Accumulates argument increments over a fine curve discretization; the
+    rounded integer is checked against the raw sum (drift <= 1e-6) and the
+    query point must keep distance > 1e-9 from the curve.
+    """
+    curve = f.curve(points) - lam
+    dist = np.abs(curve).min()
+    if dist <= CURVE_PROXIMITY:
+        raise ValueError(
+            f"query point {lam:.6g} lies on the symbol curve (distance {dist:.3g})")
+    rolled = np.roll(curve, -1)
+    increments = np.angle(rolled / curve)
+    total = float(increments.sum() / (2.0 * np.pi))
+    wind = int(np.rint(total))
+    if abs(total - wind) > WINDING_DRIFT_TOL:
+        raise ArithmeticError(
+            f"winding accumulation drifted: raw {total}, rounded {wind}")
+    return wind
+
+
+def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
+    """Cyclic Jacobi eigensolver for complex Hermitian matrices.
+
+    Sweeps over all (p, q) pairs applying complex rotations until the
+    off-diagonal Frobenius mass falls below tol * ||A||_F.  Self-contained
+    cross-check for the LAPACK path; O(n^3) per sweep, intended for n
+    up to a few hundred.
+    """
+    a = _as_complex_matrix(a).copy()
+    n = a.shape[0]
+    v = np.eye(n, dtype=np.complex128)
+    norm_a = max(np.linalg.norm(a), 1e-300)
+    for _ in range(max_sweeps):
+        off = np.linalg.norm(a - np.diag(np.diag(a)))
+        if off <= tol * norm_a:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-2 * tol * norm_a / n:
+                    continue
+                app = a[p, p].real
+                aqq = a[q, q].real
+                # G differs from I in rows/cols (p, q): [[c, sigma], [-conj(sigma), c]];
+                # A <- G* A G zeroes the (p, q) entry of the 2x2 block.
+                phase = apq / abs(apq)
+                theta = 0.5 * np.arctan2(2.0 * abs(apq), aqq - app)
+                c = np.cos(theta)
+                sigma = np.sin(theta) * phase
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - sigma * rq
+                a[q, :] = np.conj(sigma) * rp + c * rq
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - np.conj(sigma) * cq
+                a[:, q] = sigma * cp + c * cq
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - np.conj(sigma) * vq
+                v[:, q] = sigma * vp + c * vq
+    else:
+        raise RuntimeError(f"Jacobi sweep budget exhausted ({max_sweeps} sweeps)")
+    w = np.diag(a).real
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]

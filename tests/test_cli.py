@@ -107,11 +107,11 @@ def test_cli_besov_rejects_non_finite_samples(tmp_path, capsys):
     assert f"{path}: non-finite number in line 'grid 1 inf 2'" in capsys.readouterr().err
 
 
-def _single_trace_config(tmp_path, phi, symbol="shift"):
+def _single_trace_config(tmp_path, phi, symbol="shift", resolution=64):
     cfg = tmp_path / "single.cfg"
     cfg.write_text(f"mode single\nsymbol {symbol}\nphi {phi}\n"
-                   f"psi {DATA_DIR / 'psi_y.spec'}\nn 16\nresolution 64\nn_table 16\n",
-                   encoding="utf-8")
+                   f"psi {DATA_DIR / 'psi_y.spec'}\nn 16\nresolution {resolution}\n"
+                   "n_table 16\n", encoding="utf-8")
     return cfg
 
 
@@ -132,6 +132,27 @@ def test_cli_rejects_non_finite_symbol_coefficient(tmp_path, capsys):
     cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", symbol=sym)
     assert main(["trace-formula", "--config", str(cfg)]) == 1
     assert f"{sym}: non-finite number in line '1 inf 0.0'" in capsys.readouterr().err
+
+
+def test_cli_rejects_headerless_symbol_and_bare_variant_spec(tmp_path, capsys):
+    sym = tmp_path / "comments.sym"
+    sym.write_text("# a comment and nothing else\n\n", encoding="utf-8")
+    cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", symbol=sym)
+    assert main(["trace-formula", "--config", str(cfg)]) == 1
+    assert f"{sym}: symbol file has no 'deg d' header" in capsys.readouterr().err
+    spec = tmp_path / "bare.spec"
+    spec.write_text("variant\ncoeff 1 0 1.0 0.0\n", encoding="utf-8")
+    assert main(["trace-formula", "--config", str(_single_trace_config(tmp_path, spec))]) == 1
+    assert (f"{spec}: function spec must start with a 'variant <kind>' line"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("resolution", [0, -4])
+def test_cli_rejects_quadrature_resolution_below_one(tmp_path, capsys, resolution):
+    cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", resolution=resolution)
+    assert main(["trace-formula", "--config", str(cfg)]) == 1
+    assert (f"quadrature resolution must be at least 1, got {resolution}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("expr, token", [("nan*x", "nan"), ("y + inf", "inf"),

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opintegral.commutator import (almost_commuting_pair, commutator_of_functions,
-                                   commutator_via_toi, function_pair_trial_suite,
+                                   commutator_via_toi, commutator_with_operator,
+                                   function_pair_trial_suite,
                                    one_var_inequality_suite, probe_problem1,
                                    probe_problem2, random_polynomial,
                                    theorem41_trial_suite, verify_theorem_41)
@@ -32,6 +33,18 @@ def test_one_variable_reduction(rng):
     assert np.linalg.norm(via - direct, 2) <= 1e-12 * max(np.linalg.norm(direct, 2), 1.0)
     # cross-check against the double-operator-integral identity
     assert one_var_commutator_identity(f, a, a, q) <= 1e-11
+
+
+def test_commutator_with_operator_matches_direct(rng):
+    a, b = almost_commuting_pair(rng, 8)
+    psi = random_polynomial(rng, 3)
+    val = funcalc(psi, a, b)
+    for which, op in (("A", a), ("B", b)):
+        direct = op @ val - val @ op
+        got = commutator_with_operator(psi, a, b, which)
+        assert np.linalg.norm(got - direct, 2) <= 1e-12 * np.linalg.norm(direct, 2)
+    with pytest.raises(ValueError, match="which"):
+        commutator_with_operator(psi, a, b, "C")
 
 
 def test_polynomial_identity_16x16(rng):

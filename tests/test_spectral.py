@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from opintegral.spectral import (HermitianOperator, as_decomposition, decompose,
-                                 jacobi_eigh, schatten_norm, spectral_projection)
+from opintegral.spectral import HermitianOperator, as_decomposition, decompose, schatten_norm
+
+from oracles import jacobi_eigh
 
 
 def test_identity_eigensystem():
     dec = decompose(np.eye(2))
     assert np.allclose(dec.eigenvalues, [1.0, 1.0])
-    assert len(dec.clusters) == 1
 
 
 def test_pauli_x_eigenvalues():
@@ -32,10 +32,8 @@ def test_non_hermitian_rejected():
 
 def test_ascending_and_clusters():
     a = np.diag([3.0, 1.0, 1.0 + 5e-9, -2.0])
-    dec = decompose(a, cluster_tol=1e-8)
+    dec = decompose(a)
     assert np.all(np.diff(dec.eigenvalues) >= 0)
-    sizes = sorted(len(c) for c in dec.clusters)
-    assert sizes == [1, 1, 2]
 
 
 def test_schatten_diag():
@@ -81,33 +79,6 @@ def test_schatten_unitary_invariance(rng):
         assert schatten_norm(u @ m @ v, p) == pytest.approx(schatten_norm(m, p), abs=1e-10)
 
 
-def test_projection_identity():
-    dec = decompose(np.eye(3))
-    assert np.allclose(spectral_projection(dec, 0), np.eye(3))
-
-
-def test_projection_diag():
-    dec = decompose(np.diag([0.0, 1.0]))
-    p = spectral_projection(dec, 1)
-    assert np.allclose(p, np.diag([0.0, 1.0]))
-
-
-def test_projection_resolution_of_identity(rng):
-    a = rng.hermitian(6)
-    dec = decompose(a, cluster_tol=0.0)
-    total = sum(spectral_projection(dec, i) for i in range(len(dec.clusters)))
-    assert np.linalg.norm(total - np.eye(6)) <= 1e-10
-    p = spectral_projection(dec, 0)
-    assert np.linalg.norm(p @ p - p) <= 1e-10
-    assert np.linalg.norm(p - p.conj().T) <= 1e-12
-
-
-def test_projection_index_range(rng):
-    dec = decompose(rng.hermitian(4))
-    with pytest.raises(IndexError):
-        spectral_projection(dec, 99)
-
-
 def test_jacobi_matches_lapack(rng):
     for n in (5, 16, 32):
         a = rng.hermitian(n)
@@ -115,12 +86,6 @@ def test_jacobi_matches_lapack(rng):
         dec = decompose(a)
         assert np.abs(w - dec.eigenvalues).max() <= 1e-11 * max(np.abs(w).max(), 1.0)
         assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-11 * np.linalg.norm(a)
-
-
-def test_decompose_jacobi_method(rng):
-    a = rng.hermitian(10)
-    dec = decompose(a, method="jacobi")
-    assert np.linalg.norm(dec.matrix() - a, 2) <= 1e-10 * np.linalg.norm(a, 2)
 
 
 def test_as_decomposition_passthrough(rng):
