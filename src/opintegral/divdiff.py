@@ -5,7 +5,8 @@ For phi differentiable in x, the first divided difference is
 
     (x1, x2, y) -> (phi(x1, y) - phi(x2, y)) / (x1 - x2),
 
-with the partial derivative on the diagonal.  Two constructive routes turn
+with the partial derivative where the arguments coincide to 1e-7 times
+their span (divided_quotient, the one quotient).  Two constructive routes turn
 it into a representation a triple operator integral can consume:
 
 * band-limited phi (spectrum in a ball of radius sigma): sample on the
@@ -31,13 +32,16 @@ from .besov import DEFAULT_GRID_2D, bandlimit_check, default_band_range, lp_deco
 from .functions import Function2D, UniformGrid
 from .toi import SLOTS, HaagerupRep, _double_norm, _LazyFloat, rep_norm_certificate
 
+#: bands whose sup norm is below this fraction of the largest band's are
+#: dropped from a band representation as numerically zero
+BAND_DROP_RTOL = 1e-12
 
-def divided_quotient(f, df, z1, z2, tol=None) -> np.ndarray:
+
+def divided_quotient(f, df, z1, z2) -> np.ndarray:
     """(f(z1) - f(z2)) / (z1 - z2), broadcast, with df at the midpoint (called
-    only then) where |z1 - z2| <= tol, by default 1e-7 times the span of z1, z2."""
-    if tol is None:
-        span = max(np.max(z1), np.max(z2)) - min(np.min(z1), np.min(z2))
-        tol = 1e-7 * max(float(span), 1e-300)
+    only then) where |z1 - z2| <= 1e-7 times the span of z1, z2."""
+    span = max(np.max(z1), np.max(z2)) - min(np.min(z1), np.min(z2))
+    tol = 1e-7 * max(float(span), 1e-300)
     diff = z1 - z2
     near = np.abs(diff) <= tol
     safe = np.where(near, 1.0, diff)
@@ -49,15 +53,13 @@ def divided_quotient(f, df, z1, z2, tol=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DividedDifference:
-    """Callable divided difference with a diagonal (derivative) convention.
-
-    coincidence_tol None means 1e-7 times the span of the same-axis
-    arguments of each call (the spectral diameter when evaluated on spectra).
+    """Callable divided difference with a diagonal (derivative) convention:
+    arguments closer than 1e-7 times the span of the same-axis arguments of
+    each call (the spectral diameter when evaluated on spectra) coincide.
     """
 
     source: Function2D
     axis: int
-    coincidence_tol: float | None
     _partial: Function2D = field(repr=False, default=None)
 
     def __call__(self, u, v, w):
@@ -69,23 +71,19 @@ class DividedDifference:
             return (z, fixed) if self.axis == 1 else (fixed, z)
 
         return divided_quotient(lambda z: self.source(*at(z)),
-                                lambda z: self._partial(*at(z)),
-                                z1, z2, self.coincidence_tol)
+                                lambda z: self._partial(*at(z)), z1, z2)
 
 
-def divided_difference(phi: Function2D, axis: int,
-                       coincidence_tol: float | None = None) -> DividedDifference:
+def divided_difference(phi: Function2D, axis: int) -> DividedDifference:
     """Divided difference of phi along axis 1 (x) or 2 (y).
 
-    Below the coincidence tolerance (default: 1e-7 times the argument span)
-    the quotient switches to the exact (polynomial, closed-form, product) or
+    Below the coincidence tolerance (1e-7 times the argument span) the
+    quotient switches to the exact (polynomial, closed-form, product) or
     spectral (sampled) partial derivative.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    return DividedDifference(source=phi, axis=axis,
-                             coincidence_tol=coincidence_tol,
-                             _partial=phi.partial(axis))
+    return DividedDifference(source=phi, axis=axis, _partial=phi.partial(axis))
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +153,14 @@ def _lattice_double(phi: Function2D, axis: int, lattice: np.ndarray):
 
 def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 256,
                         domain_radius: float | None = None,
-                        check_grid: UniformGrid | None = None,
                         skip_bandlimit_check: bool = False) -> SincRep:
     """Sinc-sampling representation of the divided difference of phi.
 
-    phi must be band-limited to |xi| <= sigma (checked on a sampling grid
-    unless skip_bandlimit_check).  The recorded tail_bound combines the
-    measured sample-matrix norm with the sinc l^2 tail outside |j| <= J,
-    so evaluations inside domain_radius agree with the divided difference
-    to within it.
+    phi must be band-limited to |xi| <= sigma (checked on its own grid when
+    sampled, else on DEFAULT_GRID_2D, unless skip_bandlimit_check).  The
+    recorded tail_bound combines the measured sample-matrix norm with the
+    sinc l^2 tail outside |j| <= J, so evaluations inside domain_radius
+    agree with the divided difference to within it.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
@@ -174,7 +171,7 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
         if phi.kind == "sampled":
             samples, grid = phi.data, phi.grid
         else:
-            grid = check_grid or DEFAULT_GRID_2D
+            grid = DEFAULT_GRID_2D
             samples = phi.sample(grid).data
         ok, leakage = bandlimit_check(samples, grid, sigma)
         if not ok:
@@ -198,8 +195,7 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
     tail = functools.cache(
         lambda: 3.0 * max(delta_norm(), 1e-300) * np.sqrt(2.0) / (np.pi * np.sqrt(slack)))
 
-    rep = _axis_rep(axis, sincs, js.size, double, tail_bound=tail,
-                    meta={"sigma": sigma, "j_max": j_max})
+    rep = _axis_rep(axis, sincs, js.size, double, tail_bound=tail)
     return SincRep(sigma=sigma, j_max=j_max, axis=axis, lattice=lattice, rep=rep,
                    domain_radius=float(domain_radius), delta_norm=delta_norm,
                    tail_bound=tail)
@@ -212,13 +208,14 @@ def _check_lattice_args(j_max, domain_radius) -> None:
         raise ValueError(f"domain radius must be finite and non-negative, got {domain_radius!r}")
 
 
-def _axis_rep(axis: int, family, size: int, double, **extra) -> HaagerupRep:
+def _axis_rep(axis: int, family, size: int, double, tail_bound=0.0) -> HaagerupRep:
     """Representation of an axis divided difference from its single-index
     family of size factors (in both differenced variables) and its doubly-
     indexed family (in the other variable): axis 1 first, axis 2 second kind."""
     kind = "first_kind" if axis == 1 else "second_kind"
     families = [None if i == SLOTS[kind] else family for i in range(3)]
-    return HaagerupRep(kind, *families, double=double, shape=(size, size), **extra)
+    return HaagerupRep(kind, *families, double=double, shape=(size, size),
+                       tail_bound=tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,7 @@ def polynomial_dd_rep(phi: Function2D, axis: int) -> HaagerupRep:
     def powers(x):
         return np.array([np.asarray(x, dtype=np.complex128) ** p for p in range(n_idx)])
 
-    return _axis_rep(axis, powers, n_idx, double, meta={"exact": True, "axis": axis})
+    return _axis_rep(axis, powers, n_idx, double)
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +283,22 @@ class BandRepList:
 def besov_representation(phi: Function2D, axis: int,
                          band_range: tuple[int, int] | None = None,
                          j_max: int = 256, grid: UniformGrid | None = None,
-                         domain_radius: float | None = None,
-                         band_tol: float = 1e-12) -> BandRepList:
+                         domain_radius: float | None = None) -> BandRepList:
     """Split phi into dyadic bands and represent each band by sinc sampling.
 
     Polynomials have zero band content (their dyadic norm vanishes modulo
     polynomials) and return an empty list; use the exact polynomial path
-    instead.  Bands whose sup norm falls below band_tol relative to the
-    largest band are dropped as numerically zero.
+    instead.  Bands whose sup norm falls below BAND_DROP_RTOL relative to
+    the largest band are dropped as numerically zero.
     """
     return band_representations(phi, (axis,), band_range=band_range, j_max=j_max,
-                                grid=grid, domain_radius=domain_radius,
-                                band_tol=band_tol)[axis]
+                                grid=grid, domain_radius=domain_radius)[axis]
 
 
 def band_representations(phi: Function2D, axes=(1, 2),
                          band_range: tuple[int, int] | None = None,
                          j_max: int = 256, grid: UniformGrid | None = None,
-                         domain_radius: float | None = None,
-                         band_tol: float = 1e-12) -> dict:
+                         domain_radius: float | None = None) -> dict:
     """{axis: besov_representation(phi, axis, ...)} for each axis in axes.
 
     One LP decomposition of phi serves every axis, and the axes share the
@@ -325,7 +319,7 @@ def band_representations(phi: Function2D, axes=(1, 2),
     bands = {n: Function2D.from_spectrum(np.fft.fft2(dec.bands[n]), grid,
                                          real=np.isrealobj(dec.bands[n]))
              for n in sorted(dec.bands)
-             if dec.sup_norms[n] > band_tol * max(peak, 1e-300)}
+             if dec.sup_norms[n] > BAND_DROP_RTOL * max(peak, 1e-300)}
     fields = {"grid": grid, "uncovered_mass": dec.uncovered_mass,
               "band_range": dec.band_range, "band_norm": dec.besov_norm().value}
     del dec  # the band samples are not needed past this point

@@ -199,6 +199,8 @@ def schur_multiplier_norm(phi_hat, tol: float = 1e-6,
     phi = np.asarray(phi_hat, dtype=np.complex128)
     if phi.ndim != 2:
         raise ValueError("expected a matrix")
+    if phi.size == 0:
+        raise ValueError(f"matrix is empty ({phi.shape[0]} x {phi.shape[1]})")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     if not np.all(np.isfinite(phi)):
@@ -266,10 +268,6 @@ class TrigProjectiveRows:
     row_sups: np.ndarray
     bound: float
     sup_f: float
-
-    def row(self, j: int) -> np.ndarray:
-        """Fourier coefficients (k = -N..N) of g_j."""
-        return self.coeffs[j + self.degree]
 
     def evaluate(self, x, y) -> np.ndarray:
         ns = np.arange(-self.degree, self.degree + 1)

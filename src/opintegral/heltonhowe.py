@@ -7,7 +7,8 @@ commutator is identically zero; the infinite-dimensional trace survives in
 the corner because for banded data the truncation defect is pinned to the
 bottom-right edge (for the shift model, i [A_N, B_N] = (P_0 - P_{N-1}) / 2
 exactly).  For polynomial phi, psi and M, N - M both beyond the combined
-bandwidths the corner trace is exact, not asymptotic.
+bandwidths the corner trace is exact, not asymptotic.  Every caller takes
+its corners from one K per truncation size, with 1 <= M <= N/2.
 
 Right side: (1 / 2 pi) times the integral of the Jacobian
 d(phi, psi) / d(x, y) against the principal function g, by midpoint tensor
@@ -18,7 +19,7 @@ piecewise constant, so higher-order rules buy nothing).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .besov import lp_decompose, plateau
 from .spectral import decompose
 
 IMAG_RESIDUE_RTOL = 1e-10
+LOOSE_RESIDUE_RTOL = 1e-3
 
 SHIFT_SYMBOL = Symbol.from_dict({1: 1.0})
 
@@ -50,16 +52,13 @@ class TraceExperimentConfig:
     resolution: int = 2048
     n_table: tuple = (128, 256, 512)
     m_fractions: tuple = (0.125, 0.25, 0.5)
-    g: PrincipalFunction | None = None
 
     def corner(self) -> int:
+        """The corner size m (default n // 4), checked to lie in 1..n/2."""
         m = self.m if self.m is not None else self.n // 4
-        if m > self.n // 2:
-            raise ValueError(f"corner size {m} exceeds n/2 = {self.n // 2}")
+        if not 1 <= m <= self.n // 2:
+            raise ValueError(f"corner size {m} must lie in 1..n/2 = 1..{self.n // 2}")
         return m
-
-    def principal(self) -> PrincipalFunction:
-        return self.g if self.g is not None else principal_function(self.symbol)
 
 
 @dataclass(frozen=True)
@@ -98,57 +97,51 @@ def corner_trace(k: np.ndarray, m: int,
     return float(total.real), residue
 
 
-def _model_commutator(phi: Function2D, psi: Function2D, symbol: Symbol, n: int,
-                      decs=None) -> np.ndarray:
-    """K = i [phi(A_N, B_N), psi(A_N, B_N)] on the model pair of symbol at
-    size n; decs, when given, are the decompositions of that pair."""
+def _corner_traces(cfg: TraceExperimentConfig, corners, decs=None) -> list:
+    """[(corner trace, imaginary residue)] of K = i [phi(A_n, B_n), psi(A_n, B_n)]
+    on the model pair of cfg.symbol at n = cfg.n, one per corner size.
+
+    Every corner passes cfg.corner(); K is built once, from decs when given
+    (the decompositions of that pair).  The residue tolerance is strict on
+    the exact polynomial path and a loose sanity cap otherwise (sampled and
+    closed-form functions make phi(A,B) mildly non-self-adjoint at finite n;
+    the residue is reported instead); a polynomial corner that reaches the
+    boundary bandwidth warns, since exactness needs m, n - m beyond it.
+    """
+    corners = [replace(cfg, m=m).corner() for m in corners]
+    exact = cfg.phi.kind == "polynomial" and cfg.psi.kind == "polynomial"
+    span = sum(max(f.data.shape) - 1 for f in (cfg.phi, cfg.psi)) if exact else 0
+    span *= cfg.symbol.degree
+    for m in corners:
+        if span and m >= cfg.n - span:
+            warnings.warn(
+                f"corner {m} reaches within the boundary bandwidth {span} of "
+                f"n = {cfg.n}; polynomial exactness is not guaranteed", stacklevel=3)
     if decs is None:
-        a, b = model_pair(symbol, n)
+        a, b = model_pair(cfg.symbol, cfg.n)
         decs = (decompose(a), decompose(b))
-    f1 = funcalc(phi, *decs)
-    f2 = funcalc(psi, *decs)
-    return 1j * (f1 @ f2 - f2 @ f1)
+    f1 = funcalc(cfg.phi, *decs)
+    f2 = funcalc(cfg.psi, *decs)
+    k = 1j * (f1 @ f2 - f2 @ f1)
+    rtol = IMAG_RESIDUE_RTOL if exact else LOOSE_RESIDUE_RTOL
+    return [corner_trace(k, m, rtol) for m in corners]
 
 
 def lhs_corner_trace(cfg: TraceExperimentConfig, decs=None) -> float:
-    """Corner trace of i [phi(A_N, B_N), psi(A_N, B_N)]."""
-    m = cfg.corner()
-    k = _model_commutator(cfg.phi, cfg.psi, cfg.symbol, cfg.n, decs)
-    deg = cfg.symbol.degree
-    poly_span = _combined_degree(cfg.phi, cfg.psi) * deg
-    if poly_span and m >= cfg.n - poly_span:
-        warnings.warn(
-            f"corner {m} reaches within the boundary bandwidth {poly_span} of "
-            f"n = {cfg.n}; polynomial exactness is not guaranteed", stacklevel=2)
-    value, _ = corner_trace(k, m, _residue_rtol(cfg.phi, cfg.psi))
-    return value
-
-
-def _combined_degree(phi: Function2D, psi: Function2D) -> int:
-    if phi.kind == "polynomial" and psi.kind == "polynomial":
-        return sum(max(f.data.shape) - 1 for f in (phi, psi))
-    return 0
-
-
-def _residue_rtol(phi: Function2D, psi: Function2D) -> float:
-    """Strict residue tolerance on the exact polynomial path, loose sanity
-    cap for sampled/closed-form test functions (finite-N self-adjointness
-    defect is genuine there and reported instead)."""
-    if phi.kind == "polynomial" and psi.kind == "polynomial":
-        return IMAG_RESIDUE_RTOL
-    return 1e-3
+    """Corner trace of i [phi(A_N, B_N), psi(A_N, B_N)] at cfg.corner()."""
+    return _corner_traces(cfg, [cfg.corner()], decs)[0][0]
 
 
 def rhs_integral(phi: Function2D, psi: Function2D, g: PrincipalFunction,
-                 resolution: int = 2048, box=None) -> tuple[float, float]:
+                 resolution: int = 2048) -> tuple[float, float]:
     """Quadrature of (1/2pi) * Jacobian(phi, psi) * g over the support box.
 
     Returns (integral, jacobian_scale) where jacobian_scale is the same
     quadrature applied to |Jacobian| over the g-support region: the natural
     magnitude against which near-zero integrals should be judged.
     """
-    return _jacobian_integrals(*_midpoint_jacobian(
-        phi, psi, g, resolution, g.bounding_box() if box is None else box))
+    return _jacobian_integrals(*_midpoint_jacobian(phi, psi, g, resolution,
+                                                   g.bounding_box()))
 
 
 def _jacobian_integrals(jac: np.ndarray, gvals: np.ndarray, cell: float):
@@ -178,18 +171,19 @@ def _midpoint_jacobian(phi: Function2D, psi: Function2D, g: PrincipalFunction,
 def trace_formula_experiment(cfg: TraceExperimentConfig) -> TraceReport:
     """Corner-trace left side vs principal-function right side, with a
     convergence table over (n, m) pairs."""
-    g = cfg.principal()
-    rhs, scale = rhs_integral(cfg.phi, cfg.psi, g, cfg.resolution)
-    k = _model_commutator(cfg.phi, cfg.psi, cfg.symbol, cfg.n)
-    rtol = _residue_rtol(cfg.phi, cfg.psi)
-    lhs, residue = corner_trace(k, cfg.corner(), rtol)
+    m = cfg.corner()
+    sizes = [replace(cfg, n=n) for n in cfg.n_table]
+    table_m = [[replace(c, m=max(1, int(c.n * frac))).corner() for frac in cfg.m_fractions]
+               for c in sizes]
+    at_n = next((ms for c, ms in zip(sizes, table_m) if c.n == cfg.n), [])
+    rhs, scale = rhs_integral(cfg.phi, cfg.psi, principal_function(cfg.symbol),
+                              cfg.resolution)
+    (lhs, residue), *own = _corner_traces(cfg, [m] + at_n)
     table = []
-    for n in cfg.n_table:
-        kk = k if n == cfg.n else _model_commutator(cfg.phi, cfg.psi, cfg.symbol, n)
-        for frac in cfg.m_fractions:
-            m = max(1, int(n * frac))
-            val, _ = corner_trace(kk, m, rtol)
-            table.append({"n": n, "m": m, "lhs": val, "abs_err": abs(val - rhs)})
+    for c, ms in zip(sizes, table_m):
+        vals = own if c.n == cfg.n else _corner_traces(c, ms)
+        table += [{"n": c.n, "m": mm, "lhs": val, "abs_err": abs(val - rhs)}
+                  for mm, (val, _) in zip(ms, vals)]
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if abs(rhs) > 1e-300 else float("inf")
     return TraceReport(lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=rel_err,
@@ -214,12 +208,11 @@ def polynomial_suite(n: int = 128, m: int | None = None, resolution: int = 2048)
     a, b = model_pair(SHIFT_SYMBOL, n)
     decs = (decompose(a), decompose(b))
     g = principal_function(SHIFT_SYMBOL)
-    mm = m if m is not None else n // 4
     out = []
     for name, phi, psi, exact in suite:
-        k = _model_commutator(phi, psi, SHIFT_SYMBOL, n, decs)
-        lhs, residue = corner_trace(k, mm)
-        rhs, scale = rhs_integral(phi, psi, g, resolution)
+        cfg = TraceExperimentConfig(phi, psi, n=n, m=m)
+        [(lhs, residue)] = _corner_traces(cfg, [cfg.corner()], decs)
+        rhs, _ = rhs_integral(phi, psi, g, resolution)
         out.append({"pair": name, "lhs": lhs, "rhs": rhs, "exact": exact,
                     "lhs_err": abs(lhs - exact), "rhs_err": abs(rhs - exact),
                     "imag_residue": residue})
@@ -232,6 +225,7 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
     of both sides with the totals (both sides are bilinear, so the band sums
     telescope; the left side telescopes exactly, the right side to quadrature
     accuracy)."""
+    m = cfg.corner()
     grid = grid or UniformGrid(dim=2, period=32.0 * np.pi, points=256)
     phi_s = cfg.phi.sample(grid)
     psi_s = cfg.psi.sample(grid)
@@ -239,8 +233,7 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
     dec_psi = lp_decompose(psi_s.data, grid, band_range, warn=False)
     a, b = model_pair(cfg.symbol, cfg.n)
     da, db = decompose(a), decompose(b)
-    m = cfg.corner()
-    g = cfg.principal()
+    g = principal_function(cfg.symbol)
 
     # means are stripped by the band decomposition; add them back as a band
     mean_phi = Function2D.polynomial([[complex(np.mean(phi_s.data))]])
@@ -257,8 +250,7 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
         for fq in f_psi.values():
             val, _ = corner_trace(1j * (fp @ fq - fq @ fp), m, None)
             lhs_bands += val
-    k_tot = _model_commutator(phi_s, psi_s, cfg.symbol, cfg.n, (da, db))
-    lhs_total, _ = corner_trace(k_tot, m, 1e-3)
+    [(lhs_total, _)] = _corner_traces(replace(cfg, phi=phi_s, psi=psi_s), [m], (da, db))
 
     rhs_total, _ = rhs_integral(phi_s, psi_s, g, cfg.resolution)
     rhs_bands = 0.0
@@ -278,15 +270,14 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
 # winding-factor experiment
 
 
-def plateau_coordinate_pair(inner: float, outer: float,
-                            grid: UniformGrid | None = None):
+def plateau_coordinate_pair(inner: float, outer: float):
     """(x * chi(r), y * chi(r)) with a radial plateau chi = 1 for r <= inner.
 
-    Sampled on a periodic grid; their Jacobian is exactly 1 on the plateau,
-    so the pair straddles every jump curve of a principal function supported
-    inside radius inner.
+    Sampled on a 512^2 periodic grid of period 32 pi; their Jacobian is
+    exactly 1 on the plateau, so the pair straddles every jump curve of a
+    principal function supported inside radius inner.
     """
-    grid = grid or UniformGrid(dim=2, period=32.0 * np.pi, points=512)
+    grid = UniformGrid(dim=2, period=32.0 * np.pi, points=512)
     ax = grid.axis()
     xg, yg = np.meshgrid(ax, ax, indexing="ij")
     r = np.sqrt(xg ** 2 + yg ** 2)
@@ -297,7 +288,7 @@ def plateau_coordinate_pair(inner: float, outer: float,
 
 
 def winding_factor_experiment(symbol: Symbol, n_table=(128, 256, 512),
-                              resolution: int = 1024, m_fraction: float = 0.25):
+                              resolution: int = 1024):
     """Measure the trace formula's sensitivity to the principal function's
     integer values.
 
@@ -306,7 +297,8 @@ def winding_factor_experiment(symbol: Symbol, n_table=(128, 256, 512),
     the corner trace is compared with the g-weighted quadrature (consistency)
     and with the flat quadrature (g replaced by the indicator of its
     support); the lhs / flat ratio measures the area-weighted mean of g, and
-    equals the winding multiplicity when g is a single m-fold region.
+    equals the winding multiplicity when g is a single m-fold region.  The
+    corner at each n is the default n // 4.
     """
     g = principal_function(symbol)
     curve_radius = float(np.abs(symbol.curve()).max())
@@ -316,8 +308,8 @@ def winding_factor_experiment(symbol: Symbol, n_table=(128, 256, 512),
     rhs_flat = float((np.real(jac) * (gvals != 0)).sum() * cell / (2.0 * np.pi))
     rows = []
     for n in n_table:
-        k = _model_commutator(phi, psi, symbol, n)
-        lhs, _ = corner_trace(k, max(1, int(n * m_fraction)), 1e-3)
+        cfg = TraceExperimentConfig(phi, psi, symbol, n=n)
+        [(lhs, _)] = _corner_traces(cfg, [cfg.corner()])
         rows.append({"n": n, "lhs": lhs, "ratio_flat": lhs / rhs_flat,
                      "err_true": abs(lhs - rhs_true)})
     return {"rhs_true": rhs_true, "rhs_flat": rhs_flat, "rows": rows}

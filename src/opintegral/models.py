@@ -155,17 +155,14 @@ def winding_grid(f: Symbol, xs, ys, points: int = CURVE_POINTS) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrincipalFunction:
-    """Integer-valued function on the plane attached to an almost commuting pair.
-
-    Either winding numbers of a symbol curve, computed per grid, or an
-    explicit region list [(indicator(x, y) -> bool array, value)].  Values
-    vanish on the unbounded component; on each complement component of the
-    curve the value is minus the Fredholm index of T - lambda.
+    """Integer-valued function on the plane attached to the pair
+    (T_{Re f}, T_{Im f}) of a symbol f: the winding number of the symbol
+    curve, computed per grid.  Values vanish on the unbounded component; on
+    each complement component of the curve the value is minus the Fredholm
+    index of T - lambda.
     """
 
-    symbol: Symbol | None = None
-    regions: tuple = ()
-    box: tuple | None = None
+    symbol: Symbol
     _cache: dict = field(default_factory=dict, repr=False)
 
     def on_grid(self, xs, ys) -> np.ndarray:
@@ -173,40 +170,17 @@ class PrincipalFunction:
         C-contiguous (x, y) array, so .T is in eval_grid's layout without a
         copy.  Winding numbers are cached per grid."""
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        if self.symbol is not None:
-            key = (xs.tobytes(), ys.tobytes())
-            if key not in self._cache:
-                self._cache[key] = winding_grid(self.symbol, xs, ys)
-            return self._cache[key]
-        out = np.zeros((xs.size, ys.size))
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        for indicator, value in self.regions:
-            out = np.where(np.asarray(indicator(gx, gy)), value, out)
-        return out.T
+        key = (xs.tobytes(), ys.tobytes())
+        if key not in self._cache:
+            self._cache[key] = winding_grid(self.symbol, xs, ys)
+        return self._cache[key]
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) covering the support of g."""
-        if self.box is not None:
-            return self.box
-        if self.symbol is not None:
-            curve = self.symbol.curve()
-            pad = 1e-6 + 1e-3 * (np.abs(curve).max() + 1.0)
-            return (float(curve.real.min() - pad), float(curve.real.max() + pad),
-                    float(curve.imag.min() - pad), float(curve.imag.max() + pad))
-        return (-1.0, 1.0, -1.0, 1.0)
-
-
-def disk_principal_function(radius: float = 1.0, value: int = 1,
-                            center: complex = 0.0) -> PrincipalFunction:
-    """Explicit region-list principal function: value on an open disk."""
-    c = complex(center)
-
-    def indicator(x, y):
-        return (np.asarray(x) - c.real) ** 2 + (np.asarray(y) - c.imag) ** 2 < radius ** 2
-
-    return PrincipalFunction(
-        symbol=None, regions=((indicator, value),),
-        box=(c.real - radius, c.real + radius, c.imag - radius, c.imag + radius))
+        curve = self.symbol.curve()
+        pad = 1e-6 + 1e-3 * (np.abs(curve).max() + 1.0)
+        return (float(curve.real.min() - pad), float(curve.real.max() + pad),
+                float(curve.imag.min() - pad), float(curve.imag.max() + pad))
 
 
 def principal_function(f: Symbol) -> PrincipalFunction:

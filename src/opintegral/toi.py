@@ -17,7 +17,8 @@ the Haagerup case with diagonal D_nn = g_n.  In finite dimensions every kind
 evaluates to the same operator; the slot fixes the norm certificate: the
 Haagerup kind bounds ||W|| by (representation norm) * ||T|| * ||R||, the
 first kind bounds ||W||_S1 with ||T||_S1 * ||R||, and the second kind with
-||T|| * ||R||_S1.
+||T|| * ||R||_S1.  A representation is evaluated only on tensor grids of
+spectra (HaagerupRep.evaluate_grid).
 
 Sums run in fixed ascending index order with compensated (Kahan)
 accumulation, so results are reproducible bit-for-bit.
@@ -25,7 +26,7 @@ accumulation, so results are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +117,6 @@ class HaagerupRep:
     double: object | None = None
     shape: tuple[int, int] = (0, 0)
     tail_bound: float = _LazyFloat()
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in SLOTS:
@@ -150,27 +150,10 @@ class HaagerupRep:
         dtype = np.complex128 if any(map(np.iscomplexobj, parts)) else np.float64
         return tuple(np.asarray(x, dtype=dtype) for x in parts)
 
-    def evaluate(self, x1, x2, x3) -> np.ndarray:
-        """Pointwise value of the represented integrand (broadcasting).
-
-        Doubly-indexed factors are evaluated in chunks of points so that the
-        (npts, J, K) slices stay within a fixed memory budget.
-        """
-        xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (x1, x2, x3)))
-        flat = [np.ravel(x) for x in xs]
-        npts = flat[0].size
-        chunk = max(1, (1 << 23) // max(int(np.prod(self.shape)), 1))
-        vals = np.empty(npts, dtype=np.complex128)
-        for start in range(0, npts, chunk):
-            sl = slice(start, start + chunk)
-            u, d, v = self._parts([x[sl] for x in flat])
-            vals[sl] = np.einsum("jp,pjk,kp->p", u, d, v)
-        return vals.reshape(xs[0].shape)
-
     def evaluate_grid(self, x1, x2, x3) -> np.ndarray:
         """The integrand on the tensor grid of three 1-d point sets, shape
-        (n1, n2, n3): evaluate on the broadcast grid, one contraction per
-        slice of the doubly-indexed factor."""
+        (n1, n2, n3), one contraction per slice of the doubly-indexed factor.
+        The one evaluator: a single point is a grid of three 1-point sets."""
         u, d, v = self._parts([np.asarray(x, dtype=float) for x in (x1, x2, x3)])
         return np.moveaxis(np.matmul(u.T, d) @ v, 0, self.slot)
 

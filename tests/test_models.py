@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from opintegral.models import (Symbol, disk_principal_function, hankel_matrix,
-                               principal_function, toeplitz_matrix,
+from opintegral.models import (Symbol, hankel_matrix, principal_function, toeplitz_matrix,
                                verify_hankel_identity, winding_grid)
 from opintegral.rng import Xorshift64Star
 
-from oracles import winding_grid_rows, winding_number
+from oracles import disk_principal_function, winding_grid_rows, winding_number
 
 E1 = Symbol.from_dict({1: 1.0})
 COS = Symbol.from_dict({1: 0.5, -1: 0.5})

@@ -270,14 +270,16 @@ def test_rep_validation():
 def test_grid_evaluator_matches_pointwise_all_kinds(rng):
     # distinct sizes per slot catch a misplaced axis of the integrand tensor
     la, mu, nu = (np.sort(rng.normal(n)) for n in (5, 6, 7))
-    rep = _projective(_random_terms(rng))
+    terms = _random_terms(rng)
+    rep = _projective(terms)
+    # the direct sum of products l_n(x1) m_n(x2) r_n(x3) over the terms
+    direct = _psi_of(terms)(la[:, None, None], mu[None, :, None], nu[None, None, :])
     reps = [rep] + [projective_to_kind(rep, kind, la, mu, nu)
                     for kind in ("haagerup", "first_kind", "second_kind")]
     for repk in reps:
         grid = repk.evaluate_grid(la, mu, nu)
-        pointwise = repk.evaluate(la[:, None, None], mu[None, :, None], nu[None, None, :])
         assert grid.shape == (5, 6, 7)
-        assert np.abs(grid - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
+        assert np.abs(grid - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 def test_trace_duality_rejects_haagerup_and_projective(rng):
