@@ -176,14 +176,12 @@ def cmd_trace_formula(args) -> int:
     mode = cfg.get("mode", "polynomial-suite")
     n = int(cfg.get("n", 128))
     m = int(cfg["m"]) if "m" in cfg else None
-    resolution = int(cfg.get("resolution", 2048))
     if mode == "polynomial-suite":
-        rows = heltonhowe.polynomial_suite(n=n, m=m, resolution=resolution)
+        rows = heltonhowe.polynomial_suite(n=n, m=m)
         max_lhs = max(r["lhs_err"] for r in rows)
         max_rhs = max(r["rhs_err"] for r in rows)
         payload = {"command": "trace-formula", "mode": mode, "n": n,
-                   "m": m if m is not None else n // 4,
-                   "resolution": resolution, "suite": rows,
+                   "m": m if m is not None else n // 4, "suite": rows,
                    "max_lhs_err": max_lhs, "max_rhs_err": max_rhs}
         ok = max_lhs <= 1e-8 and max_rhs <= 5e-3
         for r in rows:
@@ -197,6 +195,7 @@ def cmd_trace_formula(args) -> int:
         symbol = _symbol_from_cfg(cfg, base)
         n_table = tuple(int(v) for v in cfg.get("n_table", "128,256,512").split(","))
         m_fracs = tuple(float(v) for v in cfg.get("m_fractions", "0.125,0.25,0.5").split(","))
+        resolution = int(cfg.get("resolution", 2048))
         exp_cfg = heltonhowe.TraceExperimentConfig(
             phi=phi, psi=psi, symbol=symbol, n=n, m=m, resolution=resolution,
             n_table=n_table, m_fractions=m_fracs)
@@ -264,7 +263,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     checks.append(("multiplier norm of the 2x2 sign matrix", ok,
                    f"[{cert.lower!r}, {cert.upper!r}]"))
 
-    suite = heltonhowe.polynomial_suite(n=64, m=16, resolution=512)
+    suite = heltonhowe.polynomial_suite(n=64, m=16)
     max_lhs = max(r["lhs_err"] for r in suite)
     max_rhs = max(r["rhs_err"] for r in suite)
     checks.append(("trace-formula polynomial suite",

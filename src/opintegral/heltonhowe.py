@@ -10,14 +10,20 @@ exactly).  For polynomial phi, psi and M, N - M both beyond the combined
 bandwidths the corner trace is exact, not asymptotic.  Every caller takes
 its corners from one K per truncation size, with 1 <= M <= N/2.
 
-Right side: (1 / 2 pi) times the integral of the Jacobian
-d(phi, psi) / d(x, y) against the principal function g, by midpoint tensor
-quadrature over the bounding box of supp g (g is integer-valued and
-piecewise constant, so higher-order rules buy nothing).
+Right side: (1 / 2 pi) times the integral of the Jacobian J(phi, psi)
+against the principal function g, the winding number of the symbol curve
+gamma(theta) = f(e^{i theta}).  J dx^dy = d(phi dpsi), so Stokes' theorem
+with winding multiplicity makes it the mean of phi(gamma) (psi o gamma)'
+over [0, 2 pi), which the periodic trapezoid rule sums (exactly for
+polynomials).  Sampled pairs, a g with no symbol, and jacobian_scale (the
+area integral of |J| over supp g) take midpoint tensor quadrature over the
+bounding box of supp g (g is piecewise constant, so higher-order rules buy
+nothing).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +37,7 @@ from .spectral import decompose
 
 IMAG_RESIDUE_RTOL = 1e-10
 LOOSE_RESIDUE_RTOL = 1e-3
+CONTOUR_NODE_CAP = 2 ** 16
 
 SHIFT_SYMBOL = Symbol.from_dict({1: 1.0})
 
@@ -97,22 +104,25 @@ def corner_trace(k: np.ndarray, m: int,
     return float(total.real), residue
 
 
-def _corner_traces(cfg: TraceExperimentConfig, corners, decs=None) -> list:
+def _corner_traces(cfg: TraceExperimentConfig, corners, decs=None, table=()) -> list:
     """[(corner trace, imaginary residue)] of K = i [phi(A_n, B_n), psi(A_n, B_n)]
-    on the model pair of cfg.symbol at n = cfg.n, one per corner size.
+    on the model pair of cfg.symbol at n = cfg.n, one per corner size, then
+    one per (informational) table corner.
 
     Every corner passes cfg.corner(); K is built once, from decs when given
-    (the decompositions of that pair).  The residue tolerance is strict on
-    the exact polynomial path and a loose sanity cap otherwise (sampled and
-    closed-form functions make phi(A,B) mildly non-self-adjoint at finite n;
-    the residue is reported instead); a polynomial corner that reaches the
-    boundary bandwidth warns, since exactness needs m, n - m beyond it.
+    (the decompositions of that pair).  The residue tolerance of corners (not
+    table corners) is strict on the exact polynomial path and a loose sanity
+    cap otherwise (sampled and closed-form functions make phi(A,B) mildly
+    non-self-adjoint at finite n; the residue is reported instead); a
+    polynomial corner that reaches the boundary bandwidth warns, since
+    exactness needs m, n - m beyond it.
     """
     corners = [replace(cfg, m=m).corner() for m in corners]
+    table = [replace(cfg, m=m).corner() for m in table]
     exact = cfg.phi.kind == "polynomial" and cfg.psi.kind == "polynomial"
     span = sum(max(f.data.shape) - 1 for f in (cfg.phi, cfg.psi)) if exact else 0
     span *= cfg.symbol.degree
-    for m in corners:
+    for m in corners + table:
         if span and m >= cfg.n - span:
             warnings.warn(
                 f"corner {m} reaches within the boundary bandwidth {span} of "
@@ -124,7 +134,8 @@ def _corner_traces(cfg: TraceExperimentConfig, corners, decs=None) -> list:
     f2 = funcalc(cfg.psi, *decs)
     k = 1j * (f1 @ f2 - f2 @ f1)
     rtol = IMAG_RESIDUE_RTOL if exact else LOOSE_RESIDUE_RTOL
-    return [corner_trace(k, m, rtol) for m in corners]
+    return [corner_trace(k, m, rtol) for m in corners] + [corner_trace(k, m, None)
+                                                          for m in table]
 
 
 def lhs_corner_trace(cfg: TraceExperimentConfig, decs=None) -> float:
@@ -133,33 +144,57 @@ def lhs_corner_trace(cfg: TraceExperimentConfig, decs=None) -> float:
 
 
 def rhs_integral(phi: Function2D, psi: Function2D, g: PrincipalFunction,
-                 resolution: int = 2048) -> tuple[float, float]:
-    """Quadrature of (1/2pi) * Jacobian(phi, psi) * g over the support box.
-
-    Returns (integral, jacobian_scale) where jacobian_scale is the same
-    quadrature applied to |Jacobian| over the g-support region: the natural
-    magnitude against which near-zero integrals should be judged.
-    """
-    return _jacobian_integrals(*_midpoint_jacobian(phi, psi, g, resolution,
-                                                   g.bounding_box()))
+                 resolution: int = 2048) -> float:
+    """(1/2pi) * integral of Jacobian(phi, psi) * g: the contour sum on the
+    symbol curve when g carries its symbol and neither function is sampled,
+    else the midpoint quadrature at resolution^2 points over supp g's box."""
+    if isinstance(g, PrincipalFunction) and "sampled" not in (phi.kind, psi.kind):
+        return _contour_integral(phi, psi, g.symbol)
+    return _grid_integrals(phi, psi, g, resolution)[0]
 
 
-def _jacobian_integrals(jac: np.ndarray, gvals: np.ndarray, cell: float):
-    """(integral, jacobian_scale) of rhs_integral from the midpoint values."""
-    weighted = np.real(jac) * gvals
-    integral = float(weighted.sum() * cell / (2.0 * np.pi))
-    scale = float((np.abs(jac) * (gvals != 0)).sum() * cell / (2.0 * np.pi))
-    return integral, scale
+def _contour_integral(phi: Function2D, psi: Function2D, f: Symbol) -> float:
+    """Mean over [0, 2pi) of phi(gamma) * (psi o gamma)', gamma(theta) =
+    f(e^{i theta}), by the periodic trapezoid rule.  The node count starts
+    above deg f * (deg phi + deg psi) for polynomials (total degrees; the
+    rule is exact there) and at 64 otherwise, and doubles until two sums
+    agree within 64 eps times the mean |term|, or raises ArithmeticError
+    past CONTOUR_NODE_CAP nodes."""
+    poly = phi.kind == psi.kind == "polynomial"
+    deg = sum(int(np.add(*np.nonzero(p.data)).max(initial=0)) for p in (phi, psi)) if poly else 0
+    nodes, last = 2 ** (f.degree * deg).bit_length() if poly else 64, math.inf
+    ks = np.arange(-f.degree, f.degree + 1)
+    d1, d2 = psi.partial(1), psi.partial(2)
+    while True:
+        e = np.exp(1j * np.multiply.outer(2.0 * np.pi * np.arange(nodes) / nodes, ks))
+        z, dz = (e * f.coeffs).sum(axis=1), (e * (1j * ks * f.coeffs)).sum(axis=1)
+        x, y = z.real, z.imag
+        terms = np.real(phi(x, y) * (d1(x, y) * dz.real + d2(x, y) * dz.imag))
+        value = math.fsum(terms) / nodes
+        if (diff := abs(value - last)) <= 64 * np.finfo(float).eps * np.abs(terms).mean():
+            return value
+        if nodes >= CONTOUR_NODE_CAP:
+            raise ArithmeticError(f"contour sum not settled at {nodes} nodes: "
+                                  f"last difference {diff:.3g}")
+        last, nodes = value, 2 * nodes
 
 
-def _midpoint_jacobian(phi: Function2D, psi: Function2D, g: PrincipalFunction,
-                       resolution: int, box):
+def _grid_integrals(phi: Function2D, psi: Function2D, g, resolution: int):
+    """(integral, jacobian_scale) by midpoint quadrature; jacobian_scale
+    integrates |Jacobian| over supp g, the magnitude against which near-zero
+    integrals should be judged."""
+    jac, gvals, cell = _midpoint_jacobian(phi, psi, g, resolution)
+    return (float((np.real(jac) * gvals).sum() * cell / (2.0 * np.pi)),
+            float((np.abs(jac) * (gvals != 0)).sum() * cell / (2.0 * np.pi)))
+
+
+def _midpoint_jacobian(phi: Function2D, psi: Function2D, g, resolution: int):
     """(Jacobian d(phi, psi)/d(x, y), g, cell area) at the midpoints of a
-    resolution x resolution tensor grid over box, both arrays in (x, y)
-    indexing."""
+    resolution x resolution tensor grid over g's bounding box, both arrays in
+    (x, y) indexing."""
     if resolution < 1:
         raise ValueError(f"quadrature resolution must be at least 1, got {resolution}")
-    xmin, xmax, ymin, ymax = box
+    xmin, xmax, ymin, ymax = g.bounding_box()
     xs = xmin + (xmax - xmin) * (np.arange(resolution) + 0.5) / resolution
     ys = ymin + (ymax - ymin) * (np.arange(resolution) + 0.5) / resolution
     cell = (xmax - xmin) * (ymax - ymin) / resolution ** 2
@@ -170,20 +205,23 @@ def _midpoint_jacobian(phi: Function2D, psi: Function2D, g: PrincipalFunction,
 
 def trace_formula_experiment(cfg: TraceExperimentConfig) -> TraceReport:
     """Corner-trace left side vs principal-function right side, with a
-    convergence table over (n, m) pairs."""
+    convergence table over (n, m) pairs whose rows carry their imaginary
+    residue; jacobian_scale is the grid quadrature at cfg.resolution."""
     m = cfg.corner()
     sizes = [replace(cfg, n=n) for n in cfg.n_table]
     table_m = [[replace(c, m=max(1, int(c.n * frac))).corner() for frac in cfg.m_fractions]
                for c in sizes]
     at_n = next((ms for c, ms in zip(sizes, table_m) if c.n == cfg.n), [])
-    rhs, scale = rhs_integral(cfg.phi, cfg.psi, principal_function(cfg.symbol),
-                              cfg.resolution)
-    (lhs, residue), *own = _corner_traces(cfg, [m] + at_n)
+    g = principal_function(cfg.symbol)
+    rhs, scale = _grid_integrals(cfg.phi, cfg.psi, g, cfg.resolution)
+    if "sampled" not in (cfg.phi.kind, cfg.psi.kind):
+        rhs = rhs_integral(cfg.phi, cfg.psi, g)
+    (lhs, residue), *own = _corner_traces(cfg, [m], table=at_n)
     table = []
     for c, ms in zip(sizes, table_m):
-        vals = own if c.n == cfg.n else _corner_traces(c, ms)
-        table += [{"n": c.n, "m": mm, "lhs": val, "abs_err": abs(val - rhs)}
-                  for mm, (val, _) in zip(ms, vals)]
+        vals = own if c.n == cfg.n else _corner_traces(c, [], table=ms)
+        table += [{"n": c.n, "m": mm, "lhs": val, "abs_err": abs(val - rhs),
+                   "imag_residue": res} for mm, (val, res) in zip(ms, vals)]
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if abs(rhs) > 1e-300 else float("inf")
     return TraceReport(lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=rel_err,
@@ -191,18 +229,15 @@ def trace_formula_experiment(cfg: TraceExperimentConfig) -> TraceReport:
                        convergence=tuple(table))
 
 
-def polynomial_suite(n: int = 128, m: int | None = None, resolution: int = 2048):
+def polynomial_suite(n: int = 128, m: int | None = None):
     """The five-pair polynomial suite on the shift model.
 
     Pairs ((x, y), (x^2, y), (x, y^2), (x^2, y^2), (x^2, xy)) have exact
     right sides (1/2, 0, 0, 0, 1/4); corner traces are exact finite algebra
     at these sizes.  Returns a list of result dicts.
     """
-    x = Function2D.polynomial([[0], [1]])
-    y = Function2D.polynomial([[0, 1]])
-    x2 = Function2D.polynomial([[0], [0], [1]])
-    y2 = Function2D.polynomial([[0, 0, 1]])
-    xy = Function2D.polynomial([[0, 0], [0, 1]])
+    x, y, x2, y2, xy = map(Function2D.polynomial, ([[0], [1]], [[0, 1]], [[0], [0], [1]],
+                                                   [[0, 0, 1]], [[0, 0], [0, 1]]))
     suite = [("x,y", x, y, 0.5), ("x^2,y", x2, y, 0.0), ("x,y^2", x, y2, 0.0),
              ("x^2,y^2", x2, y2, 0.0), ("x^2,xy", x2, xy, 0.25)]
     a, b = model_pair(SHIFT_SYMBOL, n)
@@ -212,7 +247,7 @@ def polynomial_suite(n: int = 128, m: int | None = None, resolution: int = 2048)
     for name, phi, psi, exact in suite:
         cfg = TraceExperimentConfig(phi, psi, n=n, m=m)
         [(lhs, residue)] = _corner_traces(cfg, [cfg.corner()], decs)
-        rhs, _ = rhs_integral(phi, psi, g, resolution)
+        rhs = rhs_integral(phi, psi, g)
         out.append({"pair": name, "lhs": lhs, "rhs": rhs, "exact": exact,
                     "lhs_err": abs(lhs - exact), "rhs_err": abs(rhs - exact),
                     "imag_residue": residue})
@@ -227,37 +262,30 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
     accuracy)."""
     m = cfg.corner()
     grid = grid or UniformGrid(dim=2, period=32.0 * np.pi, points=256)
-    phi_s = cfg.phi.sample(grid)
-    psi_s = cfg.psi.sample(grid)
-    dec_phi = lp_decompose(phi_s.data, grid, band_range, warn=False)
-    dec_psi = lp_decompose(psi_s.data, grid, band_range, warn=False)
+    phi_s, psi_s = cfg.phi.sample(grid), cfg.psi.sample(grid)
+    dec_phi, dec_psi = (lp_decompose(f.data, grid, band_range, warn=False) for f in (phi_s, psi_s))
     a, b = model_pair(cfg.symbol, cfg.n)
     da, db = decompose(a), decompose(b)
     g = principal_function(cfg.symbol)
 
     # means are stripped by the band decomposition; add them back as a band
-    mean_phi = Function2D.polynomial([[complex(np.mean(phi_s.data))]])
-    mean_psi = Function2D.polynomial([[complex(np.mean(psi_s.data))]])
-    bands_phi = {n: Function2D.sampled(v, grid) for n, v in dec_phi.bands.items()}
-    bands_psi = {n: Function2D.sampled(v, grid) for n, v in dec_psi.bands.items()}
-    bands_phi["mean"] = mean_phi
-    bands_psi["mean"] = mean_psi
+    bands_phi, bands_psi = ({**{n: Function2D.sampled(v, grid) for n, v in dec.bands.items()},
+                             "mean": Function2D.polynomial([[complex(np.mean(f.data))]])}
+                            for dec, f in ((dec_phi, phi_s), (dec_psi, psi_s)))
 
     f_phi = {key: funcalc(fn, da, db) for key, fn in bands_phi.items()}
     f_psi = {key: funcalc(fn, da, db) for key, fn in bands_psi.items()}
     lhs_bands = 0.0
     for fp in f_phi.values():
         for fq in f_psi.values():
-            val, _ = corner_trace(1j * (fp @ fq - fq @ fp), m, None)
-            lhs_bands += val
+            lhs_bands += corner_trace(1j * (fp @ fq - fq @ fp), m, None)[0]
     [(lhs_total, _)] = _corner_traces(replace(cfg, phi=phi_s, psi=psi_s), [m], (da, db))
 
-    rhs_total, _ = rhs_integral(phi_s, psi_s, g, cfg.resolution)
+    rhs_total = rhs_integral(phi_s, psi_s, g, cfg.resolution)
     rhs_bands = 0.0
     for bp in bands_phi.values():
         for bq in bands_psi.values():
-            val, _ = rhs_integral(bp, bq, g, cfg.resolution)
-            rhs_bands += val
+            rhs_bands += rhs_integral(bp, bq, g, cfg.resolution)
     return {"lhs_total": lhs_total, "lhs_band_sum": lhs_bands,
             "rhs_total": rhs_total, "rhs_band_sum": rhs_bands,
             "lhs_gap": abs(lhs_total - lhs_bands),
@@ -303,8 +331,8 @@ def winding_factor_experiment(symbol: Symbol, n_table=(128, 256, 512),
     g = principal_function(symbol)
     curve_radius = float(np.abs(symbol.curve()).max())
     phi, psi = plateau_coordinate_pair(curve_radius + 0.4, curve_radius + 1.6)
-    jac, gvals, cell = _midpoint_jacobian(phi, psi, g, resolution, g.bounding_box())
-    rhs_true, _ = _jacobian_integrals(jac, gvals, cell)
+    jac, gvals, cell = _midpoint_jacobian(phi, psi, g, resolution)
+    rhs_true = float((np.real(jac) * gvals).sum() * cell / (2.0 * np.pi))
     rhs_flat = float((np.real(jac) * (gvals != 0)).sum() * cell / (2.0 * np.pi))
     rows = []
     for n in n_table:

@@ -40,7 +40,7 @@ def _report(num, ok, detail):
 
 def test_criterion_01_helton_howe_polynomial_suite():
     t0 = time.time()
-    rows = polynomial_suite(n=128, m=32, resolution=2048)
+    rows = polynomial_suite(n=128, m=32)
     elapsed = time.time() - t0
     max_lhs = max(r["lhs_err"] for r in rows)
     max_rhs = max(r["rhs_err"] for r in rows)

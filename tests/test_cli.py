@@ -129,7 +129,7 @@ def test_cli_single_mode_rejects_corners_outside_one_to_half_n(tmp_path, capsys,
 @pytest.mark.parametrize("m", [12, -3])
 def test_cli_polynomial_suite_rejects_corners_outside_one_to_half_n(tmp_path, capsys, m):
     cfg = tmp_path / "suite.cfg"
-    cfg.write_text(f"mode polynomial-suite\nn 16\nm {m}\nresolution 16\n", encoding="utf-8")
+    cfg.write_text(f"mode polynomial-suite\nn 16\nm {m}\n", encoding="utf-8")
     assert main(["trace-formula", "--config", str(cfg)]) == 1
     assert f"corner size {m} must lie in 1..n/2 = 1..8" in capsys.readouterr().err
 
@@ -201,6 +201,33 @@ def test_cli_trace_formula_bundled(tmp_path, capsys):
     assert by_pair["x,y"]["lhs"] == pytest.approx(0.5, abs=1e-8)
     assert by_pair["x,y"]["rhs"] == pytest.approx(0.5, abs=5e-3)
     assert by_pair["x^2,xy"]["lhs"] == pytest.approx(0.25, abs=1e-8)
+    assert "resolution" not in payload
+
+
+def _double_winding_gauss_config(tmp_path, sizes):
+    cfg = tmp_path / "gauss.cfg"
+    cfg.write_text(f"mode single\nsymbol {DATA_DIR / 'double_winding.sym'}\n"
+                   f"phi {DATA_DIR / 'gauss_bump.spec'}\npsi {DATA_DIR / 'psi_gauss.spec'}\n"
+                   f"{sizes}resolution 64\n", encoding="utf-8")
+    return cfg
+
+
+def test_cli_trace_formula_table_rows_report_their_residue(tmp_path):
+    # the row n = 32, m = 4 has residue 0.00347, above the loose cap
+    # 1e-3 * ||K|| * m = 1.5e-4 that the reported corner must meet
+    cfg = _double_winding_gauss_config(tmp_path, "n 64\nn_table 32,64\n")
+    out = tmp_path / "report.json"
+    assert main(["trace-formula", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = {(r["n"], r["m"]): r for r in json.loads(out.read_text())["convergence"]}
+    assert rows[(32, 4)]["imag_residue"] == pytest.approx(0.00347, abs=1e-5)
+
+
+def test_cli_trace_formula_bad_reported_corner_still_fails(tmp_path, capsys):
+    cfg = _double_winding_gauss_config(tmp_path, "n 32\nm 4\nn_table 32\n")
+    out = tmp_path / "report.json"
+    assert main(["trace-formula", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "corner trace imaginary residue 0.00347 exceeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_funcalc_and_probe(tmp_path, capsys):

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import opintegral
 from opintegral.doi import funcalc
 from opintegral.functions import Function2D, UniformGrid
-from opintegral.heltonhowe import (SHIFT_SYMBOL, TraceExperimentConfig,
+from opintegral.heltonhowe import (SHIFT_SYMBOL, TraceExperimentConfig, _grid_integrals,
                                    _midpoint_jacobian, band_additivity_check, corner_trace,
                                    lhs_corner_trace, model_pair, polynomial_suite,
                                    rhs_integral, trace_formula_experiment,
@@ -19,7 +25,7 @@ XY = Function2D.polynomial([[0, 0], [0, 1]])
 
 
 def test_polynomial_suite_small():
-    rows = polynomial_suite(n=64, m=16, resolution=1024)
+    rows = polynomial_suite(n=64, m=16)
     expected = {"x,y": 0.5, "x^2,y": 0.0, "x,y^2": 0.0, "x^2,y^2": 0.0,
                 "x^2,xy": 0.25}
     for row in rows:
@@ -37,20 +43,20 @@ def test_corner_trace_oracle_first_column():
 
 def test_rhs_disk_oracles():
     g = disk_principal_function()
-    val, scale = rhs_integral(X, Y, g, resolution=2048)
+    val, scale = _grid_integrals(X, Y, g, resolution=2048)
     assert val == pytest.approx(0.5, abs=5e-3)
     assert scale == pytest.approx(0.5, abs=5e-3)
     # odd-in-x Jacobian integrates to zero against the radial disk
-    val, _ = rhs_integral(X2, Y, g, resolution=1024)
+    val = rhs_integral(X2, Y, g, resolution=1024)
     assert abs(val) <= 1e-6
     # Jacobian of (x^2, xy) is 2 x^2; the disk integral of x^2 is pi / 4
-    val, _ = rhs_integral(X2, XY, g, resolution=2048)
+    val = rhs_integral(X2, XY, g, resolution=2048)
     assert val == pytest.approx(0.25, abs=5e-3)
 
 
 def test_rhs_with_winding_principal_function():
     g = principal_function(SHIFT_SYMBOL)
-    val, _ = rhs_integral(X, Y, g, resolution=1024)
+    val = rhs_integral(X, Y, g, resolution=1024)
     assert val == pytest.approx(0.5, abs=5e-3)
 
 
@@ -70,17 +76,17 @@ def test_rhs_integral_bits_of_the_row_loop_quadrature():
              "x^2,xy": ("0x1.ffb0dd12a262cp-3", "0x1.ffb0dd12a262cp-3")}
     g = principal_function(SHIFT_SYMBOL)
     for name, (phi, psi) in SUITE.items():
-        assert tuple(v.hex() for v in rhs_integral(phi, psi, g, 512)) == shift[name], name
+        assert tuple(v.hex() for v in _grid_integrals(phi, psi, g, 512)) == shift[name], name
     disk = disk_principal_function(radius=0.8, value=2, center=0.1 + 0.2j)
-    assert tuple(v.hex() for v in rhs_integral(X, Y, disk, 512)) == (
+    assert tuple(v.hex() for v in _grid_integrals(X, Y, disk, 512)) == (
         "0x1.47aff297e5d3bp-1", "0x1.47aff297e5d3bp-2")
-    assert tuple(v.hex() for v in rhs_integral(X2, Y, disk, 512)) == (
+    assert tuple(v.hex() for v in _grid_integrals(X2, Y, disk, 512)) == (
         "0x1.06265bacb7dc8p-3", "0x1.c773e489221a3p-3")
 
 
 def test_midpoint_jacobian_weights_are_c_contiguous():
     for g in (principal_function(SHIFT_SYMBOL), disk_principal_function()):
-        jac, gvals, _ = _midpoint_jacobian(X, Y, g, 64, g.bounding_box())
+        jac, gvals, _ = _midpoint_jacobian(X, Y, g, 64)
         assert gvals.shape == jac.shape == (64, 64)
         assert gvals.flags.c_contiguous
 
@@ -120,7 +126,7 @@ def test_corner_warning_when_window_too_large():
 
 def test_polynomial_suite_warns_at_the_boundary_bandwidth():
     with pytest.warns(UserWarning, match="boundary bandwidth"):
-        polynomial_suite(n=6, m=3, resolution=16)
+        polynomial_suite(n=6, m=3)
 
 
 @pytest.mark.parametrize("n, m", [(16, -3), (16, 0), (16, 9), (3, None)])
@@ -129,7 +135,7 @@ def test_every_corner_path_requires_one_to_half_n(n, m):
     message = rf"corner size {m if m is not None else n // 4} must lie in 1..n/2"
     for run in (cfg.corner, lambda: lhs_corner_trace(cfg),
                 lambda: trace_formula_experiment(cfg),
-                lambda: polynomial_suite(n=n, m=m, resolution=16),
+                lambda: polynomial_suite(n=n, m=m),
                 lambda: band_additivity_check(cfg, band_range=(-1, -1), grid=SMALL_GRID)):
         with pytest.raises(ValueError, match=message):
             run()
@@ -221,4 +227,53 @@ def test_winding_rhs_true_is_rhs_integral():
     g = principal_function(symbol)
     radius = float(np.abs(symbol.curve()).max())
     phi, psi = plateau_coordinate_pair(radius + 0.4, radius + 1.6)
-    assert wf["rhs_true"] == rhs_integral(phi, psi, g, 128)[0]
+    assert wf["rhs_true"] == rhs_integral(phi, psi, g, 128)
+
+
+DOUBLE_WINDING = Symbol.from_dict({2: 1.0, 1: 0.5})
+GAUSS_PHI = Function2D.closed_form("exp(-((x - 0.2)**2 + y**2) * 3)")
+GAUSS_PSI = Function2D.closed_form("exp(-(x**2 + (y - 0.2)**2) * 3)")
+
+
+def test_contour_gives_exact_fractions():
+    # the trapezoid rule is exact once its nodes outnumber the degree of the
+    # trig-polynomial integrand phi(gamma) (psi o gamma)'
+    for row in polynomial_suite(n=64, m=16):
+        assert abs(row["rhs"] - row["exact"]) <= 1e-15, row["pair"]
+    g = principal_function(DOUBLE_WINDING)
+    assert abs(rhs_integral(X, Y, g) - 9 / 8) <= 1e-15
+    assert abs(rhs_integral(X2, XY, g) - 57 / 64) <= 1e-15
+
+
+@pytest.mark.parametrize("symbol, phi, psi", [(SHIFT_SYMBOL, GAUSS_PHI, GAUSS_PSI),
+                                              (DOUBLE_WINDING, X, Y)])
+def test_contour_within_the_grid_quadrature_error(symbol, phi, psi):
+    # the grid's error at 1024^2 is estimated by its step from 512^2
+    g = principal_function(symbol)
+    fine = _grid_integrals(phi, psi, g, 1024)[0]
+    step = abs(fine - _grid_integrals(phi, psi, g, 512)[0])
+    assert abs(rhs_integral(phi, psi, g, 1024) - fine) <= step
+
+
+def test_contour_node_cap_raises():
+    psi = Function2D.closed_form("sin(200000*x)")
+    with pytest.raises(ArithmeticError, match="not settled at 65536 nodes: last difference"):
+        rhs_integral(X, psi, principal_function(SHIFT_SYMBOL))
+
+
+def test_rhs_integral_bits_repeat_across_blas_threads():
+    script = (
+        "from opintegral.functions import Function2D as F\n"
+        "from opintegral.heltonhowe import rhs_integral\n"
+        "from opintegral.models import Symbol, principal_function\n"
+        "g = principal_function(Symbol.from_dict({2: 1.0, 1: 0.5}))\n"
+        "x, y = F.polynomial([[0], [1]]), F.polynomial([[0, 1]])\n"
+        "p = F.closed_form('exp(-((x - 0.2)**2 + y**2) * 3)')\n"
+        "q = F.closed_form('exp(-(x**2 + (y - 0.2)**2) * 3)')\n"
+        "print(rhs_integral(x, y, g).hex(), rhs_integral(p, q, g).hex())\n")
+    src = str(Path(opintegral.__file__).parents[1])
+    outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": src,
+                                            "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+            for threads in (1, 2)]
+    assert outs[0] == outs[1] and outs[0].strip()
