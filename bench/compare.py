@@ -13,8 +13,10 @@ count, the median change relative to the metric's BENCHMARK.json bound, and
 the provenance line each run printed.  Per workload and seed it also writes
 an item summary: each item's base and change medians of its per-pair
 median_s, and whether its digest and details were equal on both sides in
-every pair.  At the end it prints, per workload and seed, one summary line
-and one line per item to stdout.
+every pair; for an item whose details differ, the largest relative
+difference over the pairs of each numeric detail (a number or a list of
+numbers) that moved.  At the end it prints, per workload and seed, one
+summary line and one line per item to stdout.
 
 A gain is shown when the change wins at least nine tenths of the pairs (ties
 count for neither side) and the medians differ by more than the base's
@@ -82,7 +84,9 @@ def summary_line(result: dict) -> str:
 def item_summary(pairs: list[dict]) -> dict:
     """{item: {base_median_s, change_median_s, details_identical}} over pairs
     [{"base": {"items": ...}, "change": {"items": ...}}] of run_once results;
-    an item missing on one side has no median there and is not identical."""
+    an item missing on one side has no median there and is not identical.  An
+    item whose numeric details moved also gets max_rel_diff: {detail: largest
+    |change - base| / max(|base|, |change|) over the pairs and list entries}."""
     names = sorted({name for p in pairs for side in ("base", "change")
                     for name in p[side]["items"]})
     out = {}
@@ -94,7 +98,30 @@ def item_summary(pairs: list[dict]) -> dict:
                      "details_identical": all(b is not None and c is not None
                                               and _outputs(b) == _outputs(c)
                                               for b, c in zip(runs["base"], runs["change"]))}
+        if moved := _max_rel_diff(runs["base"], runs["change"]):
+            out[name]["max_rel_diff"] = moved
     return out
+
+
+def _max_rel_diff(base: list, change: list) -> dict:
+    out = {}
+    for b, c in zip(base, change):
+        for key in (b or {}).keys() & (c or {}).keys() - {"median_s"}:
+            bv, cv = _numbers(b[key]), _numbers(c[key])
+            if bv is None or cv is None or len(bv) != len(cv):
+                continue
+            diff = max((abs(y - x) / max(abs(x), abs(y)) for x, y in zip(bv, cv) if x != y),
+                       default=0.0)
+            if diff:
+                out[key] = max(out.get(key, 0.0), diff)
+    return dict(sorted(out.items()))
+
+
+def _numbers(value) -> list | None:
+    """A number or list of numbers as a list of them, anything else None."""
+    values = value if isinstance(value, list) else [value]
+    ok = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+    return values if ok else None
 
 
 def _outputs(item: dict) -> dict:
@@ -103,10 +130,11 @@ def _outputs(item: dict) -> dict:
 
 def item_lines(result: dict) -> list[str]:
     """One line per item of a workload and seed: median seconds, base -> change,
-    and details_identical."""
+    details_identical and any max_rel_diff."""
     return [f"  {name}: median_s {_fmt(s['base_median_s'])} -> {_fmt(s['change_median_s'])}"
-            f" (details_identical {s['details_identical']})"
-            for name, s in result["items"].items()]
+            f" (details_identical {s['details_identical']}"
+            + "".join(f"; {k} moved {v:.3g}" for k, v in s.get("max_rel_diff", {}).items())
+            + ")" for name, s in result["items"].items()]
 
 
 def _fmt(value) -> str:

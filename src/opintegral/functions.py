@@ -362,6 +362,44 @@ def _interp_matrix(grid: UniformGrid, points: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(np.asarray(points, dtype=float) - x0, xi)) / grid.points
 
 
+def _axis_interp(grid: UniformGrid, points: np.ndarray, axis: str):
+    """(E, L) with L @ (E @ s) the Fourier series of spectrum column s at the
+    points; L is None when E is _interp_matrix at the points themselves.
+
+    On the points' interval [c - h, c + h] every row exp(i xi x) has
+    Chebyshev coefficients i^m (2 - delta_m0) J_m(xi h) with |xi| <= omega =
+    h nyquist and |J_m(omega)| <= (omega/2)^m / m!, so interpolation at the M
+    first-kind Chebyshev nodes is off by at most 4 (omega/2)^M / M! /
+    (1 - omega / (2 (M + 1))) per row.  For the least M that puts this under
+    eps, and M below the point count, E is _interp_matrix at the nodes and L
+    the barycentric matrix from nodes to points; a point on a node takes its
+    value.
+    """
+    if not np.isfinite(points).all():
+        i = int(np.argmin(np.isfinite(points)))
+        raise ValueError(f"non-finite {axis} point {points[i]} at index {i}")
+    npts = points.size
+    lo, hi = (points.min(), points.max()) if npts else (0.0, 0.0)
+    c, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    half, term, m = 0.5 * h * grid.nyquist, 4.0, 0
+    while m < npts:
+        m += 1
+        term *= half / m
+        if m + 1 > half and term / (1.0 - half / (m + 1)) <= np.finfo(float).eps:
+            break
+    if h == 0 or m >= npts:
+        return _interp_matrix(grid, points), None
+    theta = (2 * np.arange(m) + 1) * np.pi / (2 * m)
+    nodes = c + h * np.cos(theta)
+    d = points[:, None] - nodes[None, :]
+    hit = d == 0
+    q = (-1.0) ** np.arange(m) * np.sin(theta) / np.where(hit, 1.0, d)
+    lag = q / q.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    lag[rows] = hit[rows]
+    return _interp_matrix(grid, nodes), lag
+
+
 # ---------------------------------------------------------------------------
 # one-variable functions
 
@@ -539,13 +577,16 @@ class Function2D:
 
     def eval_grid(self, xs, ys) -> np.ndarray:
         """Matrix of values phi(xs[i], ys[j]) on the tensor grid xs x ys;
-        float64 for a polynomial whose coefficients are all real."""
+        float64 for a polynomial whose coefficients are all real.  A sampled
+        function goes through Chebyshev nodes on an axis whose points span a
+        short enough interval (_axis_interp), and rejects non-finite points."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if self.kind == "sampled":
-            ex = _interp_matrix(self.grid, xs)
-            ey = _interp_matrix(self.grid, ys)
-            return ex @ self.spectrum() @ ey.T
+            (ex, lx), (ey, ly) = _axis_interp(self.grid, xs, "x"), _axis_interp(self.grid, ys, "y")
+            out = ex @ self.spectrum() @ ey.T
+            out = out if lx is None else lx @ out
+            return out if ly is None else out @ ly.T
         if self.kind == "polynomial":
             # Horner in x on the axis, then in y: per element the operations
             # of polyval2d on the broadcast grid, without its grid-sized stage;

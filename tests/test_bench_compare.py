@@ -92,3 +92,27 @@ def test_item_summary_medians_and_identical_details():
     assert lines == ["  cert: median_s 1 -> 1.5 (details_identical True)",
                      "  extra: median_s missing -> missing (details_identical False)",
                      "  pair: median_s 4 -> 3 (details_identical False)"]
+
+
+def test_item_summary_reports_how_far_numeric_details_moved():
+    compare = _load()
+    base = {"rhs_true": 1.1250708641261422, "ratio_flat": [1.272519823819568, 2.0],
+            "status": "ok"}
+    change = {"rhs_true": 1.1250708641261424, "ratio_flat": [1.2725198238195685, 2.0],
+              "status": "ok"}
+    pairs = [{"base": _items({"wind": 1.5, "poly": 1.0}, wind=base, poly={"err": 0.0}),
+              "change": _items({"wind": 1.0, "poly": 1.0}, wind=dict(change),
+                               poly={"err": 0.0})} for _ in range(3)]
+    pairs[2]["change"]["items"]["wind"]["rhs_true"] = 1.0
+    items = compare.item_summary(pairs)
+    assert "max_rel_diff" not in items["poly"] and items["poly"]["details_identical"]
+    wind = items["wind"]
+    assert not wind["details_identical"]
+    assert set(wind["max_rel_diff"]) == {"rhs_true", "ratio_flat"}
+    # the largest over the pairs, relative to the larger magnitude
+    moved = wind["max_rel_diff"]["rhs_true"]
+    assert moved == pytest.approx(0.1250708641261424 / 1.1250708641261424)
+    assert wind["max_rel_diff"]["ratio_flat"] == pytest.approx(4.4e-16 / 1.2725, rel=0.1)
+    assert compare.item_lines({"items": {"wind": wind}}) == [
+        "  wind: median_s 1.5 -> 1 (details_identical False; ratio_flat moved 3.49e-16; "
+        "rhs_true moved 0.111)"]

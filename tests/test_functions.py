@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from opintegral.commutator import random_polynomial
-from opintegral.functions import (Function1D, Function2D, UniformGrid, parse_expr)
+from opintegral.functions import (Function1D, Function2D, UniformGrid, _axis_interp,
+                                  _interp_matrix, parse_expr)
 from opintegral.rng import Xorshift64Star
 
 
@@ -179,6 +182,78 @@ def test_from_spectrum_samples_on_demand():
     assert np.array_equal(g.eval_grid([0.2], [0.5]), f.eval_grid([0.2], [0.5]))
     with pytest.raises(ValueError):
         Function2D.from_spectrum(np.zeros((4, 4)), f.grid)
+
+
+def _direct(grid, spec, xs, ys):
+    return _interp_matrix(grid, xs) @ spec @ _interp_matrix(grid, ys).T
+
+
+def test_sampled_eval_grid_on_short_boxes_matches_direct_product():
+    gen = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for n, period in ((32, 2 * np.pi), (256, 32 * np.pi), (512, 32 * np.pi)):
+        grid = UniformGrid(dim=2, period=period, points=n)
+        ixi = 1j * grid.frequencies()
+        spec = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+        for s in (spec, spec * ixi[:, None], spec * ixi[None, :]):
+            f = Function2D.from_spectrum(s, grid)
+            # a narrow x box against a wide y box, and two boxes of half-width ~1.2
+            for (cx, hx, nx), (cy, hy, ny) in (((0.3, 0.05, 40), (0.0, 4.0, 700)),
+                                               ((0.1, 1.3, 300), (-0.2, 1.1, 257))):
+                xs = cx + hx * np.sort(gen.uniform(-1, 1, nx))
+                ys = cy + hy * np.sort(gen.uniform(-1, 1, ny))
+                assert _axis_interp(grid, xs, "x")[1] is not None
+                # the node rule leaves at most eps per axis; the rest is rounding
+                # of the length-N sums and the barycentric sums, measured <= 5 eps
+                err = np.abs(f.eval_grid(xs, ys) - _direct(grid, s, xs, ys)).max()
+                assert err <= 32 * eps * np.abs(s).sum() / n ** 2, (n, hx, hy)
+
+
+def test_chebyshev_node_count_is_the_least_that_meets_the_bessel_bound():
+    def bound(m, omega):
+        if 2 * (m + 1) <= omega:
+            return np.inf
+        return 4 * (omega / 2) ** m / math.factorial(m) / (1 - omega / (2 * (m + 1)))
+
+    eps = np.finfo(float).eps
+    for n, period, h in ((512, 32 * np.pi, 1.3), (256, 32 * np.pi, 0.4),
+                         (32, 2 * np.pi, 2.0), (512, 32 * np.pi, 0.01)):
+        grid = UniformGrid(dim=2, period=period, points=n)
+        e, lag = _axis_interp(grid, np.linspace(0.2 - h, 0.2 + h, 2000), "x")
+        m, omega = e.shape[0], h * grid.nyquist
+        assert lag.shape == (2000, m) and e.shape == (m, n)
+        assert bound(m, omega) <= eps < bound(m - 1, omega), (n, h, m)
+
+
+def test_sampled_eval_grid_keeps_the_direct_bits_where_nodes_do_not_pay():
+    gen = np.random.default_rng(5)
+    grid = UniformGrid(dim=2, period=2 * np.pi, points=32)
+    spec = gen.normal(size=(32, 32)) + 1j * gen.normal(size=(32, 32))
+    f = Function2D.from_spectrum(spec, grid)
+    wide = np.linspace(-3.0, 3.0, 40)              # needs more nodes than points
+    assert _axis_interp(grid, wide, "x")[1] is None
+    for xs, ys in (([0.4], [-0.7]), ([0.4] * 5, [-0.7] * 3), (wide, wide[:25]),
+                   (wide, [0.1] * 6)):
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        assert f.eval_grid(xs, ys).tobytes() == _direct(grid, spec, xs, ys).tobytes()
+
+
+def test_sampled_eval_grid_point_on_a_node_takes_its_value():
+    grid = UniformGrid(dim=2, period=32 * np.pi, points=64)
+    xs = np.linspace(-0.5, 0.5, 200)
+    e, lag = _axis_interp(grid, xs, "x")
+    m = e.shape[0]
+    node = np.cos(np.pi / (2 * m)) * 0.5
+    e2, lag2 = _axis_interp(grid, np.append(xs, node), "x")
+    assert np.array_equal(e2, e) and np.array_equal(lag2[-1], np.eye(m)[0])
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_sampled_eval_grid_rejects_non_finite_points(axis):
+    f, _ = _smooth_sampled()
+    good, bad = np.linspace(-0.5, 0.5, 5), np.array([0.1, 0.2, np.nan, np.inf])
+    with pytest.raises(ValueError, match=f"non-finite {axis} point nan at index 2"):
+        f.eval_grid(*((bad, good) if axis == "x" else (good, bad)))
 
 
 def _same_bits(got, want):
