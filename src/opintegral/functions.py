@@ -367,8 +367,8 @@ def _axis_interp(grid: UniformGrid, points: np.ndarray, axis: str):
     points; L is None when E is _interp_matrix at the points themselves.
 
     On the points' interval [c - h, c + h] every row exp(i xi x) has
-    Chebyshev coefficients i^m (2 - delta_m0) J_m(xi h) with |xi| <= omega =
-    h nyquist and |J_m(omega)| <= (omega/2)^m / m!, so interpolation at the M
+    Chebyshev coefficients i^m (2 - delta_m0) J_m(xi h) with |xi h| <= omega =
+    h nyquist and |J_m(xi h)| <= (omega/2)^m / m!, so interpolation at the M
     first-kind Chebyshev nodes is off by at most 4 (omega/2)^M / M! /
     (1 - omega / (2 (M + 1))) per row.  For the least M that puts this under
     eps, and M below the point count, E is _interp_matrix at the nodes and L
