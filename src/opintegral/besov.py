@@ -133,8 +133,17 @@ def lp_decompose(values, grid: UniformGrid, band_range: tuple[int, int] | None =
     # spectrum; complex samples are split into real and imaginary parts
     parts = (values.real, values.imag) if values.imag.any() else (values.real,)
     axes = tuple(range(values.ndim))
-    specs = [np.fft.rfftn(part) for part in parts]
     radii = grid.radial_frequencies()[..., :grid.points // 2 + 1]   # half plane
+    # each half-plane column other than 0 and N/2 stands for two conjugate bins
+    weight = np.ones(radii.shape[-1])
+    weight[1:(grid.points + 1) // 2] = 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        specs = [np.fft.rfftn(part) for part in parts]
+        mass = sum(np.abs(spec) ** 2 for spec in specs) * weight
+        total = float(mass.sum() - mass.flat[0])  # zero bin excluded (norm mod constants)
+    if not np.isfinite(total):
+        raise ValueError("non-finite spectral mass: the samples contain NaN or "
+                         "infinite values, or are too large")
 
     # a band whose annulus ends at or below the lowest nonzero frequency has
     # a zero window on every bin: it gets a shared zero array and no transform
@@ -154,14 +163,6 @@ def lp_decompose(values, grid: UniformGrid, band_range: tuple[int, int] | None =
         bands[n] = re + 1j * im[0] if im else re
         sup_norms[n] = float(np.abs(bands[n]).max())
 
-    # each half-plane column other than 0 and N/2 stands for two conjugate bins
-    weight = np.ones(radii.shape[-1])
-    weight[1:(grid.points + 1) // 2] = 2.0
-    mass = sum(np.abs(spec) ** 2 for spec in specs) * weight
-    total = float(mass.sum() - mass.flat[0])  # zero bin excluded (norm mod constants)
-    if not np.isfinite(total):
-        raise ValueError("non-finite spectral mass: the samples contain NaN or "
-                         "infinite values, or are too large")
     leaked = float((mass * (1.0 - np.minimum(covered, 1.0))).sum() - mass.flat[0])
     uncovered = leaked / total if total > 0 else 0.0
     if warn and uncovered > LEAKAGE_TOL:
@@ -194,7 +195,7 @@ def besov_norm(f, grid: UniformGrid | None = None, s: float = 1.0, p: float = np
                warn: bool = True) -> BesovNorm:
     """Homogeneous Besov norm ||{2^(ns) ||f_n||_p}||_{l^q} over the band range.
 
-    f may be a sample array (with its grid), a sampled/closed-form/product
+    f may be a sample array (with its grid), a sampled or closed-form
     Function2D (resampled onto the default 2-d grid if needed), or a
     polynomial Function2D, whose homogeneous norm is zero by definition and
     short-circuits the grid path.  Callers that surface uncovered_mass in

@@ -42,11 +42,9 @@ def cmd_besov_norm(args) -> int:
     values, grid = fileio.read_samples(args.input)
     p = np.inf if args.p in ("inf", "oo") else float(args.p)
     q = np.inf if args.q in ("inf", "oo") else float(args.q)
-    band_range = None
-    if args.band_min is not None or args.band_max is not None:
-        lo = args.band_min if args.band_min is not None else -10
-        hi = args.band_max if args.band_max is not None else besov.max_band(grid)
-        band_range = (lo, hi)
+    lo, hi = besov.default_band_range(grid)
+    band_range = (lo if args.band_min is None else args.band_min,
+                  hi if args.band_max is None else args.band_max)
     bn = besov.besov_norm(values, grid, s=args.s, p=p, q=q, band_range=band_range,
                           warn=False)
     payload = {"command": "besov-norm", "input": str(args.input), "s": args.s,

@@ -94,10 +94,6 @@ def commutator_via_toi(phi: Function2D, a, b, q, j_max: int = 256,
     """[phi(A,B), Q] assembled from the two divided-difference triple integrals."""
     da, db = as_decomposition(a), as_decomposition(b)
     reps, _ = _dd_terms(phi, da, db, j_max, grid, band_range, domain_radius)
-    return _commutator_from_terms(reps, da, db, q)
-
-
-def _commutator_from_terms(reps: dict, da, db, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.complex128)
     return _sum_terms(reps, da, db, _commutator(da.matrix(), q),
                       _commutator(db.matrix(), q))
@@ -115,13 +111,12 @@ def commutator_with_operator(psi: Function2D, da, db, which: str,
         raise ValueError("which must be 'A' or 'B'")
     da, db = as_decomposition(da), as_decomposition(db)
     reps, _ = _dd_terms(psi, da, db, j_max, grid, band_range, domain_radius)
-    return _with_operator(reps, da, db, which)
+    return _with_operator(reps, da, db, which, _commutator(da.matrix(), db.matrix()))
 
 
-def _with_operator(reps: dict, da, db, which: str) -> np.ndarray:
+def _with_operator(reps: dict, da, db, which: str, comm_ab) -> np.ndarray:
     """[A, psi(A,B)] (which "A", from the axis-2 reps) or [B, psi(A,B)]
-    (which "B", from the axis-1 reps)."""
-    comm_ab = _commutator(da.matrix(), db.matrix())
+    (which "B", from the axis-1 reps), given comm_ab = [A, B]."""
     if which == "A":
         return -_sum_terms({2: reps[2]}, da, db, None, -comm_ab)
     return -_sum_terms({1: reps[1]}, da, db, comm_ab, None)
@@ -175,13 +170,11 @@ def verify_theorem_41(phi: Function2D, a, b, q, j_max: int = 256,
     da, db = as_decomposition(a), as_decomposition(b)
     q = np.asarray(q, dtype=np.complex128)
     reps, bands = _dd_terms(phi, da, db, j_max, grid, band_range, None)
-    via = _commutator_from_terms(reps, da, db, q)
+    comm_a, comm_b = _commutator(da.matrix(), q), _commutator(db.matrix(), q)
+    via = _sum_terms(reps, da, db, comm_a, comm_b)
     bnorm, note = _besov_ingredient(phi, da, db, grid, bands)
-    f_ab = funcalc(phi, da, db)
-    direct = _commutator(f_ab, q)
-    amat, bmat = da.matrix(), db.matrix()
-    ca = schatten_norm(_commutator(amat, q), 1)
-    cb = schatten_norm(_commutator(bmat, q), 1)
+    direct = _commutator(funcalc(phi, da, db), q)
+    ca, cb = schatten_norm(comm_a, 1), schatten_norm(comm_b, 1)
     lhs = schatten_norm(via, 1)
     denom = bnorm * (ca + cb)
     const = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)
@@ -206,8 +199,9 @@ def commutator_of_functions(phi: Function2D, psi: Function2D, a, b,
     # psi's representations serve both inner commutators, and are dropped
     # before phi's are built
     reps, bands = _dd_terms(psi, da, db, j_max, grid, band_range, None)
-    comm_bq = _with_operator(reps, da, db, "B")
-    comm_aq = _with_operator(reps, da, db, "A")
+    comm_ab = _commutator(da.matrix(), db.matrix())
+    comm_bq = _with_operator(reps, da, db, "B", comm_ab)
+    comm_aq = _with_operator(reps, da, db, "A", comm_ab)
     bpsi, _ = _besov_ingredient(psi, da, db, grid, bands)
     del reps, bands
     reps, bands = _dd_terms(phi, da, db, j_max, grid, band_range, None)
@@ -215,8 +209,7 @@ def commutator_of_functions(phi: Function2D, psi: Function2D, a, b,
     bphi, note_phi = _besov_ingredient(phi, da, db, grid, bands)
 
     direct = _commutator(funcalc(phi, da, db), q)
-    amat, bmat = da.matrix(), db.matrix()
-    cab = schatten_norm(_commutator(amat, bmat), 1)
+    cab = schatten_norm(comm_ab, 1)
     lhs = schatten_norm(out, 1)
     denom = bphi * bpsi * cab
     const = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)

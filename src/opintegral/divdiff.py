@@ -78,7 +78,7 @@ def divided_difference(phi: Function2D, axis: int) -> DividedDifference:
     """Divided difference of phi along axis 1 (x) or 2 (y).
 
     Below the coincidence tolerance (1e-7 times the argument span) the
-    quotient switches to the exact (polynomial, closed-form, product) or
+    quotient switches to the exact (polynomial, closed-form) or
     spectral (sampled) partial derivative.
     """
     if axis not in (1, 2):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .functions import Function1D, Function2D, UniformGrid
+from .functions import Function1D, Function2D, UniformGrid, parse_expr
 from .models import Symbol
 
 
@@ -113,15 +113,14 @@ def write_function_spec(path, f: Function2D, samples_path=None) -> None:
                 if a[j, k] != 0:
                     lines.append(f"coeff {j} {k} {float(a[j, k].real)!r} {float(a[j, k].imag)!r}")
     elif f.kind == "closed_form":
+        text = repr(f.data)
+        try:
+            parse_expr(text)
+        except ValueError as err:
+            raise ValueError(f"closed form {text} does not read back ({err}); "
+                             f".spec expressions take real constants only") from None
         lines.append("variant closed_form")
-        lines.append(f"expr {f.data!r}")
-    elif f.kind == "product":
-        u, v = f.data
-        if u.kind != "closed_form" or v.kind != "closed_form":
-            raise ValueError("only closed-form factors can be stored in product specs")
-        lines.append("variant product")
-        lines.append(f"u {u.data!r}")
-        lines.append(f"v {v.data!r}")
+        lines.append(f"expr {text}")
     else:
         if samples_path is None:
             raise ValueError("sampled specs need samples_path for the .opfun file")
@@ -158,7 +157,8 @@ def read_function_spec(path) -> Function2D:
         expr = _get_key(lines, "expr", path)
         return Function2D.closed_form(expr)
     if variant == "product":
-        # factors are one-variable expressions, both written in the variable x
+        # factors are one-variable expressions, both written in the variable x;
+        # the product is built as a closed form (Function2D.product)
         u = Function1D.closed_form(_get_key(lines, "u", path))
         v = Function1D.closed_form(_get_key(lines, "v", path))
         return Function2D.product(u, v)
@@ -201,12 +201,12 @@ def read_config(path) -> dict:
 
 
 def write_report(path, payload: dict) -> None:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """report_text(payload) and a trailing newline."""
+    Path(path).write_text(report_text(payload) + "\n", encoding="utf-8")
 
 
 def report_text(payload: dict) -> str:
+    """Deterministic JSON: sorted keys, two-space indent."""
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2)
 
 

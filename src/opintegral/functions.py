@@ -1,16 +1,17 @@
 """Concrete one- and two-variable function representations.
 
-Four interchangeable forms are supported for functions of two variables:
-polynomial coefficient matrices, products u(x)v(y), band-limited samples on
-a periodic grid (evaluated anywhere by trigonometric interpolation), and
-closed-form expression trees over {+, *, exp, sin, cos}.  Polynomials and
-closed forms differentiate exactly; sampled functions differentiate
-spectrally.
+Three interchangeable forms are supported for functions of two variables:
+polynomial coefficient matrices, band-limited samples on a periodic grid
+(evaluated anywhere by trigonometric interpolation), and closed-form
+expression trees over {+, *, exp, sin, cos}.  A product u(x)v(y) is built as
+one of them: a polynomial when both factors are, a closed form otherwise.
+Polynomials and closed forms differentiate exactly; sampled functions
+differentiate spectrally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -130,59 +131,30 @@ class Mul(Expr):
         return f"({self.a!r} * {self.b!r})"
 
 
-class _Unary(Expr):
-    pass
+_CALLS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
 
 
 @dataclass(frozen=True)
-class ExpF(_Unary):
+class Call(Expr):
+    name: str  # a key of _CALLS
     a: Expr
 
     def eval(self, x, y):
-        return np.exp(self.a.eval(x, y))
+        return _CALLS[self.name](self.a.eval(x, y))
 
     def diff(self, var):
-        return Mul(self.a.diff(var), self)
+        da = self.a.diff(var)
+        if self.name == "exp":
+            return Mul(da, self)
+        if self.name == "sin":
+            return Mul(da, Call("cos", self.a))
+        return Mul(Const(-1.0), Mul(da, Call("sin", self.a)))
 
     def conj(self):
-        return ExpF(self.a.conj())
+        return Call(self.name, self.a.conj())
 
     def __repr__(self):
-        return f"exp({self.a!r})"
-
-
-@dataclass(frozen=True)
-class SinF(_Unary):
-    a: Expr
-
-    def eval(self, x, y):
-        return np.sin(self.a.eval(x, y))
-
-    def diff(self, var):
-        return Mul(self.a.diff(var), CosF(self.a))
-
-    def conj(self):
-        return SinF(self.a.conj())
-
-    def __repr__(self):
-        return f"sin({self.a!r})"
-
-
-@dataclass(frozen=True)
-class CosF(_Unary):
-    a: Expr
-
-    def eval(self, x, y):
-        return np.cos(self.a.eval(x, y))
-
-    def diff(self, var):
-        return Mul(Const(-1.0), Mul(self.a.diff(var), SinF(self.a)))
-
-    def conj(self):
-        return CosF(self.a.conj())
-
-    def __repr__(self):
-        return f"cos({self.a!r})"
+        return f"{self.name}({self.a!r})"
 
 
 def parse_expr(text: str) -> Expr:
@@ -258,12 +230,12 @@ def parse_expr(text: str) -> Expr:
             node = parse_sum()
             take(")")
             return node
-        if tok in ("exp", "sin", "cos"):
+        if tok in _CALLS:
             take()
             take("(")
             inner = parse_sum()
             take(")")
-            return {"exp": ExpF, "sin": SinF, "cos": CosF}[tok](inner)
+            return Call(tok, inner)
         if tok in ("x", "y"):
             take()
             return Var(tok)
@@ -407,8 +379,7 @@ def _axis_interp(grid: UniformGrid, points: np.ndarray, axis: str):
 class Function1D:
     """One-variable function: polynomial coefficients, a closed form, or samples.
 
-    Supports pointwise evaluation, exact/spectral differentiation, complex
-    conjugation, and uniform sup-norm estimation on an interval.
+    Supports pointwise evaluation and exact/spectral differentiation.
     """
 
     def __init__(self, kind: str, data, grid: UniformGrid | None = None):
@@ -421,6 +392,8 @@ class Function1D:
         elif kind == "closed_form":
             if not isinstance(data, Expr):
                 raise TypeError("closed_form expects an Expr")
+            if "y" in _vars(data):
+                raise ValueError(f"a one-variable closed form is written in x: {data!r}")
             self.data = data
         else:
             if grid is None or grid.dim != 1:
@@ -462,32 +435,25 @@ class Function1D:
         spec = np.fft.fft(self.data) * (1j * self.grid.frequencies())
         return Function1D.sampled(np.fft.ifft(spec), self.grid)
 
-    def conjugate(self) -> "Function1D":
-        if self.kind == "polynomial":
-            return Function1D.polynomial(np.conj(self.data))
-        if self.kind == "closed_form":
-            return Function1D.closed_form(self.data.conj())
-        return Function1D.sampled(np.conj(self.data), self.grid)
-
 
 # ---------------------------------------------------------------------------
 # two-variable functions
 
 
 class Function2D:
-    """Two-variable function in one of four concrete forms.
+    """Two-variable function in one of three concrete forms.
 
     polynomial: coefficient matrix a[j, k] for sum a_jk x^j y^k (exact Horner
-    evaluation); product: u(x) * v(y); sampled: values on a square periodic
-    grid, evaluated off-grid by trigonometric interpolation from its fft2
-    spectrum (computed once per object; partial derivatives are built from
-    it directly); closed_form: an expression tree.
+    evaluation); sampled: values on a square periodic grid, evaluated off-grid
+    by trigonometric interpolation from its fft2 spectrum (computed once per
+    object; partial derivatives are built from it directly); closed_form: an
+    expression tree.  Function2D.product builds u(x) v(y) as one of these.
     """
 
     _lattice = (None, None)     # (lattice bytes, interpolation matrix): lattice_evaluator
 
     def __init__(self, kind: str, data, grid: UniformGrid | None = None):
-        if kind not in ("polynomial", "product", "sampled", "closed_form"):
+        if kind not in ("polynomial", "sampled", "closed_form"):
             raise ValueError(f"unknown Function2D kind {kind!r}")
         self.kind = kind
         self.grid = grid
@@ -495,11 +461,6 @@ class Function2D:
         self.real = False
         if kind == "polynomial":
             self._data = np.atleast_2d(np.asarray(data, dtype=np.complex128))
-        elif kind == "product":
-            u, v = data
-            if not (isinstance(u, Function1D) and isinstance(v, Function1D)):
-                raise TypeError("product expects a pair of Function1D")
-            self._data = (u, v)
         elif kind == "sampled":
             _check_square_grid(grid, np.shape(data))
             self._data = np.asarray(data, dtype=np.complex128)
@@ -512,9 +473,8 @@ class Function2D:
 
     @property
     def data(self):
-        """Coefficients, factor pair, expression tree or grid samples.  The
-        samples of a function built from its spectrum are computed on first
-        read."""
+        """Coefficients, expression tree or grid samples.  The samples of a
+        function built from its spectrum are computed on first read."""
         if self._data is None:
             self._data = np.fft.ifft2(self._spec)
         return self._data
@@ -533,7 +493,14 @@ class Function2D:
 
     @classmethod
     def product(cls, u: Function1D, v: Function1D) -> "Function2D":
-        return cls("product", (u, v))
+        """u(x) v(y): the outer product of the coefficients of two polynomial
+        factors, else the closed form of the product of the factors' trees."""
+        if u.kind == "polynomial" and v.kind == "polynomial":
+            return cls.polynomial(np.outer(u.data, v.data))
+        eu, ev = _one_var_expr(u, "x"), _one_var_expr(v, "y")
+        if eu is None or ev is None:
+            raise ValueError("a product with a sampled factor has no exact form")
+        return cls.closed_form(Mul(eu, ev))
 
     @classmethod
     def sampled(cls, values, grid: UniformGrid) -> "Function2D":
@@ -561,9 +528,6 @@ class Function2D:
             shape = np.broadcast_shapes(x.shape, y.shape)
             return np.polynomial.polynomial.polyval2d(
                 np.broadcast_to(x, shape), np.broadcast_to(y, shape), self.data)
-        if self.kind == "product":
-            u, v = self.data
-            return u(x) * v(y)
         if self.kind == "closed_form":
             out = self.data.eval(x, y)
             return np.asarray(out) + np.zeros(np.broadcast_shapes(x.shape, y.shape))
@@ -637,11 +601,6 @@ class Function2D:
                 return Function2D.polynomial(np.zeros((1, 1)))
             k = np.arange(1, a.shape[1])
             return Function2D.polynomial(a[:, 1:] * k[None, :])
-        if self.kind == "product":
-            u, v = self.data
-            if axis == 1:
-                return Function2D.product(u.derivative(), v)
-            return Function2D.product(u, v.derivative())
         if self.kind == "closed_form":
             return Function2D.closed_form(self.data.diff("x" if axis == 1 else "y"))
         xi = 1j * self.grid.frequencies()
@@ -651,9 +610,6 @@ class Function2D:
     def conjugate(self) -> "Function2D":
         if self.kind == "polynomial":
             return Function2D.polynomial(np.conj(self.data))
-        if self.kind == "product":
-            u, v = self.data
-            return Function2D.product(u.conjugate(), v.conjugate())
         if self.kind == "closed_form":
             return Function2D.closed_form(self.data.conj())
         return Function2D.sampled(np.conj(self.data), self.grid)
@@ -710,45 +666,28 @@ def _to_expr(f: Function2D) -> Expr | None:
                     term = Mul(term, y)
                 node = Add(node, term)
         return node
-    if f.kind == "product":
-        u, v = f.data
-        eu = _one_var_expr(u, "x")
-        ev = _one_var_expr(v, "y")
-        if eu is not None and ev is not None:
-            return Mul(eu, ev)
     return None
 
 
 def _one_var_expr(f: Function1D, var: str) -> Expr | None:
+    """The tree of f in the variable var ("x" or "y"); None for samples."""
     if f.kind == "closed_form":
         return f.data if var == "x" else _swap_vars(f.data)
     if f.kind == "polynomial":
-        node = Const(0.0)
-        v = Var(var)
-        for k, c in enumerate(f.data):
-            if c == 0:
-                continue
-            term: Expr = Const(c)
-            for _ in range(k):
-                term = Mul(term, v)
-            node = Add(node, term)
-        return node
+        a = f.data[:, None] if var == "x" else f.data[None, :]
+        return _to_expr(Function2D.polynomial(a))
     return None
+
+
+def _vars(e: Expr) -> set[str]:
+    if isinstance(e, Var):
+        return {e.name}
+    return set().union(*(_vars(v) for fd in fields(e)
+                         if isinstance(v := getattr(e, fd.name), Expr)))
 
 
 def _swap_vars(e: Expr) -> Expr:
     if isinstance(e, Var):
         return Var("y" if e.name == "x" else "x")
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return Add(_swap_vars(e.a), _swap_vars(e.b))
-    if isinstance(e, Mul):
-        return Mul(_swap_vars(e.a), _swap_vars(e.b))
-    if isinstance(e, ExpF):
-        return ExpF(_swap_vars(e.a))
-    if isinstance(e, SinF):
-        return SinF(_swap_vars(e.a))
-    if isinstance(e, CosF):
-        return CosF(_swap_vars(e.a))
-    raise TypeError(f"cannot swap variables in {type(e).__name__}")
+    return replace(e, **{fd.name: _swap_vars(v) for fd in fields(e)
+                         if isinstance(v := getattr(e, fd.name), Expr)})

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from opintegral.cli import DATA_DIR, main
 from opintegral.fileio import (read_config, read_function_spec, read_matrix,
                                read_samples, read_symbol, write_function_spec,
                                write_matrix, write_samples, write_symbol)
-from opintegral.functions import Function1D, Function2D, UniformGrid
+from opintegral.functions import Function1D, Function2D, UniformGrid, parse_expr
 from opintegral.models import Symbol
 from opintegral.rng import Xorshift64Star
 
@@ -66,6 +67,17 @@ def test_function_spec_roundtrips(tmp_path):
     write_function_spec(sp, samp, samples_path=tmp_path / "samp.opfun")
     back = read_function_spec(sp)
     assert back(0.5, 0.25) == pytest.approx(samp(0.5, 0.25))
+
+
+def test_function_spec_rejects_closed_forms_with_complex_constants(tmp_path):
+    scaled = Function2D.closed_form(parse_expr("x") * 1j)
+    product = Function2D.product(Function1D.polynomial([1.0, 2j]),
+                                 Function1D.closed_form("sin(x)"))
+    for i, f in enumerate((scaled, product)):
+        path = tmp_path / f"complex{i}.spec"
+        with pytest.raises(ValueError, match=re.escape(f"closed form {f.data!r} ")):
+            write_function_spec(path, f)
+        assert not path.exists()
 
 
 def test_config_parsing(tmp_path):

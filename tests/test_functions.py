@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opintegral.commutator import random_polynomial
+from opintegral.fileio import read_function_spec, write_function_spec
 from opintegral.functions import (Function1D, Function2D, UniformGrid, _axis_interp,
                                   _interp_matrix, parse_expr)
 from opintegral.rng import Xorshift64Star
@@ -52,6 +53,81 @@ def test_product_variant():
     assert f(0.7, 1.5) == pytest.approx(np.sin(0.7) * (1 + 2 * 1.5 ** 2))
     fx = f.partial(1)
     assert fx(0.7, 1.5) == pytest.approx(np.cos(0.7) * (1 + 2 * 1.5 ** 2))
+
+
+def test_product_builds_a_polynomial_or_a_closed_form(tmp_path):
+    u = Function1D.polynomial([1.0, -2.0, 0.5])
+    v = Function1D.polynomial([0.0, 3.0])
+    poly = Function2D.product(u, v)
+    assert poly.kind == "polynomial"
+    np.testing.assert_array_equal(poly.data, np.outer(u.data, v.data))
+    left = Function2D.product(Function1D.closed_form("sin(x)"), v)
+    right = Function2D.product(u, Function1D.closed_form("exp(-(x*x))"))
+    assert left.kind == right.kind == "closed_form"
+    x, y = 0.7, -1.3
+    assert poly(x, y) == pytest.approx((1 - 2 * x + 0.5 * x * x) * 3 * y, rel=1e-14)
+    assert left(x, y) == pytest.approx(np.sin(x) * 3 * y, rel=1e-14)
+    assert right(x, y) == pytest.approx((1 - 2 * x + 0.5 * x * x) * np.exp(-y * y), rel=1e-14)
+    for i, f in enumerate((poly, left, right)):
+        path = tmp_path / f"product{i}.spec"
+        write_function_spec(path, f)
+        back = read_function_spec(path)
+        assert back.kind == f.kind
+        assert back(x, y) == pytest.approx(f(x, y), rel=1e-14)
+
+
+def test_product_with_a_sampled_factor_raises():
+    grid = UniformGrid(dim=1, period=2 * np.pi, points=8)
+    s = Function1D.sampled(np.sin(grid.axis()), grid)
+    v = Function1D.closed_form("cos(x)")
+    for pair in ((s, v), (v, s)):
+        with pytest.raises(ValueError, match="sampled factor"):
+            Function2D.product(*pair)
+    with pytest.raises(ValueError, match="unknown Function2D kind 'product'"):
+        Function2D("product", (v, v))
+
+
+def test_one_variable_closed_form_rejects_y():
+    # u(x) v(y) renames v's x to y, so a factor in y would silently become a
+    # function of the other variable
+    for text in ("y", "sin(x*y)", "x + exp(-(y*y))"):
+        with pytest.raises(ValueError, match="written in x"):
+            Function1D.closed_form(text)
+
+
+# float.hex of each closed form and its two partials on the XS x YS grid
+# (row-major) and then at (0.45, -0.6); the expression nodes must not move a
+# bit of them
+GAUSS = "exp(-((x - 0.2)**2 + (y - -0.35)**2) * 3.0)"
+TRIG = "0.5*sin(2*x - y) + cos(x*y) - sin(x)*cos(3*y)"
+XS, YS = np.array([-0.3, 0.9]), np.array([0.1, -1.2])
+PINNED = {
+    GAUSS: {
+        "f": ["0x1.077a7f9404ab2p-2", "0x1.baee4304f4225p-5", "0x1.007f5d4e61666p-3",
+              "0x1.af31ee74764adp-6", "0x1.5fe4615e98e8fp-1"],
+        "fx": ["0x1.8b37bf5e0700bp-1", "0x1.4c32b243b719cp-3", "-0x1.0d52885f19784p-1",
+               "-0x1.c4c13a60af681p-4", "-0x1.07eb4906f2aebp+0"],
+        "fy": ["-0x1.63b22c3b064d6p-1", "0x1.1a5e4ab98ed5ep-2", "-0x1.5a458ac369e3cp-2",
+               "0x1.12e30803d8361p-3", "0x1.07eb4906f2aebp+0"],
+    },
+    TRIG: {
+        "f": ["0x1.eb65fb164f0c6p-1", "0x1.e80adb3ddb8ccp-1", "0x1.7ca4bd2ccbff5p-1",
+              "0x1.3e8d4972ead0ap+0", "0x1.8fb434a610139p+0"],
+        "fx": ["-0x1.289a9217391c4p-3", "0x1.0d692099882fbp+1", "-0x1.769ea2639c9d8p-1",
+               "-0x1.7dac23c6ac44cp+0", "0x1.d831bc8e77a45p-4"],
+        "fy": ["-0x1.4e8c9585a48bdp-1", "-0x1.660b88524a01ap-1", "0x1.5b22995050254p-1",
+               "0x1.2a11f32e948a2p+1", "-0x1.2fa4e64fc53aep+0"],
+    },
+}
+
+
+@pytest.mark.parametrize("text", [GAUSS, TRIG], ids=["gauss", "trig"])
+def test_closed_form_values_and_partials_keep_their_bits(text):
+    f = Function2D.closed_form(text)
+    for name, g in (("f", f), ("fx", f.partial(1)), ("fy", f.partial(2))):
+        got = [v.hex() for v in g.eval_grid(XS, YS).ravel().tolist()]
+        got.append(float(g(0.45, -0.6)).hex())
+        assert got == PINNED[text][name], name
 
 
 def test_conjugate_variants():
