@@ -172,7 +172,7 @@ def cmd_trace_formula(args) -> int:
     cfg = fileio.read_config(args.config)
     base = Path(args.config).parent
     mode = cfg.get("mode", "polynomial-suite")
-    n = int(cfg.get("n", 128))
+    n = int(cfg.get("n", heltonhowe.TraceExperimentConfig.n))
     m = int(cfg["m"]) if "m" in cfg else None
     if mode == "polynomial-suite":
         rows = heltonhowe.polynomial_suite(n=n, m=m)
@@ -191,15 +191,14 @@ def cmd_trace_formula(args) -> int:
         phi = fileio.read_function_spec(base / cfg["phi"])
         psi = fileio.read_function_spec(base / cfg["psi"])
         symbol = _symbol_from_cfg(cfg, base)
-        n_table = tuple(int(v) for v in cfg.get("n_table", "128,256,512").split(","))
-        m_fracs = tuple(float(v) for v in cfg.get("m_fractions", "0.125,0.25,0.5").split(","))
-        resolution = int(cfg.get("resolution", 2048))
+        parse = {"resolution": int, "n_table": lambda v: tuple(map(int, v.split(","))),
+                 "m_fractions": lambda v: tuple(map(float, v.split(",")))}
         exp_cfg = heltonhowe.TraceExperimentConfig(
-            phi=phi, psi=psi, symbol=symbol, n=n, m=m, resolution=resolution,
-            n_table=n_table, m_fractions=m_fracs)
+            phi=phi, psi=psi, symbol=symbol, n=n, m=m,
+            **{key: read(cfg[key]) for key, read in parse.items() if key in cfg})
         rep = heltonhowe.trace_formula_experiment(exp_cfg)
         payload = {"command": "trace-formula", "mode": mode, "n": n,
-                   "m": exp_cfg.corner(), "resolution": resolution,
+                   "m": exp_cfg.corner(), "resolution": exp_cfg.resolution,
                    "lhs": rep.lhs, "rhs": rep.rhs, "abs_err": rep.abs_err,
                    "rel_err": rep.rel_err, "imag_residue": rep.imag_residue,
                    "jacobian_scale": rep.jacobian_scale,

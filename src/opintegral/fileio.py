@@ -66,17 +66,15 @@ def read_samples(path):
     head = lines[0].split()
     if len(head) != 4 or head[0] != "grid":
         raise ValueError(f"{path}: bad header {lines[0]!r}, expected 'grid d L N'")
-    dim, period, points = int(head[1]), float(head[2]), int(head[3])
-    if not np.isfinite(period):
-        raise ValueError(f"{path}: non-finite number in line {lines[0]!r}")
-    grid = UniformGrid(dim=dim, period=period, points=points)
+    try:
+        grid = UniformGrid(dim=int(head[1]), period=float(head[2]), points=int(head[3]))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err} in line {lines[0]!r}") from None
     body = [ln for ln in lines[1:] if ln.strip()]
-    count = points ** dim
-    if len(body) != count:
+    if len(body) != (count := grid.points ** grid.dim):
         raise ValueError(f"{path}: expected {count} values, found {len(body)}")
     vals = np.array([_complex(path, ln, ln.split()) for ln in body])
-    shape = (points,) if dim == 1 else (points, points)
-    return vals.reshape(shape), grid
+    return vals.reshape((grid.points,) * grid.dim), grid
 
 
 def write_symbol(path, sym: Symbol) -> None:
@@ -99,6 +97,8 @@ def read_symbol(path) -> Symbol:
     entries = {}
     for ln in lines[1:]:
         k, re, im = ln.split()
+        if abs(int(k)) > deg:
+            raise ValueError(f"{path}: index {k} outside -{deg}..{deg} in line {ln!r}")
         entries[int(k)] = _complex(path, ln, (re, im))
     return Symbol.from_dict(entries, deg)
 
@@ -142,8 +142,9 @@ def read_function_spec(path) -> Function2D:
         entries = []
         for ln in lines[1:]:
             parts = ln.split()
-            if parts[0] != "coeff" or len(parts) != 5:
-                raise ValueError(f"{path}: bad coeff line {ln!r}")
+            if parts[0] != "coeff" or len(parts) != 5 or min(int(parts[1]), int(parts[2])) < 0:
+                raise ValueError(f"{path}: bad coeff line {ln!r}, expected 'coeff j k re im' "
+                                 f"with exponents j, k >= 0")
             entries.append((int(parts[1]), int(parts[2]), _complex(path, ln, parts[3:])))
         if not entries:
             return Function2D.polynomial([[0.0]])

@@ -302,6 +302,8 @@ class UniformGrid:
             raise ValueError("grid dimension must be 1 or 2")
         if self.points < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"grid period must be positive and finite, got {self.period}")
 
     @property
     def spacing(self) -> float:
@@ -531,19 +533,20 @@ class Function2D:
         if self.kind == "closed_form":
             out = self.data.eval(x, y)
             return np.asarray(out) + np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        # eval_grid's diagonal with no K x K stage: row sums of (L_x E_x S E_y^T) o L_y,
+        # or of (L_x E_x S) o E_y when y has no nodes; an axis without nodes has no L
         shape = np.broadcast_shapes(x.shape, y.shape)
-        xf = np.broadcast_to(x, shape).ravel()
-        yf = np.broadcast_to(y, shape).ravel()
-        ex = _interp_matrix(self.grid, xf)
-        ey = _interp_matrix(self.grid, yf)
-        vals = np.einsum("pk,kl,pl->p", ex, self.spectrum(), ey)
-        return vals.reshape(shape)
+        (ex, lx), (ey, ly) = (_axis_interp(self.grid, np.broadcast_to(p, shape).ravel(), a)
+                              for p, a in ((x, "x"), (y, "y")))
+        t, right = (ex @ self.spectrum(), ey) if ly is None else (ex @ self.spectrum() @ ey.T, ly)
+        return ((t if lx is None else lx @ t) * right).sum(axis=1).reshape(shape)
 
     def eval_grid(self, xs, ys) -> np.ndarray:
         """Matrix of values phi(xs[i], ys[j]) on the tensor grid xs x ys;
         float64 for a polynomial whose coefficients are all real.  A sampled
         function goes through Chebyshev nodes on an axis whose points span a
-        short enough interval (_axis_interp), and rejects non-finite points."""
+        short enough interval (_axis_interp, as __call__ does for scattered
+        points), and rejects non-finite points."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if self.kind == "sampled":

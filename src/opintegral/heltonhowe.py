@@ -14,11 +14,11 @@ Right side: (1 / 2 pi) times the integral of the Jacobian J(phi, psi)
 against the principal function g, the winding number of the symbol curve
 gamma(theta) = f(e^{i theta}).  J dx^dy = d(phi dpsi), so Stokes' theorem
 with winding multiplicity makes it the mean of phi(gamma) (psi o gamma)'
-over [0, 2 pi), which the periodic trapezoid rule sums (exactly for
-polynomials).  Sampled pairs, a g with no symbol, and jacobian_scale (the
-area integral of |J| over supp g) take midpoint tensor quadrature over the
-bounding box of supp g (g is piecewise constant, so higher-order rules buy
-nothing).
+over [0, 2 pi), which the periodic trapezoid rule sums for every kind of
+pair (exactly for polynomials).  Only a g with no symbol, jacobian_scale (the
+area integral of |J| over supp g) and the winding experiment's flat integral
+take midpoint tensor quadrature over the bounding box of supp g (g is
+piecewise constant, so higher-order rules buy nothing).
 """
 
 from __future__ import annotations
@@ -146,9 +146,9 @@ def lhs_corner_trace(cfg: TraceExperimentConfig, decs=None) -> float:
 def rhs_integral(phi: Function2D, psi: Function2D, g: PrincipalFunction,
                  resolution: int = 2048) -> float:
     """(1/2pi) * integral of Jacobian(phi, psi) * g: the contour sum on the
-    symbol curve when g carries its symbol and neither function is sampled,
-    else the midpoint quadrature at resolution^2 points over supp g's box."""
-    if isinstance(g, PrincipalFunction) and "sampled" not in (phi.kind, psi.kind):
+    symbol curve when g carries its symbol, else the midpoint quadrature at
+    resolution^2 points over supp g's box."""
+    if isinstance(g, PrincipalFunction):
         return _contour_integral(phi, psi, g.symbol)
     return _grid_integrals(phi, psi, g, resolution)[0]
 
@@ -213,9 +213,8 @@ def trace_formula_experiment(cfg: TraceExperimentConfig) -> TraceReport:
                for c in sizes]
     at_n = next((ms for c, ms in zip(sizes, table_m) if c.n == cfg.n), [])
     g = principal_function(cfg.symbol)
-    rhs, scale = _grid_integrals(cfg.phi, cfg.psi, g, cfg.resolution)
-    if "sampled" not in (cfg.phi.kind, cfg.psi.kind):
-        rhs = rhs_integral(cfg.phi, cfg.psi, g)
+    rhs = rhs_integral(cfg.phi, cfg.psi, g)
+    scale = _grid_integrals(cfg.phi, cfg.psi, g, cfg.resolution)[1]
     (lhs, residue), *own = _corner_traces(cfg, [m], table=at_n)
     table = []
     for c, ms in zip(sizes, table_m):
@@ -258,8 +257,7 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
                           grid: UniformGrid | None = None):
     """Decompose phi and psi into dyadic bands and compare the band-pair sums
     of both sides with the totals (both sides are bilinear, so the band sums
-    telescope; the left side telescopes exactly, the right side to quadrature
-    accuracy)."""
+    telescope, to rounding on both sides: the right side is the contour sum)."""
     m = cfg.corner()
     grid = grid or UniformGrid(dim=2, period=32.0 * np.pi, points=256)
     phi_s, psi_s = cfg.phi.sample(grid), cfg.psi.sample(grid)
@@ -281,11 +279,11 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
             lhs_bands += corner_trace(1j * (fp @ fq - fq @ fp), m, None)[0]
     [(lhs_total, _)] = _corner_traces(replace(cfg, phi=phi_s, psi=psi_s), [m], (da, db))
 
-    rhs_total = rhs_integral(phi_s, psi_s, g, cfg.resolution)
+    rhs_total = rhs_integral(phi_s, psi_s, g)
     rhs_bands = 0.0
     for bp in bands_phi.values():
         for bq in bands_psi.values():
-            rhs_bands += rhs_integral(bp, bq, g, cfg.resolution)
+            rhs_bands += rhs_integral(bp, bq, g)
     return {"lhs_total": lhs_total, "lhs_band_sum": lhs_bands,
             "rhs_total": rhs_total, "rhs_band_sum": rhs_bands,
             "lhs_gap": abs(lhs_total - lhs_bands),
@@ -322,17 +320,18 @@ def winding_factor_experiment(symbol: Symbol, n_table=(128, 256, 512),
 
     Test pair: coordinate functions under a radial plateau covering the
     symbol curve, so the Jacobian is 1 on supp g.  For each truncation size
-    the corner trace is compared with the g-weighted quadrature (consistency)
-    and with the flat quadrature (g replaced by the indicator of its
-    support); the lhs / flat ratio measures the area-weighted mean of g, and
-    equals the winding multiplicity when g is a single m-fold region.  The
-    corner at each n is the default n // 4.
+    the corner trace is compared with rhs_integral, the contour sum
+    (consistency), and with the flat grid quadrature at resolution^2 points
+    (g replaced by the indicator of its support); the lhs / flat ratio
+    measures the area-weighted mean of g, and equals the winding multiplicity
+    when g is a single m-fold region.  The corner at each n is the default
+    n // 4.
     """
     g = principal_function(symbol)
     curve_radius = float(np.abs(symbol.curve()).max())
     phi, psi = plateau_coordinate_pair(curve_radius + 0.4, curve_radius + 1.6)
+    rhs_true = rhs_integral(phi, psi, g)
     jac, gvals, cell = _midpoint_jacobian(phi, psi, g, resolution)
-    rhs_true = float((np.real(jac) * gvals).sum() * cell / (2.0 * np.pi))
     rhs_flat = float((np.real(jac) * (gvals != 0)).sum() * cell / (2.0 * np.pi))
     rows = []
     for n in n_table:

@@ -46,11 +46,6 @@ class Symbol:
             return 0.0
         return complex(self.coeffs[k + self.degree])
 
-    @property
-    def is_real_valued(self) -> bool:
-        flipped = np.conj(self.coeffs[::-1])
-        return bool(np.allclose(flipped, self.coeffs, atol=1e-14))
-
     def __call__(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         ks = np.arange(-self.degree, self.degree + 1)
@@ -76,6 +71,8 @@ class Symbol:
         deg = degree if degree is not None else max(abs(k) for k in entries)
         c = np.zeros(2 * deg + 1, dtype=np.complex128)
         for k, v in entries.items():
+            if abs(k) > deg:
+                raise ValueError(f"coefficient index {k} lies outside -{deg}..{deg}")
             c[k + deg] = v
         return cls(c)
 

@@ -114,9 +114,12 @@ def test_cli_besov_rejects_non_finite_samples(tmp_path, capsys):
     write_samples(path, vals, grid)
     assert main(["besov-norm", "--input", str(path)]) == 1
     assert "non-finite spectral mass" in capsys.readouterr().err
-    path.write_text("grid 1 inf 2\n0.0 0.0\n1.0 0.0\n", encoding="utf-8")
-    assert main(["besov-norm", "--input", str(path)]) == 1
-    assert f"{path}: non-finite number in line 'grid 1 inf 2'" in capsys.readouterr().err
+    # a period that is not positive and finite
+    for period in ("inf", "0", "-6"):
+        path.write_text(f"grid 1 {period} 2\n0.0 0.0\n1.0 0.0\n", encoding="utf-8")
+        assert main(["besov-norm", "--input", str(path)]) == 1
+        assert (f"{path}: grid period must be positive and finite, got {float(period)} "
+                f"in line 'grid 1 {period} 2'" in capsys.readouterr().err)
 
 
 def _single_trace_config(tmp_path, phi, symbol="shift", resolution=64, extra=""):
@@ -163,6 +166,28 @@ def test_cli_rejects_non_finite_symbol_coefficient(tmp_path, capsys):
     cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", symbol=sym)
     assert main(["trace-formula", "--config", str(cfg)]) == 1
     assert f"{sym}: non-finite number in line '1 inf 0.0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["-3 7 0", "2 7 0"])
+def test_cli_rejects_symbol_index_outside_the_degree(tmp_path, capsys, line):
+    # k < -deg would alias another coefficient through a negative index
+    sym = tmp_path / "bad.sym"
+    sym.write_text(f"deg 1\n-1 0.0 0.0\n0 0.0 0.0\n1 1.0 0.0\n{line}\n", encoding="utf-8")
+    cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", symbol=sym)
+    assert main(["trace-formula", "--config", str(cfg)]) == 1
+    k = line.split()[0]
+    assert f"{sym}: index {k} outside -1..1 in line {line!r}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"coefficient index {k} lies outside -1..1"):
+        Symbol.from_dict({int(k): 7.0}, 1)
+
+
+@pytest.mark.parametrize("line", ["coeff -1 0 5 0", "coeff 0 -2 5 0"])
+def test_cli_rejects_negative_spec_exponents(tmp_path, capsys, line):
+    # a negative exponent would alias another coefficient (coeff -1 0 5 0 as 5x)
+    spec = tmp_path / "neg.spec"
+    spec.write_text(f"variant polynomial\ncoeff 1 0 1 0\n{line}\n", encoding="utf-8")
+    assert main(["trace-formula", "--config", str(_single_trace_config(tmp_path, spec))]) == 1
+    assert f"{spec}: bad coeff line {line!r}" in capsys.readouterr().err
 
 
 def test_cli_rejects_headerless_symbol_and_bare_variant_spec(tmp_path, capsys):

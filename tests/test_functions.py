@@ -206,6 +206,9 @@ def test_one_var_sampled_interpolation():
 def test_grid_validation():
     with pytest.raises(ValueError):
         UniformGrid(dim=3, period=1.0, points=8)
+    for period in (0.0, -6.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="grid period must be positive and finite"):
+            UniformGrid(dim=1, period=period, points=8)
     grid = UniformGrid(dim=2, period=2 * np.pi, points=8)
     with pytest.raises(ValueError):
         Function2D.sampled(np.zeros((4, 4)), grid)
@@ -265,7 +268,7 @@ def _direct(grid, spec, xs, ys):
 
 
 def test_sampled_eval_grid_on_short_boxes_matches_direct_product():
-    gen = np.random.default_rng(11)
+    gen, pts = np.random.default_rng(11), np.random.default_rng(12)
     eps = np.finfo(float).eps
     for n, period in ((32, 2 * np.pi), (256, 32 * np.pi), (512, 32 * np.pi)):
         grid = UniformGrid(dim=2, period=period, points=n)
@@ -283,6 +286,17 @@ def test_sampled_eval_grid_on_short_boxes_matches_direct_product():
                 # of the length-N sums and the barycentric sums, measured <= 5 eps
                 err = np.abs(f.eval_grid(xs, ys) - _direct(grid, s, xs, ys)).max()
                 assert err <= 32 * eps * np.abs(s).sum() / n ** 2, (n, hx, hy)
+                # scattered points through __call__ against the rows of the direct
+                # product: in the same boxes, and with y spread over the period
+                # (where y mostly gets no nodes) for nx of them
+                xp = cx + hx * pts.uniform(-1, 1, max(nx, ny))
+                for k, yp in ((ny, cy + hy * pts.uniform(-1, 1, ny)),
+                              (nx, period * pts.uniform(-0.5, 0.5, nx))):
+                    assert _axis_interp(grid, xp[:k], "x")[1] is not None
+                    want = ((_interp_matrix(grid, xp[:k]) @ s)
+                            * _interp_matrix(grid, yp)).sum(axis=1)
+                    err = np.abs(f(xp[:k], yp) - want).max()
+                    assert err <= 32 * eps * np.abs(s).sum() / n ** 2, (n, hx, hy, k)
 
 
 def test_chebyshev_node_count_is_the_least_that_meets_the_bessel_bound():
@@ -322,6 +336,10 @@ def test_sampled_eval_grid_point_on_a_node_takes_its_value():
     node = np.cos(np.pi / (2 * m)) * 0.5
     e2, lag2 = _axis_interp(grid, np.append(xs, node), "x")
     assert np.array_equal(e2, e) and np.array_equal(lag2[-1], np.eye(m)[0])
+    # through __call__, the point (node, node) takes the first node value
+    spec = np.random.default_rng(3).normal(size=(64, 64)) + 0j
+    p = np.append(xs, node)
+    assert Function2D.from_spectrum(spec, grid)(p, p)[-1] == (e2 @ spec @ e2.T)[0, 0]
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -330,6 +348,8 @@ def test_sampled_eval_grid_rejects_non_finite_points(axis):
     good, bad = np.linspace(-0.5, 0.5, 5), np.array([0.1, 0.2, np.nan, np.inf])
     with pytest.raises(ValueError, match=f"non-finite {axis} point nan at index 2"):
         f.eval_grid(*((bad, good) if axis == "x" else (good, bad)))
+    with pytest.raises(ValueError, match=f"non-finite {axis} point nan at index 2"):
+        f(*((bad, good[:4]) if axis == "x" else (good[:4], bad)))
 
 
 def _same_bits(got, want):

@@ -192,6 +192,8 @@ def test_band_additivity_exact_for_band_limited_pair():
     scale = max(abs(res["lhs_total"]), 1e-6)
     assert res["lhs_gap"] <= 1e-8 * max(1.0, scale)
     assert res["rhs_gap"] <= 1e-8 * max(1.0, scale)
+    # both sides of the pair itself: the contour sum meets the corner trace
+    assert abs(res["rhs_total"] - res["lhs_total"]) <= 1e-12 * abs(res["lhs_total"])
 
 
 def test_winding_factor_two_on_pure_double_symbol():
@@ -207,10 +209,12 @@ def test_winding_factor_perturbed_symbol_measures_area_ratio():
     # for e^{2 i theta} + e^{i theta}/2 the corner trace converges to the
     # g-weighted area 9/8 (algebraic area of the curve over 2 pi)
     wf = winding_factor_experiment(Symbol.from_dict({2: 1.0, 1: 0.5}),
-                                   n_table=(64, 128), resolution=512)
+                                   n_table=(64, 128, 512), resolution=512)
     for row in wf["rows"]:
         assert row["lhs"] == pytest.approx(9.0 / 8.0, abs=5e-3)
     assert wf["rhs_true"] == pytest.approx(9.0 / 8.0, abs=5e-3)
+    # the contour sum of the sampled pair meets the corner trace at n = 512
+    assert wf["rows"][-1]["err_true"] <= 1e-14 * wf["rhs_true"]
 
 
 def test_imag_residue_guard_polynomial_path():
@@ -271,9 +275,11 @@ def test_rhs_integral_bits_repeat_across_blas_threads():
         "p = F.closed_form('exp(-((x - 0.2)**2 + y**2) * 3)')\n"
         "q = F.closed_form('exp(-(x**2 + (y - 0.2)**2) * 3)')\n"
         "print(rhs_integral(x, y, g).hex(), rhs_integral(p, q, g).hex())\n"
-        # a sampled pair stays on the grid, through Chebyshev nodes
+        # a sampled pair through Chebyshev nodes: its grid integrals and its contour sum
         "from opintegral.heltonhowe import _grid_integrals, plateau_coordinate_pair\n"
-        "print(*(v.hex() for v in _grid_integrals(*plateau_coordinate_pair(1.9, 3.1), g, 256)))\n")
+        "pq = plateau_coordinate_pair(1.9, 3.1)\n"
+        "print(*(v.hex() for v in _grid_integrals(*pq, g, 256)))\n"
+        "print(rhs_integral(*pq, g).hex())\n")
     src = str(Path(opintegral.__file__).parents[1])
     outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                            check=True, env={**os.environ, "PYTHONPATH": src,

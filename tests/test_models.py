@@ -238,12 +238,6 @@ def test_principal_function_region_variant():
     assert grid.tolist() == [[1, 1, 0]]
 
 
-def test_symbol_real_valued_flag():
-    assert COS.is_real_valued
-    assert not E1.is_real_valued
-    assert E1.real_part().is_real_valued
-
-
 def test_symbol_eval_and_curve():
     theta = np.array([0.0, np.pi / 2])
     vals = E1(theta)
