@@ -160,6 +160,8 @@ def _symbol_from_cfg(cfg: dict, base: Path) -> models.Symbol:
         entries = {}
         for part in spec.split(","):
             k, re, im = part.split(":")
+            if int(k) in entries:
+                raise ValueError(f"repeated index {k} in symbol entry {part!r}")
             entries[int(k)] = complex(float(re), float(im))
             if not np.isfinite(entries[int(k)]):
                 raise ValueError(f"non-finite number in symbol entry {part!r}")

@@ -94,14 +94,12 @@ def one_var_commutator_identity(f: Function1D, a, b, q) -> float:
     db = as_decomposition(b)
     q = np.asarray(q, dtype=np.complex128)
     lhs = scalar_calculus(f, da) @ q - q @ scalar_calculus(f, db)
-    amat = da.matrix()
-    bmat = db.matrix()
-    dd = divided_quotient(lambda z: np.asarray(f(z), dtype=np.complex128),
-                          lambda z: np.asarray(f.derivative()(z), dtype=np.complex128),
-                          da.eigenvalues[:, None], db.eigenvalues[None, :])
-    ua, ub = da.eigenvectors, db.eigenvectors
-    inner = ua.conj().T @ (amat @ q - q @ bmat) @ ub
-    rhs = ua @ (dd * inner) @ ub.conj().T
+
+    def dd(x, y):
+        return divided_quotient(lambda z: np.asarray(f(z), dtype=np.complex128),
+                                lambda z: np.asarray(f.derivative()(z), dtype=np.complex128), x, y)
+
+    rhs = _weighted_sum(dd, da, db, da.matrix() @ q - q @ db.matrix())
     return float(np.linalg.norm(lhs - rhs, 2))
 
 

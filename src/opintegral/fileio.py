@@ -43,9 +43,7 @@ def read_matrix(path) -> np.ndarray:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {len(body)}")
-    vals = np.array([complex(float(a), float(b)) for a, b in
-                     (ln.split() for ln in body)])
-    return vals.reshape(n, n)
+    return np.array([_pair(path, ln, ln.split()) for ln in body]).reshape(n, n)
 
 
 def write_samples(path, values: np.ndarray, grid: UniformGrid) -> None:
@@ -96,10 +94,12 @@ def read_symbol(path) -> Symbol:
     deg = int(head[1])
     entries = {}
     for ln in lines[1:]:
-        k, re, im = ln.split()
+        k, *fields = ln.split()
         if abs(int(k)) > deg:
             raise ValueError(f"{path}: index {k} outside -{deg}..{deg} in line {ln!r}")
-        entries[int(k)] = _complex(path, ln, (re, im))
+        if int(k) in entries:
+            raise ValueError(f"{path}: repeated index {k} in line {ln!r}")
+        entries[int(k)] = _complex(path, ln, fields)
     return Symbol.from_dict(entries, deg)
 
 
@@ -139,20 +139,20 @@ def read_function_spec(path) -> Function2D:
         raise ValueError(f"{path}: function spec must start with a 'variant <kind>' line")
     variant = head[1]
     if variant == "polynomial":
-        entries = []
+        entries = {}
         for ln in lines[1:]:
             parts = ln.split()
             if parts[0] != "coeff" or len(parts) != 5 or min(int(parts[1]), int(parts[2])) < 0:
                 raise ValueError(f"{path}: bad coeff line {ln!r}, expected 'coeff j k re im' "
                                  f"with exponents j, k >= 0")
-            entries.append((int(parts[1]), int(parts[2]), _complex(path, ln, parts[3:])))
+            if (jk := (int(parts[1]), int(parts[2]))) in entries:
+                raise ValueError(f"{path}: repeated exponents {jk[0]} {jk[1]} in line {ln!r}")
+            entries[jk] = _complex(path, ln, parts[3:])
         if not entries:
             return Function2D.polynomial([[0.0]])
-        dj = max(e[0] for e in entries) + 1
-        dk = max(e[1] for e in entries) + 1
-        a = np.zeros((dj, dk), dtype=np.complex128)
-        for j, k, v in entries:
-            a[j, k] = v
+        a = np.zeros([max(c) + 1 for c in zip(*entries)], dtype=np.complex128)
+        for jk, v in entries.items():
+            a[jk] = v
         return Function2D.polynomial(a)
     if variant == "closed_form":
         expr = _get_key(lines, "expr", path)
@@ -173,10 +173,18 @@ def read_function_spec(path) -> Function2D:
     raise ValueError(f"{path}: unknown variant {variant!r}")
 
 
+def _pair(path, line: str, fields) -> complex:
+    """re + i im from fields, the two numbers that end line."""
+    try:
+        re, im = map(float, fields)
+    except ValueError:
+        raise ValueError(f"{path}: expected the two numbers 're im' in line {line!r}") from None
+    return complex(re, im)
+
+
 def _complex(path, line: str, fields) -> complex:
-    """re + i im from the two fields of line; NaN and infinity are rejected."""
-    re, im = fields
-    z = complex(float(re), float(im))
+    """_pair, with NaN and infinity rejected."""
+    z = _pair(path, line, fields)
     if not np.isfinite(z):
         raise ValueError(f"{path}: non-finite number in line {line!r}")
     return z

@@ -3,14 +3,16 @@
 Three interchangeable forms are supported for functions of two variables:
 polynomial coefficient matrices, band-limited samples on a periodic grid
 (evaluated anywhere by trigonometric interpolation), and closed-form
-expression trees over {+, *, exp, sin, cos}.  A product u(x)v(y) is built as
-one of them: a polynomial when both factors are, a closed form otherwise.
-Polynomials and closed forms differentiate exactly; sampled functions
-differentiate spectrally.
+expression trees over {+, *, exp, sin, cos}, read from text by Python's
+own grammar (parse_expr).  A product u(x)v(y) is built as one of them: a
+polynomial when both factors are, a closed form otherwise.  Polynomials and
+closed forms differentiate exactly; sampled functions differentiate
+spectrally.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -157,132 +159,72 @@ class Call(Expr):
         return f"{self.name}({self.a!r})"
 
 
+_UNARY = {ast.UAdd: lambda a: a, ast.USub: lambda a: -a}
+_BINARY = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b, ast.Mult: Mul}
+
+
 def parse_expr(text: str) -> Expr:
     """Parse "exp(-(x*x + y*y)) + 0.5*sin(x)" style expressions.
 
-    Grammar: sums of products of powers of atoms; atoms are numbers, x, y,
-    exp/sin/cos calls and parenthesized subexpressions.  "**" accepts only
-    nonnegative integer exponents and "/" only numeric literal divisors.
+    The text is read by Python's own grammar, so precedence is Python's:
+    -x**2 is -(x**2).  The walk keeps decimal numbers, x, y, exp/sin/cos of
+    one argument, binary + - * / and unary + -; "**" takes only a
+    nonnegative integral literal exponent and "/" only a nonzero numeric
+    literal divisor.  Anything else is a ValueError naming its source text.
+    Trees are built by Expr's operators, with no folding: a - b is
+    a + (-1)*b, -a is (-1)*a, a**k a product chain from 1.0, a/c is a*(1/c).
     """
-    tokens = _tokenize(text)
-    pos = [0]
+    src = text.strip()
+    try:
+        body = ast.parse(src, mode="eval").body
+    except SyntaxError as err:
+        raise ValueError(f"{err.msg} in {text!r}") from None
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+    def fail(what, node):
+        return ValueError(f"{what} {ast.get_source_segment(src, node)!r} in {text!r}")
 
-    def take(expected=None):
-        tok = peek()
-        if tok is None:
-            raise ValueError(f"unexpected end of expression in {text!r}")
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, got {tok!r} in {text!r}")
-        pos[0] += 1
-        return tok
+    def literal(node, what, ok):
+        c = walk(node)
+        if not isinstance(c, Const) or not ok(c.value):
+            raise fail(f"{what}, not", node)
+        return c.value
 
-    def parse_sum():
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+    def walk(node) -> Expr:
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            a = walk(node.left)
+            c = literal(node.right, "divisor must be a nonzero numeric literal", lambda c: c != 0)
+            return Mul(a, Const(1.0 / c))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            a = walk(node.left)
+            k = literal(node.right, "exponent must be a nonnegative integral literal",
+                        lambda k: k == int(k) and k >= 0)
+            out = Const(1.0)
+            for _ in range(int(k)):
+                out = Mul(out, a)
+            return out
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](walk(node.operand))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _CALLS and len(node.args) == 1 and not node.keywords):
+            return Call(node.func.id, walk(node.args[0]))
+        if isinstance(node, ast.Name) and node.id in ("x", "y"):
+            return Var(node.id)
+        # nan and inf are names to Python; float() would also read "1_000"
+        seg = ast.get_source_segment(src, node)
+        if isinstance(node, ast.Name) or (isinstance(node, ast.Constant) and "_" not in seg
+                                          and type(node.value) in (int, float)):
+            try:
+                value = float(seg)
+            except ValueError:
+                raise fail("unsupported", node) from None
+            if not np.isfinite(value):
+                raise fail("non-finite number", node)
+            return Const(value)
+        raise fail("unsupported", node)
 
-    def parse_term():
-        node = parse_power()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_power()
-            if op == "*":
-                node = Mul(node, rhs)
-            else:
-                if not isinstance(rhs, Const):
-                    raise ValueError("division only by numeric literals")
-                node = Mul(node, Const(1.0 / rhs.value))
-        return node
-
-    def parse_power():
-        base = parse_atom()
-        if peek() == "**":
-            take()
-            expo = parse_atom()
-            if not isinstance(expo, Const) or complex(expo.value).imag != 0:
-                raise ValueError("exponent must be a nonnegative integer literal")
-            k = complex(expo.value).real
-            if k != int(k) or k < 0:
-                raise ValueError("exponent must be a nonnegative integer literal")
-            k = int(k)
-            node = Const(1.0)
-            for _ in range(k):
-                node = Mul(node, base)
-            return node
-        return base
-
-    def parse_atom():
-        tok = peek()
-        if tok == "-":
-            take()
-            return -parse_atom()
-        if tok == "+":
-            take()
-            return parse_atom()
-        if tok == "(":
-            take()
-            node = parse_sum()
-            take(")")
-            return node
-        if tok in _CALLS:
-            take()
-            take("(")
-            inner = parse_sum()
-            take(")")
-            return Call(tok, inner)
-        if tok in ("x", "y"):
-            take()
-            return Var(tok)
-        take()
-        try:
-            value = float(tok)
-        except ValueError:
-            raise ValueError(f"unexpected token {tok!r} in {text!r}") from None
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite number {tok!r} in {text!r}")
-        return Const(value)
-
-    node = parse_sum()
-    if pos[0] != len(tokens):
-        raise ValueError(f"trailing input after position {pos[0]} in {text!r}")
-    return node
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif text.startswith("**", i):
-            out.append("**")
-            i += 2
-        elif c in "+-*/()":
-            out.append(c)
-            i += 1
-        elif c.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE" or
-                                     (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"bad character {c!r} in expression")
-    return out
+    return walk(body)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,37 @@ def test_cli_rejects_negative_spec_exponents(tmp_path, capsys, line):
     assert f"{spec}: bad coeff line {line!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, text, message", [
+    ("sym", "deg 1\n0 1 0\n0 5 0\n", "{path}: repeated index 0 in line '0 5 0'"),
+    ("spec", "variant polynomial\ncoeff 1 0 1 0\ncoeff 1 0 3 0\n",
+     "{path}: repeated exponents 1 0 in line 'coeff 1 0 3 0'"),
+    ("inline", "0:1:0,0:5:0,1:1:0", "repeated index 0 in symbol entry '0:5:0'")],
+    ids=["sym", "spec", "inline"])
+def test_cli_rejects_repeated_entries(tmp_path, capsys, kind, text, message):
+    # a second entry for one index is more likely a typo than an intent
+    path = tmp_path / f"twice.{kind}"
+    path.write_text(text, encoding="utf-8")
+    phi = path if kind == "spec" else DATA_DIR / "phi_x.spec"
+    symbol = {"sym": path, "spec": "shift", "inline": text}[kind]
+    cfg = _single_trace_config(tmp_path, phi, symbol=symbol)
+    assert main(["trace-formula", "--config", str(cfg)]) == 1
+    assert message.format(path=path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader, text, line", [
+    (read_matrix, "dim 1 complex\n0 0 0\n", "0 0 0"),
+    (read_matrix, "dim 1 complex\n1 one\n", "1 one"),
+    (read_samples, "grid 1 1.0 2\n0 0\n0 0 0\n", "0 0 0"),
+    (read_symbol, "deg 0\n0 1\n", "0 1")],
+    ids=["matrix-three-fields", "matrix-word", "samples-three-fields", "symbol-two-fields"])
+def test_readers_name_file_and_line_of_a_malformed_number_line(tmp_path, reader, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: expected the two numbers 're im' in line {line!r}")):
+        reader(path)
+
+
 def test_cli_rejects_headerless_symbol_and_bare_variant_spec(tmp_path, capsys):
     sym = tmp_path / "comments.sym"
     sym.write_text("# a comment and nothing else\n\n", encoding="utf-8")
@@ -218,6 +249,14 @@ def test_cli_rejects_non_finite_expression_number(tmp_path, capsys, expr, token)
     spec.write_text(f"variant closed_form\nexpr {expr}\n", encoding="utf-8")
     assert main(["trace-formula", "--config", str(_single_trace_config(tmp_path, spec))]) == 1
     assert f"non-finite number {token!r} in {expr!r}" in capsys.readouterr().err
+
+
+def test_cli_rejects_python_only_expression(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("variant closed_form\nexpr x**0.5 + y\n", encoding="utf-8")
+    assert main(["trace-formula", "--config", str(_single_trace_config(tmp_path, spec))]) == 1
+    assert ("exponent must be a nonnegative integral literal, not '0.5' in 'x**0.5 + y'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("symbol", ["1:nan:0", "-1:0.5:0,1:0:inf"])

@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opintegral.commutator import random_polynomial
 from opintegral.fileio import read_function_spec, write_function_spec
-from opintegral.functions import (Function1D, Function2D, UniformGrid, _axis_interp,
-                                  _interp_matrix, parse_expr)
+from opintegral.functions import (Add, Call, Const, Function1D, Function2D, Mul, UniformGrid,
+                                  Var, _axis_interp, _interp_matrix, parse_expr)
 from opintegral.rng import Xorshift64Star
 
 
@@ -38,6 +41,40 @@ def test_parse_expr_rejects_bad_input():
         parse_expr("tan(x)")
     with pytest.raises(ValueError):
         parse_expr("x ** y")
+
+
+def test_parse_expr_takes_python_precedence():
+    # unary minus binds looser than **: -x**2 is -(x**2), a bounded Gaussian below
+    x, y = np.array([0.3, -1.1, 2.0]), np.array([0.7, 0.4, -0.5])
+    assert np.array_equal(parse_expr("-x**2").eval(x, y), -x ** 2)
+    assert np.array_equal(parse_expr("2*-x**2").eval(x, y), 2 * -x ** 2)
+    assert parse_expr("-2**2").eval(x, y) == -4.0
+    assert np.array_equal(parse_expr("exp(-x**2 - y**2)").eval(x, y), np.exp(-x ** 2 - y ** 2))
+
+
+@pytest.mark.parametrize("text", [
+    "z", "pi", "exp", "x if y else 1", "lambda: x", "x.real", "x[0]", "x < y", "1j", "True",
+    "None", "'x'", "x**y", "x**-1", "x**0.5", "x / y", "x / 0", "x // 2", "x % 2", "~x",
+    "tan(x)", "exp(x, y)", "exp(x=1)", "0x1F", "1_000", "x, y", "x y"])
+def test_parse_expr_rejects_python_only_forms(text):
+    with pytest.raises(ValueError, match=f" in {re.escape(repr(text))}$"):
+        parse_expr(text)
+
+
+_trees = st.recursive(
+    st.one_of(st.floats(-10.0, 10.0).map(Const), st.sampled_from([Var("x"), Var("y")])),
+    lambda t: st.one_of(st.builds(Add, t, t), st.builds(Mul, t, t),
+                        st.builds(Call, st.sampled_from(["exp", "sin", "cos"]), t)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_trees)
+def test_parse_expr_reads_a_tree_repr_back_bit_for_bit(tree):
+    x, y = np.array([0.3, -1.1, 2.5]), np.array([0.7, 0.4, -2.0])
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(parse_expr(repr(tree)).eval(x, y) + 0 * x,
+                                      tree.eval(x, y) + 0 * x)
 
 
 def test_closed_form_derivative_chain_rule():
