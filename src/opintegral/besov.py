@@ -10,7 +10,6 @@ arithmetic, polynomials) have norm zero.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,15 +104,15 @@ def default_band_range(grid: UniformGrid) -> tuple[int, int]:
     return -10, max_band(grid)
 
 
-def lp_decompose(values, grid: UniformGrid, band_range: tuple[int, int] | None = None,
-                 warn: bool = True) -> LPDecomposition:
+def lp_decompose(values, grid: UniformGrid,
+                 band_range: tuple[int, int] | None = None) -> LPDecomposition:
     """Littlewood-Paley band decomposition of samples on a periodic grid.
 
     band_range defaults to default_band_range(grid), [-10, max_band(grid)].
     Requesting a band above the grid's Nyquist limit is rejected with the
     resolution that would be needed.  Spectral mass that no covered annulus
-    captures is measured and reported (a warning above LEAKAGE_TOL), never
-    silently dropped.  Real samples (a real dtype, or an imaginary part exactly
+    captures is measured and reported as uncovered_mass, never silently
+    dropped.  Real samples (a real dtype, or an imaginary part exactly
     zero everywhere) take real transforms and give float64 bands.
     """
     values = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
@@ -165,10 +164,6 @@ def lp_decompose(values, grid: UniformGrid, band_range: tuple[int, int] | None =
 
     leaked = float((mass * (1.0 - np.minimum(covered, 1.0))).sum() - mass.flat[0])
     uncovered = leaked / total if total > 0 else 0.0
-    if warn and uncovered > LEAKAGE_TOL:
-        warnings.warn(
-            f"{uncovered:.3g} of the spectral mass lies outside bands "
-            f"[{n_min}, {n_max}]", stacklevel=2)
     return LPDecomposition(grid=grid, band_range=(n_min, n_max), bands=bands,
                            sup_norms=sup_norms, uncovered_mass=uncovered)
 
@@ -190,39 +185,37 @@ def _grid_lp_norm(band: np.ndarray, grid: UniformGrid, p: float) -> float:
     return float((np.sum(np.abs(band) ** p) * cell) ** (1.0 / p))
 
 
+def analysis_samples(f: Function2D, grid: UniformGrid | None):
+    """(samples, grid) of f on its analysis grid: grid if given, else a
+    sampled f's own grid, else DEFAULT_GRID_2D."""
+    grid = grid or (f.grid if f.kind == "sampled" else DEFAULT_GRID_2D)
+    return f.sample(grid).data, grid
+
+
 def besov_norm(f, grid: UniformGrid | None = None, s: float = 1.0, p: float = np.inf,
-               q: float = 1.0, band_range: tuple[int, int] | None = None,
-               warn: bool = True) -> BesovNorm:
+               q: float = 1.0, band_range: tuple[int, int] | None = None) -> BesovNorm:
     """Homogeneous Besov norm ||{2^(ns) ||f_n||_p}||_{l^q} over the band range.
 
     f may be a sample array (with its grid), a sampled or closed-form
-    Function2D (resampled onto the default 2-d grid if needed), or a
+    Function2D (sampled on its analysis grid, analysis_samples), or a
     polynomial Function2D, whose homogeneous norm is zero by definition and
-    short-circuits the grid path.  Callers that surface uncovered_mass in
-    their own reports pass warn=False.
+    short-circuits the grid path.
     """
     if isinstance(f, Function2D):
         if f.kind == "polynomial":
             return BesovNorm(s=s, p=p, q=q, value=0.0, band_terms={}, uncovered_mass=0.0)
-        if f.kind == "sampled":
-            grid = f.grid
-            values = f.data
-        else:
-            grid = grid or DEFAULT_GRID_2D
-            values = f.sample(grid).data
-    else:
-        if grid is None:
-            raise ValueError("sample arrays need an explicit grid")
-        values = f
-    return lp_decompose(values, grid, band_range, warn=warn).besov_norm(s, p, q)
+        f, grid = analysis_samples(f, grid)
+    elif grid is None:
+        raise ValueError("sample arrays need an explicit grid")
+    return lp_decompose(f, grid, band_range).besov_norm(s, p, q)
 
 
-def bandlimit_check(values, grid: UniformGrid, radius: float,
-                    tol: float = LEAKAGE_TOL):
+def bandlimit_check(values, grid: UniformGrid, radius: float):
     """Is the discrete spectrum of the samples inside |xi| <= radius?
 
-    Returns (ok, leakage) where leakage is the relative spectral mass
-    (squared modulus) outside the radius.  The grid must resolve 2*radius.
+    Returns (ok, leakage): leakage is the relative spectral mass (squared
+    modulus) outside the radius, ok is leakage <= LEAKAGE_TOL.  The grid must
+    resolve 2*radius.
     """
     if grid.nyquist < 2.0 * radius:
         raise ValueError(
@@ -235,4 +228,4 @@ def bandlimit_check(values, grid: UniformGrid, radius: float,
         return True, 0.0
     outside = float(mass[grid.radial_frequencies() > radius].sum())
     leakage = outside / total
-    return leakage <= tol, leakage
+    return leakage <= LEAKAGE_TOL, leakage

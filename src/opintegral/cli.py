@@ -45,8 +45,7 @@ def cmd_besov_norm(args) -> int:
     lo, hi = besov.default_band_range(grid)
     band_range = (lo if args.band_min is None else args.band_min,
                   hi if args.band_max is None else args.band_max)
-    bn = besov.besov_norm(values, grid, s=args.s, p=p, q=q, band_range=band_range,
-                          warn=False)
+    bn = besov.besov_norm(values, grid, s=args.s, p=p, q=q, band_range=band_range)
     payload = {"command": "besov-norm", "input": str(args.input), "s": args.s,
                "p": str(args.p), "q": str(args.q), "value": bn.value,
                "band_terms": {str(k): v for k, v in bn.band_terms.items()},
@@ -152,22 +151,15 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def _symbol_from_cfg(cfg: dict, base: Path) -> models.Symbol:
+def _symbol_from_cfg(cfg: dict, path) -> models.Symbol:
     spec = cfg.get("symbol", "shift")
     if spec == "shift":
         return heltonhowe.SHIFT_SYMBOL
     if ":" in spec and not Path(spec).exists():
-        entries = {}
-        for part in spec.split(","):
-            k, re, im = part.split(":")
-            if int(k) in entries:
-                raise ValueError(f"repeated index {k} in symbol entry {part!r}")
-            entries[int(k)] = complex(float(re), float(im))
-            if not np.isfinite(entries[int(k)]):
-                raise ValueError(f"non-finite number in symbol entry {part!r}")
-        return models.Symbol.from_dict(entries)
+        entries = [(part, part.split(":")) for part in spec.split(",")]
+        return fileio.symbol_from_entries(path, entries, None, "symbol entry")
     p = Path(spec)
-    return fileio.read_symbol(p if p.is_absolute() else base / p)
+    return fileio.read_symbol(p if p.is_absolute() else Path(path).parent / p)
 
 
 def cmd_trace_formula(args) -> int:
@@ -192,7 +184,7 @@ def cmd_trace_formula(args) -> int:
     elif mode == "single":
         phi = fileio.read_function_spec(base / cfg["phi"])
         psi = fileio.read_function_spec(base / cfg["psi"])
-        symbol = _symbol_from_cfg(cfg, base)
+        symbol = _symbol_from_cfg(cfg, args.config)
         parse = {"resolution": int, "n_table": lambda v: tuple(map(int, v.split(","))),
                  "m_fractions": lambda v: tuple(map(float, v.split(",")))}
         exp_cfg = heltonhowe.TraceExperimentConfig(

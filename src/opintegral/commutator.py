@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import DEFAULT_GRID_2D, besov_norm, default_band_range, plateau
+from .besov import besov_norm, plateau
 from .divdiff import BandRepList, band_representations, polynomial_dd_rep
 from .doi import funcalc
 from .functions import Function2D, UniformGrid
@@ -60,18 +60,14 @@ def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def _dd_terms(phi: Function2D, da, db, j_max: int, grid: UniformGrid | None,
-              band_range, domain_radius: float | None):
+def _dd_terms(phi: Function2D, da, db, j_max: int, grid: UniformGrid | None):
     """({axis: representations of phi's axis divided difference} for axes 2
     and 1, one of the BandRepLists they come from, None on the exact
     polynomial path).  One LP decomposition of phi serves both axes."""
     if phi.kind == "polynomial":
         return {axis: [polynomial_dd_rep(phi, axis)] for axis in (2, 1)}, None
-    if domain_radius is None:
-        domain_radius = 1.1 * max(
-            np.abs(da.eigenvalues).max(), np.abs(db.eigenvalues).max(), 1.0)
-    lists = band_representations(phi, (2, 1), band_range=band_range, j_max=j_max,
-                                 grid=grid, domain_radius=domain_radius)
+    radius = 1.1 * max(np.abs(da.eigenvalues).max(), np.abs(db.eigenvalues).max(), 1.0)
+    lists = band_representations(phi, (2, 1), j_max=j_max, grid=grid, domain_radius=radius)
     return {axis: [sr.rep for _, sr in sorted(bands.items.items())]
             for axis, bands in lists.items()}, lists[2]
 
@@ -89,19 +85,17 @@ def _sum_terms(reps: dict, da, db, comm_a, comm_b) -> np.ndarray:
 
 
 def commutator_via_toi(phi: Function2D, a, b, q, j_max: int = 256,
-                       grid: UniformGrid | None = None, band_range=None,
-                       domain_radius: float | None = None) -> np.ndarray:
+                       grid: UniformGrid | None = None) -> np.ndarray:
     """[phi(A,B), Q] assembled from the two divided-difference triple integrals."""
     da, db = as_decomposition(a), as_decomposition(b)
-    reps, _ = _dd_terms(phi, da, db, j_max, grid, band_range, domain_radius)
+    reps, _ = _dd_terms(phi, da, db, j_max, grid)
     q = np.asarray(q, dtype=np.complex128)
     return _sum_terms(reps, da, db, _commutator(da.matrix(), q),
                       _commutator(db.matrix(), q))
 
 
 def commutator_with_operator(psi: Function2D, da, db, which: str,
-                             j_max: int = 256, grid=None, band_range=None,
-                             domain_radius=None) -> np.ndarray:
+                             j_max: int = 256, grid=None) -> np.ndarray:
     """[A, psi(A,B)] or [B, psi(A,B)] via the identity with Q = A (resp. B).
 
     With Q = A the x-divided-difference term vanishes ([A, A] = 0), leaving
@@ -110,7 +104,7 @@ def commutator_with_operator(psi: Function2D, da, db, which: str,
     if which not in ("A", "B"):
         raise ValueError("which must be 'A' or 'B'")
     da, db = as_decomposition(da), as_decomposition(db)
-    reps, _ = _dd_terms(psi, da, db, j_max, grid, band_range, domain_radius)
+    reps, _ = _dd_terms(psi, da, db, j_max, grid)
     return _with_operator(reps, da, db, which, _commutator(da.matrix(), db.matrix()))
 
 
@@ -128,21 +122,13 @@ SURROGATE_GRID_2D = UniformGrid(dim=2, period=32.0 * np.pi, points=512)
 
 
 def _besov_ingredient(phi: Function2D, da, db, grid: UniformGrid | None,
-                      bands: BandRepList | None = None):
-    """Dyadic-band norm of phi, with the plateau-cutoff surrogate for
-    polynomials (functions of A, B see only the joint spectral square).  The
-    norm that bands, phi's band representations, carry is reused when their
-    grid and band range are those of the norm."""
+                      bands: BandRepList | None):
+    """Dyadic-band norm of phi: the one bands, phi's band representations,
+    carry, or for polynomials (bands None) the plateau-cutoff surrogate
+    (functions of A, B see only the joint spectral square)."""
     if phi.kind != "polynomial":
-        norm_grid = phi.grid if phi.kind == "sampled" else grid or DEFAULT_GRID_2D
-        if (bands is not None and bands.grid == norm_grid
-                and bands.band_range == default_band_range(norm_grid)):
-            value, uncovered = bands.band_norm, bands.uncovered_mass
-        else:
-            bn = besov_norm(phi, norm_grid, warn=False)
-            value, uncovered = bn.value, bn.uncovered_mass
-        return value, (f"dyadic-band norm on the analysis grid "
-                       f"(uncovered spectral mass {uncovered:.2e})")
+        return bands.band_norm, (f"dyadic-band norm on the analysis grid "
+                                 f"(uncovered spectral mass {bands.uncovered_mass:.2e})")
     grid = grid or SURROGATE_GRID_2D
     r = float(max(np.abs(da.eigenvalues).max(), np.abs(db.eigenvalues).max()))
     r = max(r, 1e-6)
@@ -151,7 +137,7 @@ def _besov_ingredient(phi: Function2D, da, db, grid: UniformGrid | None,
     ax = grid.axis()
     cut = plateau(ax, inner, outer)
     values = phi.eval_grid(ax, ax) * np.outer(cut, cut)
-    bn = besov_norm(values, grid, warn=False)
+    bn = besov_norm(values, grid)
     note = (f"polynomial norm surrogate: phi times a smooth plateau cutoff "
             f"(1 on [-{inner:.3g}, {inner:.3g}]^2 covering the joint spectrum, "
             f"0 outside [-{outer:.3g}, {outer:.3g}]^2; uncovered spectral mass "
@@ -160,7 +146,7 @@ def _besov_ingredient(phi: Function2D, da, db, grid: UniformGrid | None,
 
 
 def verify_theorem_41(phi: Function2D, a, b, q, j_max: int = 256,
-                      grid: UniformGrid | None = None, band_range=None) -> CommutatorReport:
+                      grid: UniformGrid | None = None) -> CommutatorReport:
     """Compare the triple-integral commutator with the direct one.
 
     residual_s1 is the trace-norm gap between the two routes;
@@ -169,7 +155,7 @@ def verify_theorem_41(phi: Function2D, a, b, q, j_max: int = 256,
     """
     da, db = as_decomposition(a), as_decomposition(b)
     q = np.asarray(q, dtype=np.complex128)
-    reps, bands = _dd_terms(phi, da, db, j_max, grid, band_range, None)
+    reps, bands = _dd_terms(phi, da, db, j_max, grid)
     comm_a, comm_b = _commutator(da.matrix(), q), _commutator(db.matrix(), q)
     via = _sum_terms(reps, da, db, comm_a, comm_b)
     bnorm, note = _besov_ingredient(phi, da, db, grid, bands)
@@ -186,8 +172,7 @@ def verify_theorem_41(phi: Function2D, a, b, q, j_max: int = 256,
 
 
 def commutator_of_functions(phi: Function2D, psi: Function2D, a, b,
-                            j_max: int = 256, grid: UniformGrid | None = None,
-                            band_range=None):
+                            j_max: int = 256, grid: UniformGrid | None = None):
     """[phi(A,B), psi(A,B)] via the identity with Q = psi(A,B).
 
     The inner commutators [A, psi(A,B)] and [B, psi(A,B)] are evaluated by
@@ -198,13 +183,13 @@ def commutator_of_functions(phi: Function2D, psi: Function2D, a, b,
     q = funcalc(psi, da, db)
     # psi's representations serve both inner commutators, and are dropped
     # before phi's are built
-    reps, bands = _dd_terms(psi, da, db, j_max, grid, band_range, None)
+    reps, bands = _dd_terms(psi, da, db, j_max, grid)
     comm_ab = _commutator(da.matrix(), db.matrix())
     comm_bq = _with_operator(reps, da, db, "B", comm_ab)
     comm_aq = _with_operator(reps, da, db, "A", comm_ab)
     bpsi, _ = _besov_ingredient(psi, da, db, grid, bands)
     del reps, bands
-    reps, bands = _dd_terms(phi, da, db, j_max, grid, band_range, None)
+    reps, bands = _dd_terms(phi, da, db, j_max, grid)
     out = _sum_terms(reps, da, db, comm_aq, comm_bq)
     bphi, note_phi = _besov_ingredient(phi, da, db, grid, bands)
 
@@ -240,10 +225,9 @@ def probe_problem2(phi: Function2D, a, b) -> float:
 # seeded trial ensembles
 
 
-def almost_commuting_pair(rng: Xorshift64Star, dim: int, rank: int = 1,
-                          eps: float = 0.1):
-    """A random Hermitian A and B = (commuting part) + low-rank Hermitian
-    perturbations, so ||[A, B]||_S1 is controlled by construction."""
+def almost_commuting_pair(rng: Xorshift64Star, dim: int, rank: int = 1):
+    """A random Hermitian A and B = (commuting part) + rank rank-one Hermitian
+    perturbations of norm 0.1, so ||[A, B]||_S1 is controlled by construction."""
     a = rng.hermitian(dim)
     a = a / np.linalg.norm(a, 2)
     w, u = np.linalg.eigh(a)
@@ -253,16 +237,16 @@ def almost_commuting_pair(rng: Xorshift64Star, dim: int, rank: int = 1,
     for _ in range(rank):
         v = rng.complex_normal(dim)
         v /= np.linalg.norm(v)
-        b = b + eps * np.outer(v, v.conj())
+        b = b + 0.1 * np.outer(v, v.conj())
     return a, 0.5 * (b + b.conj().T)
 
 
-def random_polynomial(rng: Xorshift64Star, degree: int, scale: float = 1.0) -> Function2D:
+def random_polynomial(rng: Xorshift64Star, degree: int) -> Function2D:
     """Random real-coefficient polynomial with joint degree <= degree."""
     coeffs = np.zeros((degree + 1, degree + 1))
     for j in range(degree + 1):
         for k in range(degree + 1 - j):
-            coeffs[j, k] = scale * rng.normal(1)[0] / (1.0 + j + k)
+            coeffs[j, k] = rng.normal(1)[0] / (1.0 + j + k)
     return Function2D.polynomial(coeffs)
 
 
@@ -314,7 +298,7 @@ def one_var_inequality_suite(n_trials: int = 50, seed: int = 4096, max_dim: int 
         for fq, amp in zip(freqs, amps):
             values = values + amp * np.sin(fq * ax + rng.uniform(1)[0])
         f = Function1D.sampled(values.astype(np.complex128), grid)
-        fnorm = besov_norm(values.astype(np.complex128), grid, warn=False).value
+        fnorm = besov_norm(values.astype(np.complex128), grid).value
         a = rng.hermitian(dim)
         a /= np.linalg.norm(a, 2)
         b = rng.hermitian(dim)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import DEFAULT_GRID_2D, bandlimit_check, default_band_range, lp_decompose
+from .besov import analysis_samples, bandlimit_check, lp_decompose
 from .functions import Function2D, UniformGrid
 from .toi import SLOTS, HaagerupRep, _double_norm, _LazyFloat, rep_norm_certificate
 
@@ -156,8 +156,8 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
                         skip_bandlimit_check: bool = False) -> SincRep:
     """Sinc-sampling representation of the divided difference of phi.
 
-    phi must be band-limited to |xi| <= sigma (checked on its own grid when
-    sampled, else on DEFAULT_GRID_2D, unless skip_bandlimit_check).  The
+    phi must be band-limited to |xi| <= sigma (checked on its analysis grid,
+    besov.analysis_samples, unless skip_bandlimit_check).  The
     recorded tail_bound combines the measured sample-matrix norm with the
     sinc l^2 tail outside |j| <= J, so evaluations inside domain_radius
     agree with the divided difference to within it.
@@ -168,12 +168,7 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
         raise ValueError(f"band radius must be positive and finite, got {sigma!r}")
     _check_lattice_args(j_max, domain_radius)
     if not skip_bandlimit_check:
-        if phi.kind == "sampled":
-            samples, grid = phi.data, phi.grid
-        else:
-            grid = DEFAULT_GRID_2D
-            samples = phi.sample(grid).data
-        ok, leakage = bandlimit_check(samples, grid, sigma)
+        ok, leakage = bandlimit_check(*analysis_samples(phi, None), sigma)
         if not ok:
             raise ValueError(
                 f"function is not band-limited to {sigma:g}: relative spectral "
@@ -262,15 +257,13 @@ class BandRepList:
 
     items maps band index n to its SincRep (band radius 2^(n+1)); the
     aggregate certificate is the sum of per-band certificates, reported next
-    to band_norm, the dyadic-band norm sum_n 2^n sup|f_n| of the source over
-    the band range of its decomposition on grid.
+    to band_norm, the dyadic-band norm sum_n 2^n sup|f_n| of the source, and
+    uncovered_mass, both from its decomposition on its analysis grid.
     """
 
     axis: int
     items: dict
-    grid: UniformGrid
     uncovered_mass: float
-    band_range: tuple[int, int]
     band_norm: float
 
     def aggregate_certificate(self, s1, s2, s3) -> float:
@@ -280,9 +273,8 @@ class BandRepList:
         return total
 
 
-def besov_representation(phi: Function2D, axis: int,
-                         band_range: tuple[int, int] | None = None,
-                         j_max: int = 256, grid: UniformGrid | None = None,
+def besov_representation(phi: Function2D, axis: int, j_max: int = 256,
+                         grid: UniformGrid | None = None,
                          domain_radius: float | None = None) -> BandRepList:
     """Split phi into dyadic bands and represent each band by sinc sampling.
 
@@ -291,37 +283,31 @@ def besov_representation(phi: Function2D, axis: int,
     instead.  Bands whose sup norm falls below BAND_DROP_RTOL relative to
     the largest band are dropped as numerically zero.
     """
-    return band_representations(phi, (axis,), band_range=band_range, j_max=j_max,
-                                grid=grid, domain_radius=domain_radius)[axis]
+    return band_representations(phi, (axis,), j_max=j_max, grid=grid,
+                                domain_radius=domain_radius)[axis]
 
 
-def band_representations(phi: Function2D, axes=(1, 2),
-                         band_range: tuple[int, int] | None = None,
-                         j_max: int = 256, grid: UniformGrid | None = None,
+def band_representations(phi: Function2D, axes=(1, 2), j_max: int = 256,
+                         grid: UniformGrid | None = None,
                          domain_radius: float | None = None) -> dict:
     """{axis: besov_representation(phi, axis, ...)} for each axis in axes.
 
-    One LP decomposition of phi serves every axis, and the axes share the
-    band functions, so each band's spectrum is computed once.
+    One LP decomposition of phi, on besov.analysis_samples's grid, serves every
+    axis, and the axes share the band functions and their spectra.
     """
     if any(axis not in (1, 2) for axis in axes):
         raise ValueError("axis must be 1 or 2")
     _check_lattice_args(j_max, domain_radius)
     if phi.kind == "polynomial":
-        grid = grid or DEFAULT_GRID_2D
-        return {axis: BandRepList(axis=axis, items={}, grid=grid, uncovered_mass=0.0,
-                                  band_range=band_range or default_band_range(grid),
-                                  band_norm=0.0) for axis in axes}
-    grid = grid or (phi.grid if phi.kind == "sampled" else DEFAULT_GRID_2D)
-    # uncovered spectral mass is carried on the result instead of warning
-    dec = lp_decompose(phi.sample(grid).data, grid, band_range, warn=False)
+        return {axis: BandRepList(axis=axis, items={}, uncovered_mass=0.0, band_norm=0.0)
+                for axis in axes}
+    dec = lp_decompose(*analysis_samples(phi, grid))
     peak = max(dec.sup_norms.values(), default=0.0)
-    bands = {n: Function2D.from_spectrum(np.fft.fft2(dec.bands[n]), grid,
+    bands = {n: Function2D.from_spectrum(np.fft.fft2(dec.bands[n]), dec.grid,
                                          real=np.isrealobj(dec.bands[n]))
              for n in sorted(dec.bands)
              if dec.sup_norms[n] > BAND_DROP_RTOL * max(peak, 1e-300)}
-    fields = {"grid": grid, "uncovered_mass": dec.uncovered_mass,
-              "band_range": dec.band_range, "band_norm": dec.besov_norm().value}
+    fields = {"uncovered_mass": dec.uncovered_mass, "band_norm": dec.besov_norm().value}
     del dec  # the band samples are not needed past this point
     return {axis: BandRepList(axis=axis, items={
         n: sinc_representation(band_fn, axis, sigma=2.0 ** (n + 1), j_max=j_max,

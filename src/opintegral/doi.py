@@ -284,7 +284,7 @@ class TrigProjectiveRows:
         return p, q
 
 
-def projective_decompose_trig(coeffs, sup_points: int = 4096) -> TrigProjectiveRows:
+def projective_decompose_trig(coeffs) -> TrigProjectiveRows:
     """Split a 2-variable trig polynomial into one-variable rows.
 
     coeffs is the (2N+1) x (2N+1) matrix of Fourier coefficients f_hat(j, k),
@@ -295,14 +295,13 @@ def projective_decompose_trig(coeffs, sup_points: int = 4096) -> TrigProjectiveR
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 == 0:
         raise ValueError("coefficients must form a (2N+1) x (2N+1) matrix")
     deg = c.shape[0] // 2
-    ys = np.linspace(0.0, 2.0 * np.pi, sup_points, endpoint=False)
+    ys = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     ns = np.arange(-deg, deg + 1)
     ey = np.exp(1j * np.outer(ns, ys))
     rows = c @ ey
     row_sups = np.abs(rows).max(axis=1)
     bound = float(row_sups.sum())
-    side = min(sup_points, 512)
-    xs = np.linspace(0.0, 2.0 * np.pi, side, endpoint=False)
+    xs = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     ex = np.exp(1j * np.outer(xs, ns))
     vals = ex @ c @ np.exp(1j * np.outer(ns, xs))
     sup_f = float(np.abs(vals).max())

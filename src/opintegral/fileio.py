@@ -39,7 +39,7 @@ def read_matrix(path) -> np.ndarray:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "dim" or head[2] != "complex":
         raise ValueError(f"{path}: bad header {lines[0]!r}, expected 'dim n complex'")
-    n = int(head[1])
+    n = _int(path, lines[0], head[1])
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {len(body)}")
@@ -91,16 +91,22 @@ def read_symbol(path) -> Symbol:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "deg":
         raise ValueError(f"{path}: bad header {lines[0]!r}, expected 'deg d'")
-    deg = int(head[1])
-    entries = {}
-    for ln in lines[1:]:
-        k, *fields = ln.split()
-        if abs(int(k)) > deg:
-            raise ValueError(f"{path}: index {k} outside -{deg}..{deg} in line {ln!r}")
-        if int(k) in entries:
-            raise ValueError(f"{path}: repeated index {k} in line {ln!r}")
-        entries[int(k)] = _complex(path, ln, fields)
-    return Symbol.from_dict(entries, deg)
+    return symbol_from_entries(path, [(ln, ln.split()) for ln in lines[1:]],
+                               _int(path, lines[0], head[1]), "line")
+
+
+def symbol_from_entries(path, entries, deg: int | None, entry: str) -> Symbol:
+    """Symbol from (text, [k, re, im]) entries, .sym lines or a cfg's inline
+    symbol; a bad or repeated index or number is refused, naming the entry."""
+    coeffs = {}
+    for text, (k, *fields) in entries:
+        k = _int(path, text, k, entry)
+        if deg is not None and abs(k) > deg:
+            raise ValueError(f"{path}: index {k} outside -{deg}..{deg} in {entry} {text!r}")
+        if k in coeffs:
+            raise ValueError(f"{path}: repeated index {k} in {entry} {text!r}")
+        coeffs[k] = _complex(path, text, fields, entry)
+    return Symbol.from_dict(coeffs, deg)
 
 
 def write_function_spec(path, f: Function2D, samples_path=None) -> None:
@@ -142,10 +148,11 @@ def read_function_spec(path) -> Function2D:
         entries = {}
         for ln in lines[1:]:
             parts = ln.split()
-            if parts[0] != "coeff" or len(parts) != 5 or min(int(parts[1]), int(parts[2])) < 0:
+            if (parts[0] != "coeff" or len(parts) != 5
+                    or min(jk := (_int(path, ln, parts[1]), _int(path, ln, parts[2]))) < 0):
                 raise ValueError(f"{path}: bad coeff line {ln!r}, expected 'coeff j k re im' "
                                  f"with exponents j, k >= 0")
-            if (jk := (int(parts[1]), int(parts[2]))) in entries:
+            if jk in entries:
                 raise ValueError(f"{path}: repeated exponents {jk[0]} {jk[1]} in line {ln!r}")
             entries[jk] = _complex(path, ln, parts[3:])
         if not entries:
@@ -173,20 +180,28 @@ def read_function_spec(path) -> Function2D:
     raise ValueError(f"{path}: unknown variant {variant!r}")
 
 
-def _pair(path, line: str, fields) -> complex:
+def _int(path, line: str, field: str, entry: str = "line") -> int:
+    """The integer field of line."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"{path}: not an integer: {field!r} in {entry} {line!r}") from None
+
+
+def _pair(path, line: str, fields, entry: str = "line") -> complex:
     """re + i im from fields, the two numbers that end line."""
     try:
         re, im = map(float, fields)
     except ValueError:
-        raise ValueError(f"{path}: expected the two numbers 're im' in line {line!r}") from None
+        raise ValueError(f"{path}: expected the two numbers 're im' in {entry} {line!r}") from None
     return complex(re, im)
 
 
-def _complex(path, line: str, fields) -> complex:
+def _complex(path, line: str, fields, entry: str = "line") -> complex:
     """_pair, with NaN and infinity rejected."""
-    z = _pair(path, line, fields)
+    z = _pair(path, line, fields, entry)
     if not np.isfinite(z):
-        raise ValueError(f"{path}: non-finite number in line {line!r}")
+        raise ValueError(f"{path}: non-finite number in {entry} {line!r}")
     return z
 
 

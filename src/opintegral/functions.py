@@ -159,6 +159,9 @@ class Call(Expr):
         return f"{self.name}({self.a!r})"
 
 
+#: most nodes of a parsed text, as Python's syntax tree and as the tree written
+#: out (a**k repeats a k times): evaluation and diff recurse once per level
+MAX_EXPR_NODES = 256
 _UNARY = {ast.UAdd: lambda a: a, ast.USub: lambda a: -a}
 _BINARY = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b, ast.Mult: Mul}
 
@@ -173,12 +176,21 @@ def parse_expr(text: str) -> Expr:
     literal divisor.  Anything else is a ValueError naming its source text.
     Trees are built by Expr's operators, with no folding: a - b is
     a + (-1)*b, -a is (-1)*a, a**k a product chain from 1.0, a/c is a*(1/c).
+    A text over MAX_EXPR_NODES nodes is refused before a**k is written out.
     """
     src = text.strip()
+    too_big = ValueError(f"more than {MAX_EXPR_NODES} expression nodes in {text!r}")
     try:
         body = ast.parse(src, mode="eval").body
     except SyntaxError as err:
         raise ValueError(f"{err.msg} in {text!r}") from None
+    except RecursionError:   # nested past the parser's depth limit
+        raise too_big from None
+    if sum(isinstance(node, ast.expr) for node in ast.walk(body)) > MAX_EXPR_NODES:
+        raise too_big
+
+    def size(e):   # nodes of e written out: a shared subtree counts at each use
+        return 1 + sum(size(v) for fd in fields(e) if isinstance(v := getattr(e, fd.name), Expr))
 
     def fail(what, node):
         return ValueError(f"{what} {ast.get_source_segment(src, node)!r} in {text!r}")
@@ -200,6 +212,8 @@ def parse_expr(text: str) -> Expr:
             a = walk(node.left)
             k = literal(node.right, "exponent must be a nonnegative integral literal",
                         lambda k: k == int(k) and k >= 0)
+            if 1 + k * (size(a) + 1) > MAX_EXPR_NODES:
+                raise too_big
             out = Const(1.0)
             for _ in range(int(k)):
                 out = Mul(out, a)
@@ -224,7 +238,9 @@ def parse_expr(text: str) -> Expr:
             return Const(value)
         raise fail("unsupported", node)
 
-    return walk(body)
+    if size(tree := walk(body)) > MAX_EXPR_NODES:
+        raise too_big
+    return tree
 
 
 # ---------------------------------------------------------------------------

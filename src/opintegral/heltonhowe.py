@@ -261,7 +261,7 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
     m = cfg.corner()
     grid = grid or UniformGrid(dim=2, period=32.0 * np.pi, points=256)
     phi_s, psi_s = cfg.phi.sample(grid), cfg.psi.sample(grid)
-    dec_phi, dec_psi = (lp_decompose(f.data, grid, band_range, warn=False) for f in (phi_s, psi_s))
+    dec_phi, dec_psi = (lp_decompose(f.data, grid, band_range) for f in (phi_s, psi_s))
     a, b = model_pair(cfg.symbol, cfg.n)
     da, db = decompose(a), decompose(b)
     g = principal_function(cfg.symbol)

@@ -83,11 +83,12 @@ def test_nyquist_rejection_reports_resolution():
         lp_decompose(np.zeros(64), grid, band_range=(0, 12))
 
 
-def test_uncovered_mass_warning():
+def test_uncovered_mass_is_reported():
+    # sin(40x) lies above band 2's annulus: its mass is reported, not dropped
     grid = DEFAULT_GRID_1D
-    x = grid.axis()
-    with pytest.warns(UserWarning, match="spectral mass"):
-        lp_decompose(np.sin(40.0 * x), grid, band_range=(-2, 2))
+    values = np.sin(40.0 * grid.axis())
+    assert lp_decompose(values, grid, band_range=(-2, 2)).uncovered_mass > 0.99
+    assert besov_norm(values, grid, band_range=(-2, 2)).uncovered_mass > 0.99
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
@@ -258,7 +259,7 @@ def _lp_cases():
 
 def test_lp_decompose_matches_all_window_reference_bitwise():
     for values, grid, band_range in _lp_cases():
-        dec = lp_decompose(values, grid, band_range, warn=False)
+        dec = lp_decompose(values, grid, band_range)
         sups, uncovered, recon, _ = _reference_lp_half(values, grid, dec.band_range)
         assert recon.dtype == (np.complex128 if np.iscomplexobj(values) else np.float64)
         assert dec.sup_norms == sups
@@ -270,7 +271,7 @@ def test_lp_decompose_matches_all_window_reference_bitwise():
 
 def test_lp_decompose_agrees_with_complex_full_plane_reference():
     for values, grid, band_range in _lp_cases():
-        dec = lp_decompose(values, grid, band_range, warn=False)
+        dec = lp_decompose(values, grid, band_range)
         sups, uncovered, _, bands = _reference_lp(values, grid, dec.band_range)
         peak = max(sups.values())
         for n in sups:
@@ -283,7 +284,7 @@ def test_lp_decompose_agrees_with_complex_full_plane_reference():
 
 
 def test_lp_decompose_empty_bands_shared_and_read_only():
-    dec = lp_decompose(_cut_polynomial(SURROGATE_GRID_2D), SURROGATE_GRID_2D, warn=False)
+    dec = lp_decompose(_cut_polynomial(SURROGATE_GRID_2D), SURROGATE_GRID_2D)
     empty = [n for n in dec.bands if 2.0 ** (n + 1) <= 2 * np.pi / SURROGATE_GRID_2D.period]
     assert empty == [-10, -9, -8, -7, -6, -5]
     assert all(dec.bands[n] is dec.bands[empty[0]] for n in empty)
@@ -300,9 +301,9 @@ def test_lp_decompose_transforms_only_nonempty_bands(monkeypatch):
     irfftn = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn",
                         lambda a, *args, **kw: calls.append(1) or irfftn(a, *args, **kw))
-    dec = lp_decompose(values, SURROGATE_GRID_2D, warn=False)
+    dec = lp_decompose(values, SURROGATE_GRID_2D)
     assert len(dec.bands) == 14
     assert len(calls) == 8
     calls.clear()     # complex samples: one real transform per part and band
-    lp_decompose((1.0 + 0.5j) * values, SURROGATE_GRID_2D, warn=False)
+    lp_decompose((1.0 + 0.5j) * values, SURROGATE_GRID_2D)
     assert len(calls) == 16

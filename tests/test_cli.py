@@ -4,11 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from opintegral.cli import DATA_DIR, main
+from opintegral.cli import DATA_DIR, _symbol_from_cfg, main
 from opintegral.fileio import (read_config, read_function_spec, read_matrix,
                                read_samples, read_symbol, write_function_spec,
                                write_matrix, write_samples, write_symbol)
-from opintegral.functions import Function1D, Function2D, UniformGrid, parse_expr
+from opintegral.functions import (MAX_EXPR_NODES, Function1D, Function2D, UniformGrid,
+                                  parse_expr)
 from opintegral.models import Symbol
 from opintegral.rng import Xorshift64Star
 
@@ -207,18 +208,45 @@ def test_cli_rejects_repeated_entries(tmp_path, capsys, kind, text, message):
     assert message.format(path=path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("reader, text, line", [
-    (read_matrix, "dim 1 complex\n0 0 0\n", "0 0 0"),
-    (read_matrix, "dim 1 complex\n1 one\n", "1 one"),
-    (read_samples, "grid 1 1.0 2\n0 0\n0 0 0\n", "0 0 0"),
-    (read_symbol, "deg 0\n0 1\n", "0 1")],
-    ids=["matrix-three-fields", "matrix-word", "samples-three-fields", "symbol-two-fields"])
-def test_readers_name_file_and_line_of_a_malformed_number_line(tmp_path, reader, text, line):
+def _inline_symbol(path):
+    """The cfg line 'symbol <text of path>' read as the CLI reads it."""
+    return _symbol_from_cfg({"symbol": path.read_text(encoding="utf-8")}, path)
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_matrix, "dim 1 complex\n0 0 0\n", "expected the two numbers 're im' in line '0 0 0'"),
+    (read_matrix, "dim 1 complex\n1 one\n", "expected the two numbers 're im' in line '1 one'"),
+    (read_samples, "grid 1 1.0 2\n0 0\n0 0 0\n",
+     "expected the two numbers 're im' in line '0 0 0'"),
+    (read_symbol, "deg 0\n0 1\n", "expected the two numbers 're im' in line '0 1'"),
+    (read_matrix, "dim n complex\n", "not an integer: 'n' in line 'dim n complex'"),
+    (read_symbol, "deg x\n0 1 0\n", "not an integer: 'x' in line 'deg x'"),
+    (read_symbol, "deg 1\nk 2 0\n", "not an integer: 'k' in line 'k 2 0'"),
+    (read_function_spec, "variant polynomial\ncoeff a 0 1 0\n",
+     "not an integer: 'a' in line 'coeff a 0 1 0'"),
+    (read_function_spec, "variant polynomial\ncoeff 0 b 1 0\n",
+     "not an integer: 'b' in line 'coeff 0 b 1 0'"),
+    (_inline_symbol, "0:1:0,k:2:0", "not an integer: 'k' in symbol entry 'k:2:0'"),
+    (_inline_symbol, "0:1", "expected the two numbers 're im' in symbol entry '0:1'")],
+    ids=["matrix-three-fields", "matrix-word", "samples-three-fields", "symbol-two-fields",
+         "matrix-dim", "symbol-deg", "symbol-index", "spec-coeff-j", "spec-coeff-k",
+         "inline-symbol-index", "inline-symbol-two-fields"])
+def test_readers_name_file_and_line_of_a_malformed_number_line(tmp_path, reader, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: expected the two numbers 're im' in line {line!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         reader(path)
+
+
+@pytest.mark.parametrize("expr", ["x**3000", "x**1e300", "((x**60)**60)**60"])
+def test_cli_rejects_expressions_over_the_node_cap(tmp_path, capsys, expr):
+    # a**k is written out as k products: these would recurse past Python's
+    # limit, build 10^300 nodes, or multiply 60^3 factors
+    spec = tmp_path / "big.spec"
+    spec.write_text(f"variant closed_form\nexpr {expr}\n", encoding="utf-8")
+    assert main(["trace-formula", "--config", str(_single_trace_config(tmp_path, spec))]) == 1
+    assert (f"more than {MAX_EXPR_NODES} expression nodes in {expr!r}"
+            in capsys.readouterr().err)
 
 
 def test_cli_rejects_headerless_symbol_and_bare_variant_spec(tmp_path, capsys):

@@ -258,11 +258,17 @@ def test_one_lp_decomposition_per_function(monkeypatch):
     monkeypatch.setattr(besov, "lp_decompose", counted)
     monkeypatch.setattr(divdiff, "lp_decompose", counted)
     phi, psi, a, b, grid = _small_bump_pair()
-    _, rep = commutator_of_functions(phi, psi, a, b, j_max=16, grid=grid)
-    assert len(calls) == 2
-    # the norms read from the shared decompositions are besov_norm's
-    assert rep.bound_ingredients["besov_phi"] == besov.besov_norm(phi, grid, warn=False).value
-    assert rep.bound_ingredients["besov_psi"] == besov.besov_norm(psi, grid, warn=False).value
-    calls.clear()
-    verify_theorem_41(phi, a, b, np.eye(5), j_max=16, grid=grid)
-    assert len(calls) == 1
+    # sampled on a grid of their own, then analysed on the explicit grid
+    own = UniformGrid(dim=2, period=8 * np.pi, points=64)
+    for f, g in ((phi, psi), (phi.sample(own), psi.sample(own))):
+        calls.clear()
+        _, rep = commutator_of_functions(f, g, a, b, j_max=16, grid=grid)
+        assert len(calls) == 2
+        # the norms read from the shared decompositions are besov_norm's
+        assert rep.bound_ingredients["besov_phi"] == besov.besov_norm(f, grid).value
+        assert rep.bound_ingredients["besov_psi"] == besov.besov_norm(g, grid).value
+        calls.clear()
+        verify_theorem_41(f, a, b, np.eye(5), j_max=16, grid=grid)
+        assert len(calls) == 1
+    # a sampled function's norm on another grid is that of its resampling there
+    assert besov.besov_norm(f, grid).value == besov.besov_norm(f.sample(grid)).value

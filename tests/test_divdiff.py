@@ -334,7 +334,7 @@ BUMP_POINTS = np.array([-0.94799947, 0.24423297, 0.88986641])
 
 def _bump_bands(grid=BAND_GRID, scale=1.0):
     """{n: (band samples, fft2 spectrum)} of the LP bands of scale * BUMP."""
-    dec = lp_decompose(scale * BUMP.sample(grid).data, grid, warn=False)
+    dec = lp_decompose(scale * BUMP.sample(grid).data, grid)
     peak = max(dec.sup_norms.values())
     return {n: (dec.bands[n], np.fft.fft2(dec.bands[n])) for n in dec.bands
             if dec.sup_norms[n] > 1e-12 * peak}

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from opintegral.commutator import random_polynomial
 from opintegral.fileio import read_function_spec, write_function_spec
-from opintegral.functions import (Add, Call, Const, Function1D, Function2D, Mul, UniformGrid,
-                                  Var, _axis_interp, _interp_matrix, parse_expr)
+from opintegral.functions import (MAX_EXPR_NODES, Add, Call, Const, Function1D, Function2D,
+                                  Mul, UniformGrid, Var, _axis_interp, _interp_matrix,
+                                  parse_expr)
 from opintegral.rng import Xorshift64Star
 
 
@@ -59,6 +60,20 @@ def test_parse_expr_takes_python_precedence():
 def test_parse_expr_rejects_python_only_forms(text):
     with pytest.raises(ValueError, match=f" in {re.escape(repr(text))}$"):
         parse_expr(text)
+
+
+def test_parse_expr_caps_the_written_out_tree():
+    # x**127 is 127 products of x: 255 nodes, and its derivatives evaluate
+    assert MAX_EXPR_NODES == 256
+    assert repr(parse_expr("x**2")) == "((1.0 * x) * x)"
+    f = Function2D.closed_form("x**127")
+    assert f.partial(1).partial(1)(1.0, 0.0) == 127 * 126
+    # refused by the power's count, the whole tree's count (403 nodes), the
+    # syntax tree's count and the parser's depth limit
+    for text in ("x**128", "x**100 + x**100", "x*x" + "*x" * 255, "-" * 3000 + "x"):
+        with pytest.raises(ValueError, match=f"more than 256 expression nodes in "
+                                             f"{re.escape(repr(text))}$"):
+            parse_expr(text)
 
 
 _trees = st.recursive(

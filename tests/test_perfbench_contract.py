@@ -6,6 +6,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import opintegral
 from opintegral import functions
@@ -33,6 +34,20 @@ def test_tracer_layer_names_exist():
 
 def test_rhs_integral_takes_resolution():
     assert "resolution" in inspect.signature(opintegral.heltonhowe.rhs_integral).parameters
+
+
+#: (function, positional argument count, keywords) of the calls perfbench/workloads.py makes
+WORKLOAD_CALLS = [
+    (opintegral.commutator.commutator_of_functions, 4, ("j_max", "grid")),
+    (opintegral.divdiff.besov_representation, 2, ("j_max", "grid", "domain_radius")),
+    (opintegral.heltonhowe.winding_factor_experiment, 1, ("n_table", "resolution")),
+    (opintegral.doi.schur_multiplier_norm, 1, ("tol", "factorizations"))]
+
+
+@pytest.mark.parametrize("function, positional, keywords", WORKLOAD_CALLS,
+                         ids=[call[0].__name__ for call in WORKLOAD_CALLS])
+def test_workload_calls_bind(function, positional, keywords):
+    inspect.signature(function).bind(*range(positional), **dict.fromkeys(keywords))
 
 
 def test_band_certificate_call_on_small_instance():
