@@ -11,6 +11,7 @@ arithmetic, polynomials) have norm zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,6 +105,27 @@ def default_band_range(grid: UniformGrid) -> tuple[int, int]:
     return -10, max_band(grid)
 
 
+@lru_cache(maxsize=4)
+def _band_windows(grid: UniformGrid, band_range: tuple[int, int]):
+    """lp_decompose's half-plane arrays, once per grid and band range, read-only:
+    each band's window w(|xi|/2^n), cut after its last nonzero column (bands
+    with no nonzero bin left out), each column's weight (2 for a column that
+    also stands for its conjugate, else 1) and 1 - min(sum of the windows, 1)."""
+    radii = grid.radial_frequencies()[..., :grid.points // 2 + 1]
+    weight = np.ones(radii.shape[-1])
+    weight[1:(grid.points + 1) // 2] = 2.0
+    windows, covered = {}, np.zeros_like(radii)
+    for n in range(band_range[0], band_range[1] + 1):
+        w = window_eval(radii / 2.0 ** n)
+        if (cols := np.flatnonzero(w.reshape(-1, w.shape[-1]).any(axis=0))).size:
+            covered += w
+            windows[n] = w[..., :cols[-1] + 1].copy()
+    leak = 1.0 - np.minimum(covered, 1.0)
+    for a in (*windows.values(), weight, leak):
+        a.flags.writeable = False
+    return windows, weight, leak
+
+
 def lp_decompose(values, grid: UniformGrid,
                  band_range: tuple[int, int] | None = None) -> LPDecomposition:
     """Littlewood-Paley band decomposition of samples on a periodic grid.
@@ -132,10 +154,7 @@ def lp_decompose(values, grid: UniformGrid,
     # spectrum; complex samples are split into real and imaginary parts
     parts = (values.real, values.imag) if values.imag.any() else (values.real,)
     axes = tuple(range(values.ndim))
-    radii = grid.radial_frequencies()[..., :grid.points // 2 + 1]   # half plane
-    # each half-plane column other than 0 and N/2 stands for two conjugate bins
-    weight = np.ones(radii.shape[-1])
-    weight[1:(grid.points + 1) // 2] = 2.0
+    windows, weight, leak = _band_windows(grid, (n_min, n_max))
     with np.errstate(over="ignore", invalid="ignore"):
         specs = [np.fft.rfftn(part) for part in parts]
         mass = sum(np.abs(spec) ** 2 for spec in specs) * weight
@@ -144,25 +163,22 @@ def lp_decompose(values, grid: UniformGrid,
         raise ValueError("non-finite spectral mass: the samples contain NaN or "
                          "infinite values, or are too large")
 
-    # a band whose annulus ends at or below the lowest nonzero frequency has
-    # a zero window on every bin: it gets a shared zero array and no transform
-    r_min = float(np.min(radii, where=radii > 0, initial=np.inf))
+    # a band with no window gets a shared zero array and no transform; the
+    # others transform only their window's columns, which irfftn zero-pads
     empty = np.zeros(values.shape, dtype=np.complex128 if len(parts) == 2 else np.float64)
     empty.flags.writeable = False
     bands = {}
     sup_norms = {}
-    covered = np.zeros_like(radii)
     for n in range(n_min, n_max + 1):
-        if 2.0 ** (n + 1) <= r_min:
+        if (w := windows.get(n)) is None:
             bands[n], sup_norms[n] = empty, 0.0
             continue
-        w = window_eval(radii / 2.0 ** n)
-        covered += w
-        re, *im = [np.fft.irfftn(spec * w, values.shape, axes) for spec in specs]
+        re, *im = [np.fft.irfftn(spec[..., :w.shape[-1]] * w, values.shape, axes)
+                   for spec in specs]
         bands[n] = re + 1j * im[0] if im else re
         sup_norms[n] = float(np.abs(bands[n]).max())
 
-    leaked = float((mass * (1.0 - np.minimum(covered, 1.0))).sum() - mass.flat[0])
+    leaked = float((mass * leak).sum() - mass.flat[0])
     uncovered = leaked / total if total > 0 else 0.0
     return LPDecomposition(grid=grid, band_range=(n_min, n_max), bands=bands,
                            sup_norms=sup_norms, uncovered_mass=uncovered)

@@ -39,7 +39,8 @@ def read_matrix(path) -> np.ndarray:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "dim" or head[2] != "complex":
         raise ValueError(f"{path}: bad header {lines[0]!r}, expected 'dim n complex'")
-    n = _int(path, lines[0], head[1])
+    if (n := _int(path, lines[0], head[1])) < 0:
+        raise ValueError(f"{path}: negative size {n} in line {lines[0]!r}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {len(body)}")
@@ -91,8 +92,9 @@ def read_symbol(path) -> Symbol:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "deg":
         raise ValueError(f"{path}: bad header {lines[0]!r}, expected 'deg d'")
-    return symbol_from_entries(path, [(ln, ln.split()) for ln in lines[1:]],
-                               _int(path, lines[0], head[1]), "line")
+    if (deg := _int(path, lines[0], head[1])) < 0:
+        raise ValueError(f"{path}: negative size {deg} in line {lines[0]!r}")
+    return symbol_from_entries(path, [(ln, ln.split()) for ln in lines[1:]], deg, "line")
 
 
 def symbol_from_entries(path, entries, deg: int | None, entry: str) -> Symbol:

@@ -175,7 +175,8 @@ def parse_expr(text: str) -> Expr:
     nonnegative integral literal exponent and "/" only a nonzero numeric
     literal divisor.  Anything else is a ValueError naming its source text.
     Trees are built by Expr's operators, with no folding: a - b is
-    a + (-1)*b, -a is (-1)*a, a**k a product chain from 1.0, a/c is a*(1/c).
+    a + (-1)*b, -a is (-1)*a (but -c is one Const for a numeric literal c, so
+    -1.0 reads back as it prints), a**k a product chain from 1.0, a/c is a*(1/c).
     A text over MAX_EXPR_NODES nodes is refused before a**k is written out.
     """
     src = text.strip()
@@ -219,7 +220,8 @@ def parse_expr(text: str) -> Expr:
                 out = Mul(out, a)
             return out
         if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-            return _UNARY[type(node.op)](walk(node.operand))
+            a, sign = walk(node.operand), _UNARY[type(node.op)]
+            return Const(sign(a.value)) if isinstance(node.operand, ast.Constant) else sign(a)
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in _CALLS and len(node.args) == 1 and not node.keywords):
             return Call(node.func.id, walk(node.args[0]))

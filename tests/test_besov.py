@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from opintegral.besov import (DEFAULT_GRID_1D, DEFAULT_GRID_2D, bandlimit_check,
-                              besov_norm, lp_decompose, max_band, plateau, window_eval)
+from opintegral.besov import (DEFAULT_GRID_1D, DEFAULT_GRID_2D, _band_windows,
+                              bandlimit_check, besov_norm, default_band_range,
+                              lp_decompose, max_band, plateau, window_eval)
 from opintegral.commutator import SURROGATE_GRID_2D
 from opintegral.functions import Function2D, UniformGrid
 
@@ -260,10 +261,13 @@ def _lp_cases():
 def test_lp_decompose_matches_all_window_reference_bitwise():
     for values, grid, band_range in _lp_cases():
         dec = lp_decompose(values, grid, band_range)
-        sups, uncovered, recon, _ = _reference_lp_half(values, grid, dec.band_range)
+        sups, uncovered, recon, bands = _reference_lp_half(values, grid, dec.band_range)
         assert recon.dtype == (np.complex128 if np.iscomplexobj(values) else np.float64)
         assert dec.sup_norms == sups
         assert sorted(dec.bands) == sorted(sups)
+        for n in bands:
+            assert dec.bands[n].dtype == bands[n].dtype
+            assert dec.bands[n].tobytes() == bands[n].tobytes()
         assert dec.uncovered_mass == uncovered
         assert dec.reconstruction().tobytes() == recon.tobytes()
         assert dec.besov_norm().value == float(np.sum([2.0 ** n * sups[n] for n in sorted(sups)]))
@@ -296,14 +300,49 @@ def test_lp_decompose_empty_bands_shared_and_read_only():
 
 
 def test_lp_decompose_transforms_only_nonempty_bands(monkeypatch):
-    values = _cut_polynomial(SURROGATE_GRID_2D)
+    grid = SURROGATE_GRID_2D
+    values = _cut_polynomial(grid)
     calls = []
     irfftn = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn",
-                        lambda a, *args, **kw: calls.append(1) or irfftn(a, *args, **kw))
-    dec = lp_decompose(values, SURROGATE_GRID_2D)
+                        lambda a, *args, **kw: calls.append(a.shape[-1]) or irfftn(a, *args, **kw))
+    dec = lp_decompose(values, grid)
     assert len(dec.bands) == 14
     assert len(calls) == 8
+    # each band's input is cut after the last column where its window is nonzero
+    half = grid.points // 2 + 1
+    radii = grid.radial_frequencies()[:, :half]
+    widths = []
+    for n in range(-4, max_band(grid) + 1):
+        nonzero = np.flatnonzero((window_eval(radii / 2.0 ** n) != 0).any(axis=0))
+        widths.append(int(nonzero[-1]) + 1)
+    assert calls == widths
+    assert max(widths[:-1]) < half
     calls.clear()     # complex samples: one real transform per part and band
-    lp_decompose((1.0 + 0.5j) * values, SURROGATE_GRID_2D)
-    assert len(calls) == 16
+    lp_decompose((1.0 + 0.5j) * values, grid)
+    assert calls == [w for w in widths for _ in range(2)]
+
+
+def test_lp_decompose_repeats_its_bytes_from_the_window_cache():
+    values = _cut_polynomial(SURROGATE_GRID_2D)
+    _band_windows.cache_clear()
+    first = lp_decompose(values, SURROGATE_GRID_2D)
+    assert _band_windows.cache_info().currsize == 1
+    again = lp_decompose(values, SURROGATE_GRID_2D)
+    assert _band_windows.cache_info().hits >= 1
+    assert first.sup_norms == again.sup_norms
+    assert first.uncovered_mass == again.uncovered_mass
+    assert all(first.bands[n].tobytes() == again.bands[n].tobytes() for n in first.bands)
+
+
+@pytest.mark.parametrize("grid", [SURROGATE_GRID_2D,
+                                  UniformGrid(dim=2, period=16.0 * np.pi, points=512)],
+                         ids=["surrogate", "band-path"])
+def test_band_window_cache_is_small_and_read_only(grid):
+    # full half-plane windows would take about 8 MB per grid; cut, they fit in 3.5
+    windows, weight, leak = _band_windows(grid, default_band_range(grid))
+    arrays = [*windows.values(), weight, leak]
+    assert sum(a.nbytes for a in arrays) <= 3.5e6
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        leak[0, 0] = 0.0

@@ -220,6 +220,9 @@ def _inline_symbol(path):
      "expected the two numbers 're im' in line '0 0 0'"),
     (read_symbol, "deg 0\n0 1\n", "expected the two numbers 're im' in line '0 1'"),
     (read_matrix, "dim n complex\n", "not an integer: 'n' in line 'dim n complex'"),
+    (read_matrix, "dim -2 complex\n1 0\n0 0\n0 0\n1 0\n",
+     "negative size -2 in line 'dim -2 complex'"),
+    (read_symbol, "deg -1\n", "negative size -1 in line 'deg -1'"),
     (read_symbol, "deg x\n0 1 0\n", "not an integer: 'x' in line 'deg x'"),
     (read_symbol, "deg 1\nk 2 0\n", "not an integer: 'k' in line 'k 2 0'"),
     (read_function_spec, "variant polynomial\ncoeff a 0 1 0\n",
@@ -229,8 +232,9 @@ def _inline_symbol(path):
     (_inline_symbol, "0:1:0,k:2:0", "not an integer: 'k' in symbol entry 'k:2:0'"),
     (_inline_symbol, "0:1", "expected the two numbers 're im' in symbol entry '0:1'")],
     ids=["matrix-three-fields", "matrix-word", "samples-three-fields", "symbol-two-fields",
-         "matrix-dim", "symbol-deg", "symbol-index", "spec-coeff-j", "spec-coeff-k",
-         "inline-symbol-index", "inline-symbol-two-fields"])
+         "matrix-dim", "matrix-negative-dim", "symbol-negative-deg", "symbol-deg",
+         "symbol-index", "spec-coeff-j", "spec-coeff-k", "inline-symbol-index",
+         "inline-symbol-two-fields"])
 def test_readers_name_file_and_line_of_a_malformed_number_line(tmp_path, reader, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
@@ -413,7 +417,10 @@ def test_cli_funcalc_rejects_empty_and_non_finite_matrices(tmp_path, capsys):
     empty.write_text("dim 0 complex\n", encoding="utf-8")
     nan = tmp_path / "nan.opmat"
     write_matrix(nan, np.array([[1.0, np.nan], [np.nan, 0.0]]))
-    for bad, message in ((empty, "matrix is empty"), (nan, "non-finite entry")):
+    negative = tmp_path / "negative.opmat"
+    negative.write_text("dim -2 complex\n1 0\n0 0\n0 0\n1 0\n", encoding="utf-8")
+    for bad, message in ((empty, "matrix is empty"), (nan, "non-finite entry"),
+                         (negative, f"{negative}: negative size -2")):
         code = main(["funcalc", "--phi", str(DATA_DIR / "phi_xy.spec"), "--A", str(bad),
                      "--B", str(good), "--out", str(tmp_path / "out.opmat")])
         assert code == 1

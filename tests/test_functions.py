@@ -35,6 +35,20 @@ def test_parse_expr_roundtrip():
     assert complex(e2.eval(np.float64(x), np.float64(y))) == pytest.approx(expected)
 
 
+def test_closed_form_specs_keep_their_text_over_round_trips(tmp_path):
+    # a signed literal reads back as one constant, so re-saving adds nothing
+    path = tmp_path / "f.spec"
+    for text in ("exp(-(x - 0.2)**2)", "x / -2 + -0.0*y", "-1.0*exp(-3.0*(x*x + y*y))"):
+        f = Function2D.closed_form(text)
+        first = repr(f.data)
+        for _ in range(4):
+            write_function_spec(path, f)
+            f = read_function_spec(path)
+            assert repr(f.data) == first
+    x, y = np.array([0.3, -1.1]), np.array([0.7, 0.4])
+    assert np.array_equal(parse_expr("x / -2").eval(x, y), x * -0.5)
+
+
 def test_parse_expr_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_expr("x + ")
