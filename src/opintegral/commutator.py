@@ -32,7 +32,7 @@ from .divdiff import BandRepList, band_representations, polynomial_dd_rep
 from .doi import funcalc
 from .functions import Function2D, UniformGrid
 from .rng import Xorshift64Star
-from .spectral import as_decomposition, schatten_norm
+from .spectral import decompose, schatten_norm
 from .toi import eval_representation
 
 
@@ -87,7 +87,7 @@ def _sum_terms(reps: dict, da, db, comm_a, comm_b) -> np.ndarray:
 def commutator_via_toi(phi: Function2D, a, b, q, j_max: int = 256,
                        grid: UniformGrid | None = None) -> np.ndarray:
     """[phi(A,B), Q] assembled from the two divided-difference triple integrals."""
-    da, db = as_decomposition(a), as_decomposition(b)
+    da, db = decompose(a), decompose(b)
     reps, _ = _dd_terms(phi, da, db, j_max, grid)
     q = np.asarray(q, dtype=np.complex128)
     return _sum_terms(reps, da, db, _commutator(da.matrix(), q),
@@ -103,7 +103,7 @@ def commutator_with_operator(psi: Function2D, da, db, which: str,
     """
     if which not in ("A", "B"):
         raise ValueError("which must be 'A' or 'B'")
-    da, db = as_decomposition(da), as_decomposition(db)
+    da, db = decompose(da), decompose(db)
     reps, _ = _dd_terms(psi, da, db, j_max, grid)
     return _with_operator(reps, da, db, which, _commutator(da.matrix(), db.matrix()))
 
@@ -153,7 +153,7 @@ def verify_theorem_41(phi: Function2D, a, b, q, j_max: int = 256,
     empirical_constant relates the commutator trace norm to
     (band norm of phi) * (||[A,Q]||_S1 + ||[B,Q]||_S1).
     """
-    da, db = as_decomposition(a), as_decomposition(b)
+    da, db = decompose(a), decompose(b)
     q = np.asarray(q, dtype=np.complex128)
     reps, bands = _dd_terms(phi, da, db, j_max, grid)
     comm_a, comm_b = _commutator(da.matrix(), q), _commutator(db.matrix(), q)
@@ -179,7 +179,7 @@ def commutator_of_functions(phi: Function2D, psi: Function2D, a, b,
     the same triple-integral identity, so the final bound ingredients reduce
     to the function norms and ||[A,B]||_S1.  Returns (matrix, report).
     """
-    da, db = as_decomposition(a), as_decomposition(b)
+    da, db = decompose(a), decompose(b)
     q = funcalc(psi, da, db)
     # psi's representations serve both inner commutators, and are dropped
     # before phi's are built
@@ -209,14 +209,14 @@ def commutator_of_functions(phi: Function2D, psi: Function2D, a, b,
 def probe_problem1(phi: Function2D, psi: Function2D, a, b) -> float:
     """Trace norm of (phi psi)(A,B) - phi(A,B) psi(A,B): the almost
     multiplicativity defect.  Reported, never asserted against a bound."""
-    da, db = as_decomposition(a), as_decomposition(b)
+    da, db = decompose(a), decompose(b)
     prod = phi.multiply(psi)
     return schatten_norm(funcalc(prod, da, db) - funcalc(phi, da, db) @ funcalc(psi, da, db), 1)
 
 
 def probe_problem2(phi: Function2D, a, b) -> float:
     """Trace norm of phi(A,B)* - conj(phi)(A,B): the self-adjointness defect."""
-    da, db = as_decomposition(a), as_decomposition(b)
+    da, db = decompose(a), decompose(b)
     f = funcalc(phi, da, db)
     return schatten_norm(f.conj().T - funcalc(phi.conjugate(), da, db), 1)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .divdiff import divided_quotient
 from .functions import Function1D, Function2D
-from .spectral import as_decomposition
+from .spectral import decompose
 
 
 def _eval_grid(phi, xs, ys) -> np.ndarray:
@@ -46,8 +46,8 @@ def _eval_grid(phi, xs, ys) -> np.ndarray:
 
 def double_operator_integral(phi, a, t, b) -> np.ndarray:
     """Hadamard-weighted spectral sum of phi against (E_A, E_B) applied to T."""
-    da = as_decomposition(a)
-    db = as_decomposition(b)
+    da = decompose(a)
+    db = decompose(b)
     t = np.asarray(t, dtype=np.complex128)
     if t.shape != (da.dim, db.dim):
         raise ValueError(f"T has shape {t.shape}, expected {(da.dim, db.dim)}")
@@ -69,8 +69,8 @@ def funcalc(phi, a, b) -> np.ndarray:
     For phi(x, y) = sum a_jk x^j y^k this reproduces sum a_jk A^j B^k (all
     A-powers to the left) even for noncommuting A and B.
     """
-    da = as_decomposition(a)
-    db = as_decomposition(b)
+    da = decompose(a)
+    db = decompose(b)
     if da.dim != db.dim:
         raise ValueError(f"A and B must have the same size, got {da.dim} and {db.dim}")
     return _weighted_sum(phi, da, db, None)
@@ -78,7 +78,7 @@ def funcalc(phi, a, b) -> np.ndarray:
 
 def scalar_calculus(f: Function1D, a) -> np.ndarray:
     """f(A) for a one-variable function via the eigendecomposition."""
-    da = as_decomposition(a)
+    da = decompose(a)
     vals = np.asarray(f(da.eigenvalues), dtype=np.complex128)
     u = da.eigenvectors
     return (u * vals) @ u.conj().T
@@ -90,8 +90,8 @@ def one_var_commutator_identity(f: Function1D, a, b, q) -> float:
     The identity is exact spectral algebra; the returned operator-norm
     residual measures only rounding error for exact function representations.
     """
-    da = as_decomposition(a)
-    db = as_decomposition(b)
+    da = decompose(a)
+    db = decompose(b)
     q = np.asarray(q, dtype=np.complex128)
     lhs = scalar_calculus(f, da) @ q - q @ scalar_calculus(f, db)
 

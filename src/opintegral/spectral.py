@@ -3,6 +3,8 @@
 Everything downstream (operator integrals, functional calculus, trace
 experiments) is built on the decompositions produced here.  All inputs are
 dense complex matrices at desk scale; there is no sparse or iterative path.
+A centrohermitian matrix, such as a Hermitian Toeplitz model matrix, is
+decomposed through a real symmetric one.
 """
 
 from __future__ import annotations
@@ -77,16 +79,60 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
+def _mirror_halves(n: int) -> tuple[slice, slice]:
+    """The indices c < n/2 and, in the same order, their mirrors n-1-c."""
+    k = n // 2
+    return slice(0, k), slice(n - 1, n - 1 - k, -1)
+
+
+def _centro_real(a: np.ndarray) -> np.ndarray:
+    """The real symmetric R = Q* A Q of a centrohermitian A (A equal, bit for
+    bit, to its flip J conj(A) J), formed from index slices.  Q's column
+    c < n/2 is (e_c + e_{n-1-c})/sqrt 2, its column n-1-c is
+    i(e_c - e_{n-1-c})/sqrt 2, and for odd n its middle column is e_{n/2}.
+    Rows c and n-1-c of A Q are conjugates bit for bit, so the rows of Q*(A Q)
+    pair up into an imaginary part that is exactly zero."""
+    top, bottom = _mirror_halves(a.shape[0])
+    s = np.sqrt(0.5)
+    aq = a.copy()  # for odd n the middle column stays
+    aq[:, top] = (a[:, top] + a[:, bottom]) * s
+    aq[:, bottom] = 1j * (a[:, top] - a[:, bottom]) * s
+    r = aq.copy()
+    r[top] = (aq[top] + aq[bottom]) * s
+    r[bottom] = -1j * (aq[top] - aq[bottom]) * s
+    if np.any(r.imag != 0.0):
+        raise RuntimeError("centrohermitian reduction left an imaginary part")
+    return r.real
+
+
+def _centro_lift(v: np.ndarray) -> np.ndarray:
+    """U = Q V for the Q of _centro_real and a real V, from index slices."""
+    top, bottom = _mirror_halves(v.shape[0])
+    s = np.sqrt(0.5)
+    u = v.astype(np.complex128)  # for odd n the middle row stays
+    u.real[top] = u.real[bottom] = v[top] * s
+    u.imag[top] = v[bottom] * s
+    u.imag[bottom] = -u.imag[top]
+    return u
+
+
 def decompose(h) -> SpectralDecomposition:
     """Eigendecomposition by LAPACK (numpy.linalg.eigh), with the Hermitian
-    check of HermitianOperator and a reconstruction-residual check."""
+    check of HermitianOperator and a reconstruction-residual check.  A
+    SpectralDecomposition is passed through.  A centrohermitian matrix (every
+    Hermitian Toeplitz matrix is one) is decomposed as the real symmetric
+    Q* A Q of _centro_real, and U = Q V; any other goes through complex eigh."""
     if isinstance(h, SpectralDecomposition):
         return h
     if not isinstance(h, HermitianOperator):
         h = HermitianOperator(h)
     a = h.entries
-    w, u = np.linalg.eigh(a)
-    norm = max(float(np.abs(w).max()) if w.size else 0.0, 1e-300)
+    if np.array_equal(a, a[::-1, ::-1].conj()):
+        w, v = np.linalg.eigh(_centro_real(a))
+        u = _centro_lift(v)
+    else:
+        w, u = np.linalg.eigh(a)
+    norm = max(float(np.abs(w).max()), 1e-300)
     dec = SpectralDecomposition(eigenvalues=w, eigenvectors=u)
     # Frobenius norm: an upper bound for the 2-norm at a fraction of an SVD
     residual = np.linalg.norm(dec.matrix() - a)
@@ -96,13 +142,6 @@ def decompose(h) -> SpectralDecomposition:
             f"{RECONSTRUCTION_RTOL:.0e} * ||A||"
         )
     return dec
-
-
-def as_decomposition(x) -> SpectralDecomposition:
-    """Accept a SpectralDecomposition, HermitianOperator, or raw matrix."""
-    if isinstance(x, SpectralDecomposition):
-        return x
-    return decompose(x)
 
 
 def schatten_norm(m, p: float) -> float:

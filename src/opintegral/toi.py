@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import as_decomposition, schatten_norm
+from .spectral import decompose, schatten_norm
 
 #: kind -> zero-based slot of the variable its doubly-indexed factor depends on
 SLOTS = {"second_kind": 0, "haagerup": 1, "projective": 1, "first_kind": 2}
@@ -229,7 +229,7 @@ def triple_spectral_sum(psi, a, b, c, t, r) -> np.ndarray:
     psi is a callable broadcast over the three spectra or a HaagerupRep,
     whose integrand tensor comes from HaagerupRep.evaluate_grid.
     """
-    da, db, dc = as_decomposition(a), as_decomposition(b), as_decomposition(c)
+    da, db, dc = decompose(a), decompose(b), decompose(c)
     t = np.asarray(t, dtype=np.complex128)
     r = np.asarray(r, dtype=np.complex128)
     if t.shape != (da.dim, db.dim) or r.shape != (db.dim, dc.dim):
@@ -309,7 +309,7 @@ def s1_certificate(rep: HaagerupRep, a, t, b, r, c,
     first kind: ||W||_S1 <= rep_norm ||T||_S1 ||R||;
     second kind: ||W||_S1 <= rep_norm ||T|| ||R||_S1.
     """
-    da, db, dc = as_decomposition(a), as_decomposition(b), as_decomposition(c)
+    da, db, dc = decompose(a), decompose(b), decompose(c)
     if w is None:
         w = eval_representation(rep, da, t, db, r, dc)
     cert = rep_norm_certificate(rep, da.eigenvalues, db.eigenvalues, dc.eigenvalues)

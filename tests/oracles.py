@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from opintegral.models import CURVE_POINTS, Symbol
-from opintegral.spectral import _as_complex_matrix, as_decomposition
+from opintegral.spectral import _as_complex_matrix, decompose
 from opintegral.toi import HaagerupRep, eval_representation
 
 CURVE_PROXIMITY = 1e-9
@@ -41,7 +41,7 @@ def eval_via_trace_duality(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
     inner = HaagerupRep(kind="haagerup", left=rep.factors[lo],
                         double=_transposed_double(rep.double), right=rep.factors[hi],
                         shape=(rep.shape[1], rep.shape[0]))
-    decs = [as_decomposition(x) for x in (a, b, c)]
+    decs = [decompose(x) for x in (a, b, c)]
     n1, n3 = decs[0].dim, decs[2].dim
     tr = (np.asarray(t, dtype=np.complex128), np.asarray(r, dtype=np.complex128))
     w = np.zeros((n1, n3), dtype=np.complex128)

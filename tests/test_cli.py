@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -310,6 +313,26 @@ def test_cli_trace_formula_bundled(tmp_path, capsys):
     assert by_pair["x,y"]["rhs"] == pytest.approx(0.5, abs=5e-3)
     assert by_pair["x^2,xy"]["lhs"] == pytest.approx(0.25, abs=1e-8)
     assert "resolution" not in payload
+
+
+def test_trace_formula_report_bytes_repeat_across_blas_threads(tmp_path):
+    # the Toeplitz model pairs go through LAPACK eigh at n = 128; the reports
+    # must not depend on how many threads the BLAS runs
+    script = ("import sys\nfrom opintegral.cli import main\n"
+              "for name in ('gauss_single', 'shift_suite'):\n"
+              "    assert main(['trace-formula', '--config', f'{sys.argv[1]}/{name}.cfg',\n"
+              "                 '--out', f'{sys.argv[2]}/{name}.json']) == 0\n")
+    src = str(DATA_DIR.parents[1])
+    reports = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", script, str(DATA_DIR), str(out)], check=True,
+                       capture_output=True, env={**os.environ, "PYTHONPATH": src,
+                                                 "OPENBLAS_NUM_THREADS": str(threads)})
+        reports.append([(out / f"{name}.json").read_bytes()
+                        for name in ("gauss_single", "shift_suite")])
+    assert reports[0] == reports[1] and all(reports[0])
 
 
 def _double_winding_gauss_config(tmp_path, sizes):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from opintegral.spectral import HermitianOperator, as_decomposition, decompose, schatten_norm
+from opintegral.models import Symbol, toeplitz_matrix
+from opintegral.spectral import (HermitianOperator, _centro_lift, _centro_real, decompose,
+                                 schatten_norm)
 
 from oracles import jacobi_eigh
 
@@ -88,12 +90,11 @@ def test_jacobi_matches_lapack(rng):
         assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-11 * np.linalg.norm(a)
 
 
-def test_as_decomposition_passthrough(rng):
+def test_decompose_passes_a_decomposition_through(rng):
     a = rng.hermitian(4)
     dec = decompose(a)
-    assert as_decomposition(dec) is dec
-    dec2 = as_decomposition(a)
-    assert np.allclose(dec2.eigenvalues, dec.eigenvalues)
+    assert decompose(dec) is dec
+    assert np.array_equal(decompose(HermitianOperator(a)).eigenvalues, dec.eigenvalues)
 
 
 def test_empty_matrix_rejected():
@@ -111,15 +112,82 @@ def test_non_finite_matrix_rejected():
             decompose(m)
 
 
-def test_perturbed_eigenvectors_fail_reconstruction_check(rng, monkeypatch):
-    a = rng.hermitian(12)
-    eigh = np.linalg.eigh
+def _record_eigh(monkeypatch, perturbation=0.0):
+    """Patch numpy's eigh to record the dtype of every matrix it is given and
+    to add perturbation * column index to the eigenvectors it returns."""
+    eigh, dtypes = np.linalg.eigh, []
 
-    def perturbed(m):
+    def recorded(m):
+        dtypes.append(m.dtype)
         w, u = eigh(m)
-        return w, u + 1e-8 * np.outer(np.ones(u.shape[0]), np.arange(u.shape[1]))
+        return w, u + perturbation * np.arange(u.shape[1])
 
-    decompose(a)
-    monkeypatch.setattr(np.linalg, "eigh", perturbed)
-    with pytest.raises(RuntimeError, match="residual"):
-        decompose(a)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return dtypes
+
+
+def test_perturbed_eigenvectors_fail_reconstruction_check(rng, monkeypatch):
+    dtypes = _record_eigh(monkeypatch, perturbation=1e-8)
+    # a random Hermitian matrix takes complex eigh, a Toeplitz one real eigh
+    toeplitz = toeplitz_matrix(Symbol.from_dict({2: 1.0, 1: 0.5}).real_part(), 12)
+    for a in (rng.hermitian(12), toeplitz):
+        with pytest.raises(RuntimeError, match="residual"):
+            decompose(a)
+    assert dtypes == [np.complex128, np.float64]
+
+
+def _centrohermitian_cases(rng):
+    """Hermitian Toeplitz matrices T_{Re f} and T_{Im f} of the shift, the
+    double winding and a complex-coefficient symbol, and a centrohermitian
+    matrix that is not Toeplitz, H + J conj(H) J."""
+    symbols = (Symbol.from_dict({1: 1.0}), Symbol.from_dict({2: 1.0, 1: 0.5}),
+               Symbol.from_dict({-1: 0.2j, 0: 0.1 + 0.4j, 1: 0.5 + 0.25j, 2: 0.3 - 0.7j}))
+    for f in symbols:
+        for n in (1, 2, 3, 4, 127, 128):
+            for part in (f.real_part(), f.imag_part()):
+                # toeplitz_matrix refuses n <= deg f; fhat(k) is 0 for |k| > deg f
+                yield np.array([[part.coefficient(j - k) for k in range(n)] for j in range(n)])
+    for n in (7, 8):
+        h = rng.hermitian(n)
+        yield h + h[::-1, ::-1].conj()
+
+
+def _dense_q(n):
+    """Q of docs/decisions.md, "Centrohermitian matrices through real arithmetic"."""
+    q = np.zeros((n, n), dtype=np.complex128)
+    for c in range(n // 2):
+        q[[c, n - 1 - c], c] = np.sqrt(0.5)
+        q[[c, n - 1 - c], n - 1 - c] = np.sqrt(0.5) * np.array([1j, -1j])
+    if n % 2:
+        q[n // 2, n // 2] = 1.0
+    return q
+
+
+def test_centrohermitian_matrices_take_real_eigh(rng, monkeypatch):
+    eigh = np.linalg.eigh
+    dtypes = _record_eigh(monkeypatch)
+    for a in _centrohermitian_cases(rng):
+        n = a.shape[0]
+        dec = decompose(a)
+        assert dtypes.pop() == np.float64
+        w_ref = eigh(HermitianOperator(a).entries)[0]
+        scale = np.abs(w_ref).max()
+        assert np.abs(dec.eigenvalues - w_ref).max() <= 1e-14 * scale
+        u = dec.eigenvectors
+        assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-13
+        # the slices agree with the dense unitary Q: R = Q* A Q and U = Q V
+        q = _dense_q(n)
+        assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-15
+        r = _centro_real(HermitianOperator(a).entries)
+        assert np.abs(r - q.conj().T @ a @ q).max() <= 1e-15 * n * max(scale, 1.0)
+        v = eigh(r)[1]
+        assert np.abs(_centro_lift(v) - q @ v).max() <= 1e-15 * n
+
+
+def test_hermitian_matrix_that_is_not_centrohermitian_takes_complex_eigh(rng, monkeypatch):
+    dtypes = _record_eigh(monkeypatch)
+    a = toeplitz_matrix(Symbol.from_dict({2: 1.0, 1: 0.5}).real_part(), 9)
+    a[0, 0] += 1e-3  # breaks the mirror symmetry in one entry, not the Hermitian one
+    for m in (a, rng.hermitian(9).real, rng.hermitian(9)):
+        decompose(m)
+    assert dtypes == [np.complex128] * 3
