@@ -81,7 +81,13 @@ class LPDecomposition:
 
     def besov_norm(self, s: float = 1.0, p: float = np.inf,
                    q: float = 1.0) -> "BesovNorm":
-        """Homogeneous Besov norm ||{2^(ns) ||f_n||_p}||_{l^q} of these bands."""
+        """Homogeneous Besov norm ||{2^(ns) ||f_n||_p}||_{l^q} of these bands,
+        for finite s and p, q in (0, inf]."""
+        if not np.isfinite(s):
+            raise ValueError(f"Besov smoothness s must be finite, got {s!r}")
+        for name, v in (("p", p), ("q", q)):
+            if not v > 0:
+                raise ValueError(f"Besov exponent {name} must lie in (0, inf], got {v!r}")
         terms = {}
         for n in sorted(self.bands):
             lp = self.sup_norms[n] if np.isinf(p) else _grid_lp_norm(self.bands[n], self.grid, p)

@@ -9,6 +9,7 @@ deterministic JSON; identical inputs and seed give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +23,42 @@ from .rng import Xorshift64Star
 from .spectral import HermitianOperator
 
 DATA_DIR = Path(__file__).parent / "data"
+
+#: (number type, test, name) of the numeric flags and cfg values; a value
+#: must parse as the type, be finite and pass the test
+INTEGER = (int, lambda v: True, "an integer")
+POSITIVE_INTEGER = (int, lambda v: v > 0, "a positive integer")
+NON_NEGATIVE_INTEGER = (int, lambda v: v >= 0, "a non-negative integer")
+POSITIVE = (float, lambda v: v > 0, "a finite positive number")
+NON_NEGATIVE = (float, lambda v: v >= 0, "a finite non-negative number")
+
+
+def _number(text: str, kind):
+    """text read as kind's number type, or None unless it is finite and passes
+    kind's test."""
+    number, ok, _ = kind
+    try:
+        value = number(text)
+    except ValueError:
+        return None
+    return value if (number is int or math.isfinite(value)) and ok(value) else None
+
+
+def _flag(kind):
+    """argparse type for a numeric flag; argparse names the flag it refuses."""
+    def read(text):
+        if (value := _number(text, kind)) is None:
+            raise argparse.ArgumentTypeError(f"not {kind[2]}: {text!r}")
+        return value
+    return read
+
+
+def _cfg_value(path, key: str, text: str, kind):
+    """text, a value (or one comma-separated entry) of key in the cfg file
+    path, refused naming the file and key unless it is a number of kind."""
+    if (value := _number(text, kind)) is None:
+        raise ValueError(f"{path}: not {kind[2]}: {text!r} in key {key!r}")
+    return value
 
 
 def _print(args, text):
@@ -166,8 +203,10 @@ def cmd_trace_formula(args) -> int:
     cfg = fileio.read_config(args.config)
     base = Path(args.config).parent
     mode = cfg.get("mode", "polynomial-suite")
-    n = int(cfg.get("n", heltonhowe.TraceExperimentConfig.n))
-    m = int(cfg["m"]) if "m" in cfg else None
+    # m and resolution below 1 fall to the corner and quadrature rules, which name them
+    n = (_cfg_value(args.config, "n", cfg["n"], POSITIVE_INTEGER) if "n" in cfg
+         else heltonhowe.TraceExperimentConfig.n)
+    m = _cfg_value(args.config, "m", cfg["m"], INTEGER) if "m" in cfg else None
     if mode == "polynomial-suite":
         rows = heltonhowe.polynomial_suite(n=n, m=m)
         max_lhs = max(r["lhs_err"] for r in rows)
@@ -185,11 +224,15 @@ def cmd_trace_formula(args) -> int:
         phi = fileio.read_function_spec(base / cfg["phi"])
         psi = fileio.read_function_spec(base / cfg["psi"])
         symbol = _symbol_from_cfg(cfg, args.config)
-        parse = {"resolution": int, "n_table": lambda v: tuple(map(int, v.split(","))),
-                 "m_fractions": lambda v: tuple(map(float, v.split(",")))}
-        exp_cfg = heltonhowe.TraceExperimentConfig(
-            phi=phi, psi=psi, symbol=symbol, n=n, m=m,
-            **{key: read(cfg[key]) for key, read in parse.items() if key in cfg})
+        fields = {key: tuple(_cfg_value(args.config, key, entry, kind)
+                             for entry in cfg[key].split(","))
+                  for key, kind in (("n_table", POSITIVE_INTEGER), ("m_fractions", POSITIVE))
+                  if key in cfg}
+        if "resolution" in cfg:
+            fields["resolution"] = _cfg_value(args.config, "resolution", cfg["resolution"],
+                                              INTEGER)
+        exp_cfg = heltonhowe.TraceExperimentConfig(phi=phi, psi=psi, symbol=symbol, n=n, m=m,
+                                                   **fields)
         rep = heltonhowe.trace_formula_experiment(exp_cfg)
         payload = {"command": "trace-formula", "mode": mode, "n": n,
                    "m": exp_cfg.corner(), "resolution": exp_cfg.resolution,
@@ -324,11 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi")
     p.add_argument("--A")
     p.add_argument("--B")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_flag(POSITIVE_INTEGER), default=50)
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--max-dim", type=int, default=32)
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--max-dim", type=_flag(POSITIVE_INTEGER), default=32)
+    p.add_argument("--degree", type=_flag(NON_NEGATIVE_INTEGER), default=4)
+    p.add_argument("--tolerance", type=_flag(NON_NEGATIVE), default=1e-10)
     p.add_argument("--report")
     p.set_defaults(func=cmd_commutator_verify)
 

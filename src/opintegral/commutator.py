@@ -74,12 +74,12 @@ def _dd_terms(phi: Function2D, da, db, j_max: int, grid: UniformGrid | None):
 
 def _sum_terms(reps: dict, da, db, comm_a, comm_b) -> np.ndarray:
     """The axis-2 triple integrals over (A, B, B) against (I, comm_b) plus the
-    axis-1 ones over (A, A, B) against (comm_a, I)."""
+    axis-1 ones over (A, A, B) against (comm_a, I); a None commutator skips its axis."""
     eye = np.eye(da.dim, dtype=np.complex128)
     out = np.zeros((da.dim, db.dim), dtype=np.complex128)
-    for rep in reps.get(2, ()):
+    for rep in reps[2] if comm_b is not None else ():
         out = out + eval_representation(rep, da, eye, db, comm_b, db)
-    for rep in reps.get(1, ()):
+    for rep in reps[1] if comm_a is not None else ():
         out = out + eval_representation(rep, da, comm_a, da, eye, db)
     return out
 
@@ -105,15 +105,9 @@ def commutator_with_operator(psi: Function2D, da, db, which: str,
         raise ValueError("which must be 'A' or 'B'")
     da, db = decompose(da), decompose(db)
     reps, _ = _dd_terms(psi, da, db, j_max, grid)
-    return _with_operator(reps, da, db, which, _commutator(da.matrix(), db.matrix()))
-
-
-def _with_operator(reps: dict, da, db, which: str, comm_ab) -> np.ndarray:
-    """[A, psi(A,B)] (which "A", from the axis-2 reps) or [B, psi(A,B)]
-    (which "B", from the axis-1 reps), given comm_ab = [A, B]."""
-    if which == "A":
-        return -_sum_terms({2: reps[2]}, da, db, None, -comm_ab)
-    return -_sum_terms({1: reps[1]}, da, db, comm_ab, None)
+    comm_ab = _commutator(da.matrix(), db.matrix())
+    return -(_sum_terms(reps, da, db, None, -comm_ab) if which == "A"
+             else _sum_terms(reps, da, db, comm_ab, None))
 
 
 #: finer-period grid for cutoff surrogates: same FFT cost as the default
@@ -145,6 +139,18 @@ def _besov_ingredient(phi: Function2D, da, db, grid: UniformGrid | None,
     return bn.value, note
 
 
+def _report(via: np.ndarray, direct: np.ndarray, ingredients: dict, denom: float,
+            notes: str) -> CommutatorReport:
+    """The report of the triple-integral commutator via against the direct one;
+    empirical_constant is lhs_s1 / denom, or 0 (lhs_s1 = 0) or inf if denom <= 0."""
+    lhs = schatten_norm(via, 1)
+    const = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)
+    return CommutatorReport(lhs_s1=lhs, rhs_s1=schatten_norm(direct, 1),
+                            residual_s1=schatten_norm(via - direct, 1),
+                            bound_ingredients=ingredients, empirical_constant=float(const),
+                            notes=notes)
+
+
 def verify_theorem_41(phi: Function2D, a, b, q, j_max: int = 256,
                       grid: UniformGrid | None = None) -> CommutatorReport:
     """Compare the triple-integral commutator with the direct one.
@@ -159,16 +165,10 @@ def verify_theorem_41(phi: Function2D, a, b, q, j_max: int = 256,
     comm_a, comm_b = _commutator(da.matrix(), q), _commutator(db.matrix(), q)
     via = _sum_terms(reps, da, db, comm_a, comm_b)
     bnorm, note = _besov_ingredient(phi, da, db, grid, bands)
-    direct = _commutator(funcalc(phi, da, db), q)
     ca, cb = schatten_norm(comm_a, 1), schatten_norm(comm_b, 1)
-    lhs = schatten_norm(via, 1)
-    denom = bnorm * (ca + cb)
-    const = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)
-    return CommutatorReport(
-        lhs_s1=lhs, rhs_s1=schatten_norm(direct, 1),
-        residual_s1=schatten_norm(via - direct, 1),
-        bound_ingredients={"besov_phi": bnorm, "comm_a_s1": ca, "comm_b_s1": cb},
-        empirical_constant=float(const), notes=note)
+    return _report(via, _commutator(funcalc(phi, da, db), q),
+                   {"besov_phi": bnorm, "comm_a_s1": ca, "comm_b_s1": cb},
+                   bnorm * (ca + cb), note)
 
 
 def commutator_of_functions(phi: Function2D, psi: Function2D, a, b,
@@ -185,25 +185,17 @@ def commutator_of_functions(phi: Function2D, psi: Function2D, a, b,
     # before phi's are built
     reps, bands = _dd_terms(psi, da, db, j_max, grid)
     comm_ab = _commutator(da.matrix(), db.matrix())
-    comm_bq = _with_operator(reps, da, db, "B", comm_ab)
-    comm_aq = _with_operator(reps, da, db, "A", comm_ab)
+    comm_bq = -_sum_terms(reps, da, db, comm_ab, None)
+    comm_aq = -_sum_terms(reps, da, db, None, -comm_ab)
     bpsi, _ = _besov_ingredient(psi, da, db, grid, bands)
     del reps, bands
     reps, bands = _dd_terms(phi, da, db, j_max, grid)
     out = _sum_terms(reps, da, db, comm_aq, comm_bq)
     bphi, note_phi = _besov_ingredient(phi, da, db, grid, bands)
-
-    direct = _commutator(funcalc(phi, da, db), q)
     cab = schatten_norm(comm_ab, 1)
-    lhs = schatten_norm(out, 1)
-    denom = bphi * bpsi * cab
-    const = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)
-    report = CommutatorReport(
-        lhs_s1=lhs, rhs_s1=schatten_norm(direct, 1),
-        residual_s1=schatten_norm(out - direct, 1),
-        bound_ingredients={"besov_phi": bphi, "besov_psi": bpsi, "comm_ab_s1": cab},
-        empirical_constant=float(const), notes=note_phi)
-    return out, report
+    return out, _report(out, _commutator(funcalc(phi, da, db), q),
+                        {"besov_phi": bphi, "besov_psi": bpsi, "comm_ab_s1": cab},
+                        bphi * bpsi * cab, note_phi)
 
 
 def probe_problem1(phi: Function2D, psi: Function2D, a, b) -> float:

@@ -190,7 +190,7 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
     tail = functools.cache(
         lambda: 3.0 * max(delta_norm(), 1e-300) * np.sqrt(2.0) / (np.pi * np.sqrt(slack)))
 
-    rep = _axis_rep(axis, sincs, js.size, double, tail_bound=tail)
+    rep = _axis_rep(axis, sincs, double, tail_bound=tail)
     return SincRep(sigma=sigma, j_max=j_max, axis=axis, lattice=lattice, rep=rep,
                    domain_radius=float(domain_radius), delta_norm=delta_norm,
                    tail_bound=tail)
@@ -203,14 +203,13 @@ def _check_lattice_args(j_max, domain_radius) -> None:
         raise ValueError(f"domain radius must be finite and non-negative, got {domain_radius!r}")
 
 
-def _axis_rep(axis: int, family, size: int, double, tail_bound=0.0) -> HaagerupRep:
+def _axis_rep(axis: int, family, double, tail_bound=0.0) -> HaagerupRep:
     """Representation of an axis divided difference from its single-index
-    family of size factors (in both differenced variables) and its doubly-
-    indexed family (in the other variable): axis 1 first, axis 2 second kind."""
+    family (in both differenced variables) and its doubly-indexed family (in
+    the other variable): axis 1 first, axis 2 second kind."""
     kind = "first_kind" if axis == 1 else "second_kind"
     families = [None if i == SLOTS[kind] else family for i in range(3)]
-    return HaagerupRep(kind, *families, double=double, shape=(size, size),
-                       tail_bound=tail_bound)
+    return HaagerupRep(kind, *families, double=double, tail_bound=tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def polynomial_dd_rep(phi: Function2D, axis: int) -> HaagerupRep:
     def powers(x):
         return np.array([np.asarray(x, dtype=np.complex128) ** p for p in range(n_idx)])
 
-    return _axis_rep(axis, powers, n_idx, double)
+    return _axis_rep(axis, powers, double)
 
 
 # ---------------------------------------------------------------------------

@@ -79,12 +79,6 @@ class TraceReport:
     convergence: tuple
 
 
-def model_pair(symbol: Symbol, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated self-adjoint pair (T_{Re f}, T_{Im f})."""
-    return (toeplitz_matrix(symbol.real_part(), n),
-            toeplitz_matrix(symbol.imag_part(), n))
-
-
 def corner_trace(k: np.ndarray, m: int,
                  residue_rtol: float | None = IMAG_RESIDUE_RTOL) -> tuple[float, float]:
     """(real corner trace, imaginary residue) of the leading m x m block.
@@ -104,43 +98,46 @@ def corner_trace(k: np.ndarray, m: int,
     return float(total.real), residue
 
 
-def _corner_traces(cfg: TraceExperimentConfig, corners, decs=None, table=()) -> list:
-    """[(corner trace, imaginary residue)] of K = i [phi(A_n, B_n), psi(A_n, B_n)]
-    on the model pair of cfg.symbol at n = cfg.n, one per corner size, then
-    one per (informational) table corner.
+def _corner_traces(cfg: TraceExperimentConfig, pairs, corners, table=()) -> list:
+    """Per (phi, psi) in pairs, [(corner trace, imaginary residue)] of
+    K = i [phi(A_n, B_n), psi(A_n, B_n)] on the model pair of cfg.symbol at
+    n = cfg.n (decomposed once, each matrix freed with its decomposition; each
+    distinct function's operator formed once), one per corner size, then one
+    per (informational) table corner.
 
-    Every corner passes cfg.corner(); K is built once, from decs when given
-    (the decompositions of that pair).  The residue tolerance of corners (not
-    table corners) is strict on the exact polynomial path and a loose sanity
-    cap otherwise (sampled and closed-form functions make phi(A,B) mildly
-    non-self-adjoint at finite n; the residue is reported instead); a
-    polynomial corner that reaches the boundary bandwidth warns, since
-    exactness needs m, n - m beyond it.
+    Every corner passes cfg.corner().  The residue tolerance of a pair's
+    corners (not table corners) is strict on the exact polynomial path and a
+    loose sanity cap otherwise (sampled and closed-form functions make
+    phi(A,B) mildly non-self-adjoint at finite n; the residue is reported
+    instead); a polynomial corner that reaches the boundary bandwidth warns,
+    since exactness needs m, n - m beyond it.
     """
     corners = [replace(cfg, m=m).corner() for m in corners]
     table = [replace(cfg, m=m).corner() for m in table]
-    exact = cfg.phi.kind == "polynomial" and cfg.psi.kind == "polynomial"
-    span = sum(max(f.data.shape) - 1 for f in (cfg.phi, cfg.psi)) if exact else 0
-    span *= cfg.symbol.degree
-    for m in corners + table:
-        if span and m >= cfg.n - span:
-            warnings.warn(
-                f"corner {m} reaches within the boundary bandwidth {span} of "
-                f"n = {cfg.n}; polynomial exactness is not guaranteed", stacklevel=3)
-    if decs is None:
-        a, b = model_pair(cfg.symbol, cfg.n)
-        decs = (decompose(a), decompose(b))
-    f1 = funcalc(cfg.phi, *decs)
-    f2 = funcalc(cfg.psi, *decs)
-    k = 1j * (f1 @ f2 - f2 @ f1)
-    rtol = IMAG_RESIDUE_RTOL if exact else LOOSE_RESIDUE_RTOL
-    return [corner_trace(k, m, rtol) for m in corners] + [corner_trace(k, m, None)
-                                                          for m in table]
+    decs = [decompose(toeplitz_matrix(part, cfg.n))
+            for part in (cfg.symbol.real_part(), cfg.symbol.imag_part())]
+    funcs = {id(f): f for pair in pairs for f in pair}
+    ops = {key: funcalc(f, *decs) for key, f in funcs.items()}
+    out = []
+    for phi, psi in pairs:
+        exact = phi.kind == psi.kind == "polynomial"
+        span = cfg.symbol.degree * sum(max(f.data.shape) - 1 for f in (phi, psi)) if exact else 0
+        for m in corners + table:
+            if span and m >= cfg.n - span:
+                warnings.warn(
+                    f"corner {m} reaches within the boundary bandwidth {span} of "
+                    f"n = {cfg.n}; polynomial exactness is not guaranteed", stacklevel=3)
+        f1, f2 = ops[id(phi)], ops[id(psi)]
+        k = 1j * (f1 @ f2 - f2 @ f1)
+        rtol = IMAG_RESIDUE_RTOL if exact else LOOSE_RESIDUE_RTOL
+        out.append([corner_trace(k, m, rtol) for m in corners]
+                   + [corner_trace(k, m, None) for m in table])
+    return out
 
 
-def lhs_corner_trace(cfg: TraceExperimentConfig, decs=None) -> float:
+def lhs_corner_trace(cfg: TraceExperimentConfig) -> float:
     """Corner trace of i [phi(A_N, B_N), psi(A_N, B_N)] at cfg.corner()."""
-    return _corner_traces(cfg, [cfg.corner()], decs)[0][0]
+    return _corner_traces(cfg, [(cfg.phi, cfg.psi)], [cfg.corner()])[0][0][0]
 
 
 def rhs_integral(phi: Function2D, psi: Function2D, g: PrincipalFunction,
@@ -215,10 +212,10 @@ def trace_formula_experiment(cfg: TraceExperimentConfig) -> TraceReport:
     g = principal_function(cfg.symbol)
     rhs = rhs_integral(cfg.phi, cfg.psi, g)
     scale = _grid_integrals(cfg.phi, cfg.psi, g, cfg.resolution)[1]
-    (lhs, residue), *own = _corner_traces(cfg, [m], table=at_n)
+    [[(lhs, residue), *own]] = _corner_traces(cfg, [(cfg.phi, cfg.psi)], [m], at_n)
     table = []
     for c, ms in zip(sizes, table_m):
-        vals = own if c.n == cfg.n else _corner_traces(c, [], table=ms)
+        vals = own if c.n == cfg.n else _corner_traces(c, [(c.phi, c.psi)], [], ms)[0]
         table += [{"n": c.n, "m": mm, "lhs": val, "abs_err": abs(val - rhs),
                    "imag_residue": res} for mm, (val, res) in zip(ms, vals)]
     abs_err = abs(lhs - rhs)
@@ -239,13 +236,11 @@ def polynomial_suite(n: int = 128, m: int | None = None):
                                                    [[0, 0, 1]], [[0, 0], [0, 1]]))
     suite = [("x,y", x, y, 0.5), ("x^2,y", x2, y, 0.0), ("x,y^2", x, y2, 0.0),
              ("x^2,y^2", x2, y2, 0.0), ("x^2,xy", x2, xy, 0.25)]
-    a, b = model_pair(SHIFT_SYMBOL, n)
-    decs = (decompose(a), decompose(b))
+    cfg = TraceExperimentConfig(x, y, n=n, m=m)
+    lhs_rows = _corner_traces(cfg, [(phi, psi) for _, phi, psi, _ in suite], [cfg.corner()])
     g = principal_function(SHIFT_SYMBOL)
     out = []
-    for name, phi, psi, exact in suite:
-        cfg = TraceExperimentConfig(phi, psi, n=n, m=m)
-        [(lhs, residue)] = _corner_traces(cfg, [cfg.corner()], decs)
+    for (name, phi, psi, exact), [(lhs, residue)] in zip(suite, lhs_rows):
         rhs = rhs_integral(phi, psi, g)
         out.append({"pair": name, "lhs": lhs, "rhs": rhs, "exact": exact,
                     "lhs_err": abs(lhs - exact), "rhs_err": abs(rhs - exact),
@@ -262,28 +257,21 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
     grid = grid or UniformGrid(dim=2, period=32.0 * np.pi, points=256)
     phi_s, psi_s = cfg.phi.sample(grid), cfg.psi.sample(grid)
     dec_phi, dec_psi = (lp_decompose(f.data, grid, band_range) for f in (phi_s, psi_s))
-    a, b = model_pair(cfg.symbol, cfg.n)
-    da, db = decompose(a), decompose(b)
     g = principal_function(cfg.symbol)
 
     # means are stripped by the band decomposition; add them back as a band
-    bands_phi, bands_psi = ({**{n: Function2D.sampled(v, grid) for n, v in dec.bands.items()},
-                             "mean": Function2D.polynomial([[complex(np.mean(f.data))]])}
+    bands_phi, bands_psi = ([*(Function2D.sampled(v, grid) for v in dec.bands.values()),
+                             Function2D.polynomial([[complex(np.mean(f.data))]])]
                             for dec, f in ((dec_phi, phi_s), (dec_psi, psi_s)))
-
-    f_phi = {key: funcalc(fn, da, db) for key, fn in bands_phi.items()}
-    f_psi = {key: funcalc(fn, da, db) for key, fn in bands_psi.items()}
-    lhs_bands = 0.0
-    for fp in f_phi.values():
-        for fq in f_psi.values():
-            lhs_bands += corner_trace(1j * (fp @ fq - fq @ fp), m, None)[0]
-    [(lhs_total, _)] = _corner_traces(replace(cfg, phi=phi_s, psi=psi_s), [m], (da, db))
-
+    band_pairs = [(bp, bq) for bp in bands_phi for bq in bands_psi]
+    [[(lhs_total, _)]] = _corner_traces(cfg, [(phi_s, psi_s)], [m])
     rhs_total = rhs_integral(phi_s, psi_s, g)
-    rhs_bands = 0.0
-    for bp in bands_phi.values():
-        for bq in bands_psi.values():
-            rhs_bands += rhs_integral(bp, bq, g)
+
+    # band pairs are informational: table corners, with no residue cap
+    lhs_bands = rhs_bands = 0.0
+    for (bp, bq), [(trace, _)] in zip(band_pairs, _corner_traces(cfg, band_pairs, [], [m])):
+        lhs_bands += trace
+        rhs_bands += rhs_integral(bp, bq, g)
     return {"lhs_total": lhs_total, "lhs_band_sum": lhs_bands,
             "rhs_total": rhs_total, "rhs_band_sum": rhs_bands,
             "lhs_gap": abs(lhs_total - lhs_bands),
@@ -336,7 +324,7 @@ def winding_factor_experiment(symbol: Symbol, n_table=(128, 256, 512),
     rows = []
     for n in n_table:
         cfg = TraceExperimentConfig(phi, psi, symbol, n=n)
-        [(lhs, _)] = _corner_traces(cfg, [cfg.corner()])
+        [[(lhs, _)]] = _corner_traces(cfg, [(phi, psi)], [cfg.corner()])
         rows.append({"n": n, "lhs": lhs, "ratio_flat": lhs / rhs_flat,
                      "err_true": abs(lhs - rhs_true)})
     return {"rhs_true": rhs_true, "rhs_flat": rhs_flat, "rows": rows}

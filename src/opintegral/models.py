@@ -17,7 +17,7 @@ signed crossing counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,17 +160,12 @@ class PrincipalFunction:
     """
 
     symbol: Symbol
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def on_grid(self, xs, ys) -> np.ndarray:
         """Values g(x, y), shape (len(ys), len(xs)): the transpose of a
         C-contiguous (x, y) array, so .T is in eval_grid's layout without a
-        copy.  Winding numbers are cached per grid."""
-        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        key = (xs.tobytes(), ys.tobytes())
-        if key not in self._cache:
-            self._cache[key] = winding_grid(self.symbol, xs, ys)
-        return self._cache[key]
+        copy."""
+        return winding_grid(self.symbol, xs, ys)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) covering the support of g."""

@@ -115,7 +115,6 @@ class HaagerupRep:
     mid: object | None = None
     right: object | None = None
     double: object | None = None
-    shape: tuple[int, int] = (0, 0)
     tail_bound: float = _LazyFloat()
 
     def __post_init__(self):
@@ -125,7 +124,6 @@ class HaagerupRep:
             if not all(isinstance(f, (list, tuple)) and f for f in self.factors) or not (
                     len(self.left) == len(self.mid) == len(self.right)):
                 raise ValueError("projective representation needs three equal-length factor lists")
-            self.shape = (len(self.mid), len(self.mid))
         elif self.double is None:
             raise ValueError(f"{self.kind} representation needs a doubly-indexed factor")
         self.left, self.mid, self.right = (_family(f) for f in self.factors)
@@ -286,7 +284,7 @@ def projective_to_kind(rep: HaagerupRep, kind: str, s1, s2, s3) -> HaagerupRep:
                 _weighted(f, np.sqrt(np.prod(sups[:i] + sups[i + 1:], axis=0) / sups[i]))
                 for i, f in enumerate(rep.factors)]
     return HaagerupRep(kind, *families, double=_diagonal(_weighted(rep.factors[s], 1.0 / sups[s])),
-                       shape=rep.shape, tail_bound=rep.tail_bound)
+                       tail_bound=rep.tail_bound)
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,7 @@ def eval_via_trace_duality(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
         raise ValueError("trace duality applies to first/second kind representations")
     lo, hi = (s - 1) % 3, (s + 1) % 3
     inner = HaagerupRep(kind="haagerup", left=rep.factors[lo],
-                        double=_transposed_double(rep.double), right=rep.factors[hi],
-                        shape=(rep.shape[1], rep.shape[0]))
+                        double=_transposed_double(rep.double), right=rep.factors[hi])
     decs = [decompose(x) for x in (a, b, c)]
     n1, n3 = decs[0].dim, decs[2].dim
     tr = (np.asarray(t, dtype=np.complex128), np.asarray(r, dtype=np.complex128))

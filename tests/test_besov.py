@@ -109,6 +109,18 @@ def test_besov_sin_value_one():
     assert bn.value == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"s": np.nan}, "Besov smoothness s must be finite, got nan"),
+    ({"s": -np.inf}, "Besov smoothness s must be finite, got -inf"),
+    ({"p": 0.0}, r"Besov exponent p must lie in \(0, inf\], got 0.0"),
+    ({"q": np.nan}, r"Besov exponent q must lie in \(0, inf\], got nan"),
+    ({"q": -1.0}, r"Besov exponent q must lie in \(0, inf\], got -1.0")])
+def test_lp_besov_norm_rejects_bad_parameters(kwargs, message):
+    grid = DEFAULT_GRID_1D
+    with pytest.raises(ValueError, match=message):
+        lp_decompose(np.sin(grid.axis()), grid).besov_norm(**kwargs)
+
+
 def test_besov_polynomial_variant_zero():
     phi = Function2D.polynomial([[1.0, 2.0], [3.0, 0.0]])
     assert besov_norm(phi).value == 0.0

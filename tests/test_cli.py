@@ -145,6 +145,22 @@ def test_cli_single_mode_rejects_corners_outside_one_to_half_n(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("n abc", "not a positive integer: 'abc' in key 'n'"),
+    ("n -8", "not a positive integer: '-8' in key 'n'"),
+    ("m 2.5", "not an integer: '2.5' in key 'm'"),
+    ("resolution x", "not an integer: 'x' in key 'resolution'"),
+    ("n_table 8,,16", "not a positive integer: '' in key 'n_table'"),
+    ("n_table 0,16", "not a positive integer: '0' in key 'n_table'"),
+    ("m_fractions 0.25,inf", "not a finite positive number: 'inf' in key 'm_fractions'"),
+    ("m_fractions -0.25", "not a finite positive number: '-0.25' in key 'm_fractions'")])
+def test_cli_trace_formula_refuses_bad_cfg_numbers_naming_file_and_key(tmp_path, capsys,
+                                                                       line, message):
+    cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", extra=line + "\n")
+    assert main(["trace-formula", "--config", str(cfg)]) == 1
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("m", [12, -3])
 def test_cli_polynomial_suite_rejects_corners_outside_one_to_half_n(tmp_path, capsys, m):
     cfg = tmp_path / "suite.cfg"
@@ -407,6 +423,33 @@ def test_cli_commutator_suite(tmp_path, capsys):
     payload = json.loads((tmp_path / "r.json").read_text())
     assert len(payload["trials"]) == 2
     assert payload["max_residual_s1"] <= 1e-10
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--s", "nan", "Besov smoothness s must be finite, got nan"),
+    ("--s", "inf", "Besov smoothness s must be finite, got inf"),
+    ("--p", "nan", "Besov exponent p must lie in (0, inf], got nan"),
+    ("--p", "0", "Besov exponent p must lie in (0, inf], got 0.0"),
+    ("--q", "nan", "Besov exponent q must lie in (0, inf], got nan"),
+    ("--q", "0", "Besov exponent q must lie in (0, inf], got 0.0"),
+    ("--q", "-1", "Besov exponent q must lie in (0, inf], got -1.0")])
+def test_cli_besov_refuses_bad_parameters(capsys, flag, value, message):
+    code = main(["besov-norm", "--input", str(DATA_DIR / "sin.opfun"), flag, value])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trials", "0", "not a positive integer: '0'"),
+    ("--max-dim", "0", "not a positive integer: '0'"),
+    ("--degree", "-1", "not a non-negative integer: '-1'"),
+    ("--tolerance", "-0.5", "not a finite non-negative number: '-0.5'"),
+    ("--tolerance", "nan", "not a finite non-negative number: 'nan'"),
+    ("--tolerance", "inf", "not a finite non-negative number: 'inf'")])
+def test_cli_commutator_verify_refuses_bad_flags(capsys, flag, value, message):
+    code = main(["commutator-verify", "--phi", str(DATA_DIR / "phi_xy.spec"), flag, value])
+    assert code == 1
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
 def test_cli_reports_are_deterministic(tmp_path):

@@ -229,9 +229,9 @@ def test_sinc_certificate_dominates_every_slice_norm():
     spec = np.linalg.eigvalsh(rng.hermitian(6))
     for axis in (1, 2):
         sr = sinc_representation(phi, axis, sigma=2.0, j_max=128, domain_radius=2.0)
-        assert sr.rep.shape == (257, 257)
         cert = rep_norm_certificate(sr.rep, spec, spec, spec)
         slices = sr.rep.double(spec)
+        assert slices.shape == (6, 257, 257)
         for m in slices:
             assert cert.factor_norms[sr.rep.slot] >= np.linalg.norm(m, 2)
 

@@ -11,10 +11,9 @@ from opintegral.doi import funcalc
 from opintegral.functions import Function2D, UniformGrid
 from opintegral.heltonhowe import (SHIFT_SYMBOL, TraceExperimentConfig, _grid_integrals,
                                    _midpoint_jacobian, band_additivity_check, corner_trace,
-                                   lhs_corner_trace, model_pair, polynomial_suite,
-                                   rhs_integral, trace_formula_experiment,
-                                   winding_factor_experiment)
-from opintegral.models import Symbol, principal_function
+                                   lhs_corner_trace, polynomial_suite, rhs_integral,
+                                   trace_formula_experiment, winding_factor_experiment)
+from opintegral.models import Symbol, principal_function, toeplitz_matrix
 from opintegral.spectral import decompose
 from oracles import disk_principal_function
 
@@ -22,6 +21,11 @@ X = Function2D.polynomial([[0], [1]])
 Y = Function2D.polynomial([[0, 1]])
 X2 = Function2D.polynomial([[0], [0], [1]])
 XY = Function2D.polynomial([[0, 0], [0, 1]])
+
+
+def model_pair(symbol, n):
+    """The truncated self-adjoint pair (T_{Re f}, T_{Im f})."""
+    return toeplitz_matrix(symbol.real_part(), n), toeplitz_matrix(symbol.imag_part(), n)
 
 
 def test_polynomial_suite_small():
@@ -93,16 +97,14 @@ def test_midpoint_jacobian_weights_are_c_contiguous():
 
 def test_lhs_antisymmetry_and_bilinearity():
     cfgxy = TraceExperimentConfig(phi=X, psi=Y, n=64, m=16)
-    a, b = model_pair(SHIFT_SYMBOL, 64)
-    decs = (decompose(a), decompose(b))
-    lxy = lhs_corner_trace(cfgxy, decs)
-    lyx = lhs_corner_trace(TraceExperimentConfig(phi=Y, psi=X, n=64, m=16), decs)
+    lxy = lhs_corner_trace(cfgxy)
+    lyx = lhs_corner_trace(TraceExperimentConfig(phi=Y, psi=X, n=64, m=16))
     assert lxy == pytest.approx(-lyx, abs=1e-12)
     # bilinearity: phi = x + 2 x^2 against y
     mix = Function2D.polynomial([[0], [1], [2]])
-    lmix = lhs_corner_trace(TraceExperimentConfig(phi=mix, psi=Y, n=64, m=16), decs)
-    lx = lhs_corner_trace(TraceExperimentConfig(phi=X, psi=Y, n=64, m=16), decs)
-    lx2 = lhs_corner_trace(TraceExperimentConfig(phi=X2, psi=Y, n=64, m=16), decs)
+    lmix = lhs_corner_trace(TraceExperimentConfig(phi=mix, psi=Y, n=64, m=16))
+    lx = lhs_corner_trace(TraceExperimentConfig(phi=X, psi=Y, n=64, m=16))
+    lx2 = lhs_corner_trace(TraceExperimentConfig(phi=X2, psi=Y, n=64, m=16))
     assert lmix == pytest.approx(lx + 2 * lx2, abs=1e-12)
 
 
@@ -164,36 +166,44 @@ def test_trace_experiment_gaussian_pair():
     assert errs[-1] <= errs[0] + 1e-12
 
 
-def test_band_additivity_exact_for_band_limited_pair():
+BAND_GRID = UniformGrid(dim=2, period=32 * np.pi, points=256)
+BAND_RANGE = (-3, 2)
+
+
+def _band_limited_pair(mean=0.0):
+    """Gaussian bumps (plus mean) keeping only the mean and the frequencies
+    every window sum over BAND_RANGE covers with weight exactly 1, so the
+    dyadic pieces telescope exactly."""
     from opintegral.besov import window_eval
 
-    grid = UniformGrid(dim=2, period=32 * np.pi, points=256)
-    ax = grid.axis()
-    xg, yg = np.meshgrid(ax, ax, indexing="ij")
-    band_range = (-3, 2)
+    xg, yg = np.meshgrid(BAND_GRID.axis(), BAND_GRID.axis(), indexing="ij")
+    coverage = sum(window_eval(BAND_GRID.radial_frequencies() / 2.0 ** n)
+                   for n in range(BAND_RANGE[0], BAND_RANGE[1] + 1))
+    mask = np.abs(coverage - 1.0) <= 1e-12
+    mask.flat[0] = True  # keep the mean
+    return tuple(Function2D.sampled(np.fft.ifft2(np.fft.fft2(values) * mask) + mean, BAND_GRID)
+                 for values in (np.exp(-((xg - 0.2) ** 2 + yg ** 2) * 0.75),
+                                np.exp(-(xg ** 2 + (yg - 0.2) ** 2) * 0.75)))
 
-    def project_fully_covered(values):
-        # keep the mean plus only those frequencies every window sum covers
-        # with weight exactly 1, so the dyadic pieces telescope exactly
-        spec = np.fft.fft2(values)
-        radii = grid.radial_frequencies()
-        coverage = sum(window_eval(radii / 2.0 ** n)
-                       for n in range(band_range[0], band_range[1] + 1))
-        mask = np.abs(coverage - 1.0) <= 1e-12
-        mask.flat[0] = True  # keep the mean
-        return np.fft.ifft2(spec * mask)
 
-    phi = Function2D.sampled(project_fully_covered(
-        np.exp(-((xg - 0.2) ** 2 + yg ** 2) * 0.75)), grid)
-    psi = Function2D.sampled(project_fully_covered(
-        np.exp(-(xg ** 2 + (yg - 0.2) ** 2) * 0.75)), grid)
+def test_band_additivity_exact_for_band_limited_pair():
+    phi, psi = _band_limited_pair()
     cfg = TraceExperimentConfig(phi=phi, psi=psi, n=48, m=12, resolution=512)
-    res = band_additivity_check(cfg, band_range=band_range, grid=grid)
+    res = band_additivity_check(cfg, band_range=BAND_RANGE, grid=BAND_GRID)
     scale = max(abs(res["lhs_total"]), 1e-6)
     assert res["lhs_gap"] <= 1e-8 * max(1.0, scale)
     assert res["rhs_gap"] <= 1e-8 * max(1.0, scale)
     # both sides of the pair itself: the contour sum meets the corner trace
     assert abs(res["rhs_total"] - res["lhs_total"]) <= 1e-12 * abs(res["lhs_total"])
+
+
+def test_band_pairs_take_no_residue_cap():
+    # with a mean of 1e3, the K of a pair of weak bands is at rounding level,
+    # and its residue fails even the loose cap: band pairs must take no cap
+    phi, psi = _band_limited_pair(mean=1e3)
+    cfg = TraceExperimentConfig(phi=phi, psi=psi, n=48, m=12)
+    res = band_additivity_check(cfg, band_range=BAND_RANGE, grid=BAND_GRID)
+    assert res["lhs_gap"] <= 1e-12 * max(1.0, abs(res["lhs_total"]))
 
 
 def test_winding_factor_two_on_pure_double_symbol():

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import opintegral
-from opintegral import functions
+from opintegral import cli, commutator, divdiff, doi, fileio, functions, heltonhowe
+from opintegral.models import Symbol
+from opintegral.rng import Xorshift64Star
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,16 +38,33 @@ def test_rhs_integral_takes_resolution():
     assert "resolution" in inspect.signature(opintegral.heltonhowe.rhs_integral).parameters
 
 
-#: (function, positional argument count, keywords) of the calls perfbench/workloads.py makes
+#: (function, positional argument count, keywords) of the calls perfbench/workloads.py
+#: makes; a method's count includes self
 WORKLOAD_CALLS = [
-    (opintegral.commutator.commutator_of_functions, 4, ("j_max", "grid")),
-    (opintegral.divdiff.besov_representation, 2, ("j_max", "grid", "domain_radius")),
-    (opintegral.heltonhowe.winding_factor_experiment, 1, ("n_table", "resolution")),
-    (opintegral.doi.schur_multiplier_norm, 1, ("tol", "factorizations"))]
+    (commutator.commutator_of_functions, 4, ("j_max", "grid")),
+    (divdiff.besov_representation, 2, ("j_max", "grid", "domain_radius")),
+    (heltonhowe.winding_factor_experiment, 1, ("n_table", "resolution")),
+    (doi.schur_multiplier_norm, 1, ("tol", "factorizations")),
+    (commutator.verify_theorem_41, 4, ()),
+    (commutator.almost_commuting_pair, 2, ("rank",)),
+    (commutator.random_polynomial, 2, ()),
+    (fileio.write_function_spec, 2, ()),
+    (fileio.write_matrix, 2, ()),
+    (doi.projective_decompose_trig, 1, ()),
+    (doi.TrigProjectiveRows.evaluate, 3, ()),
+    (doi.TrigProjectiveRows.factorization, 3, ()),
+    (divdiff.BandRepList.aggregate_certificate, 4, ()),
+    (cli.main, 1, ()),
+    (functions.Function2D.closed_form, 1, ()),
+    (functions.UniformGrid, 0, ("dim", "period", "points")),
+    (Symbol.from_dict, 1, ()),
+    (Xorshift64Star, 1, ()),
+    (Xorshift64Star.uniform, 2, ()),
+    (Xorshift64Star.complex_normal, 2, ())]
 
 
 @pytest.mark.parametrize("function, positional, keywords", WORKLOAD_CALLS,
-                         ids=[call[0].__name__ for call in WORKLOAD_CALLS])
+                         ids=[call[0].__qualname__ for call in WORKLOAD_CALLS])
 def test_workload_calls_bind(function, positional, keywords):
     inspect.signature(function).bind(*range(positional), **dict.fromkeys(keywords))
 

@@ -138,7 +138,7 @@ def test_unitary_mixed_haagerup_rep(rng):
         return out
 
     rep = HaagerupRep(kind="haagerup", left=[alpha(j) for j in range(n)],
-                      double=double, right=[t3[2] for t3 in terms], shape=(n, n))
+                      double=double, right=[t3[2] for t3 in terms])
     direct = triple_spectral_sum(_psi_of(terms), da, db, dc, t, r)
     w = eval_representation(rep, da, t, db, r, dc)
     assert np.linalg.norm(w - direct, 2) <= 1e-11 * max(np.linalg.norm(direct, 2), 1.0)
@@ -186,8 +186,7 @@ def test_s1_certificate_trivial_first_kind(rng):
         pts = np.asarray(points, dtype=float)
         return np.ones((pts.size, 1, 1), dtype=np.complex128)
 
-    rep = HaagerupRep(kind="first_kind", left=[_ones()], mid=[_ones()],
-                      double=double, shape=(1, 1))
+    rep = HaagerupRep(kind="first_kind", left=[_ones()], mid=[_ones()], double=double)
     cert = s1_certificate(rep, a, t, b, r, c)
     assert cert.satisfied
     assert cert.lhs == pytest.approx(schatten_norm(t @ r, 1), rel=1e-10)
