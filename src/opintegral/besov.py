@@ -225,7 +225,8 @@ def besov_norm(f, grid: UniformGrid | None = None, s: float = 1.0, p: float = np
     """
     if isinstance(f, Function2D):
         if f.kind == "polynomial":
-            return BesovNorm(s=s, p=p, q=q, value=0.0, band_terms={}, uncovered_mass=0.0)
+            # no bands, through the one parameter check of the band sum
+            return LPDecomposition(grid, band_range, {}, {}, 0.0).besov_norm(s, p, q)
         f, grid = analysis_samples(f, grid)
     elif grid is None:
         raise ValueError("sample arrays need an explicit grid")

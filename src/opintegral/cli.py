@@ -9,76 +9,76 @@ deterministic JSON; identical inputs and seed give byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import besov, doi, fileio, heltonhowe, models
-from .commutator import (CommutatorReport, commutator_of_functions, probe_problem1,
-                         probe_problem2, theorem41_trial_suite, verify_theorem_41)
+from . import besov, divdiff, doi, fileio, heltonhowe, models
+from .commutator import (commutator_of_functions, probe_problem1, probe_problem2,
+                         theorem41_trial_suite, verify_theorem_41)
+from .fileio import INTEGER, NON_NEGATIVE, NON_NEGATIVE_INTEGER, POSITIVE, POSITIVE_INTEGER
 from .functions import Function2D
 from .rng import Xorshift64Star
 from .spectral import HermitianOperator
 
 DATA_DIR = Path(__file__).parent / "data"
 
-#: (number type, test, name) of the numeric flags and cfg values; a value
-#: must parse as the type, be finite and pass the test
-INTEGER = (int, lambda v: True, "an integer")
-POSITIVE_INTEGER = (int, lambda v: v > 0, "a positive integer")
-NON_NEGATIVE_INTEGER = (int, lambda v: v >= 0, "a non-negative integer")
-POSITIVE = (float, lambda v: v > 0, "a finite positive number")
-NON_NEGATIVE = (float, lambda v: v >= 0, "a finite non-negative number")
-
-
-def _number(text: str, kind):
-    """text read as kind's number type, or None unless it is finite and passes
-    kind's test."""
-    number, ok, _ = kind
-    try:
-        value = number(text)
-    except ValueError:
-        return None
-    return value if (number is int or math.isfinite(value)) and ok(value) else None
+#: the number kind of each numeric trace-formula cfg key (n_table and
+#: m_fractions are comma-separated lists), and the keys each mode reads
+CFG_NUMBERS = {"n": POSITIVE_INTEGER, "m": INTEGER, "resolution": INTEGER,
+               "n_table": POSITIVE_INTEGER, "m_fractions": POSITIVE}
+CFG_KEYS = {"polynomial-suite": ("mode", "n", "m"),
+            "single": ("mode", "phi", "psi", "symbol", *CFG_NUMBERS)}
 
 
 def _flag(kind):
     """argparse type for a numeric flag; argparse names the flag it refuses."""
     def read(text):
-        if (value := _number(text, kind)) is None:
+        if (value := fileio.parse_number(text, kind)) is None:
             raise argparse.ArgumentTypeError(f"not {kind[2]}: {text!r}")
         return value
     return read
 
 
-def _cfg_value(path, key: str, text: str, kind):
-    """text, a value (or one comma-separated entry) of key in the cfg file
-    path, refused naming the file and key unless it is a number of kind."""
-    if (value := _number(text, kind)) is None:
-        raise ValueError(f"{path}: not {kind[2]}: {text!r} in key {key!r}")
-    return value
+def _exponent(text: str) -> str:
+    """argparse type of a Besov exponent flag: a float, inf or oo, kept as
+    written for the report; besov judges its value."""
+    try:
+        float("inf" if text == "oo" else text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number, inf or oo: {text!r}") from None
+    return text
+
+
+def _operands(args):
+    """phi, then the Hermitian pair (A, B), or None for a command given
+    neither; half a pair, or --psi without the pair, is refused."""
+    if (args.A is None) != (args.B is None) or (args.A is None and getattr(args, "psi", None)):
+        raise ValueError("--A and --B name the Hermitian pair: give both, or neither and no --psi")
+    phi = fileio.read_function_spec(args.phi)
+    return phi, None if args.A is None else tuple(
+        HermitianOperator(fileio.read_matrix(m)) for m in (args.A, args.B))
 
 
 def _print(args, text):
-    if not getattr(args, "json", False):
+    if not args.json:
         print(text)
 
 
-def _emit(args, payload):
-    target = getattr(args, "out", None)
+def _emit(args, payload, target):
+    """The one report path: payload written to target, if any, and printed under --json."""
     if target:
         fileio.write_report(target, payload)
         _print(args, f"report written to {target}")
-    if getattr(args, "json", False):
+    if args.json:
         print(fileio.report_text(payload))
 
 
 def cmd_besov_norm(args) -> int:
     values, grid = fileio.read_samples(args.input)
-    p = np.inf if args.p in ("inf", "oo") else float(args.p)
-    q = np.inf if args.q in ("inf", "oo") else float(args.q)
+    p, q = (float("inf" if v == "oo" else v) for v in (args.p, args.q))
     lo, hi = besov.default_band_range(grid)
     band_range = (lo if args.band_min is None else args.band_min,
                   hi if args.band_max is None else args.band_max)
@@ -88,26 +88,20 @@ def cmd_besov_norm(args) -> int:
                "band_terms": {str(k): v for k, v in bn.band_terms.items()},
                "uncovered_mass": bn.uncovered_mass}
     _print(args, f"besov norm (s={args.s}, p={args.p}, q={args.q}): {bn.value!r}")
-    _emit(args, payload)
+    _emit(args, payload, args.out)
     return 0
 
 
 def cmd_funcalc(args) -> int:
-    phi = fileio.read_function_spec(args.phi)
-    a = HermitianOperator(fileio.read_matrix(args.A))
-    b = HermitianOperator(fileio.read_matrix(args.B))
+    phi, (a, b) = _operands(args)
     result = doi.funcalc(phi, a, b)
     fileio.write_matrix(args.out, result)
     payload = {"command": "funcalc", "phi": str(args.phi), "A": str(args.A),
                "B": str(args.B), "out": str(args.out),
                "operator_norm": float(np.linalg.norm(result, 2)),
-               "trace": {"re": float(np.trace(result).real),
-                         "im": float(np.trace(result).imag)}}
+               "trace": complex(np.trace(result))}
     _print(args, f"phi(A,B) written to {args.out}")
-    if args.report:
-        fileio.write_report(args.report, payload)
-    if args.json:
-        print(fileio.report_text(payload))
+    _emit(args, payload, args.report)
     return 0
 
 
@@ -121,32 +115,21 @@ def cmd_schur_norm(args) -> int:
                "iterations": cert.iterations}
     _print(args, f"multiplier norm in [{cert.lower!r}, {cert.upper!r}] "
                  f"(gap {cert.gap:.3e}{'' if cert.converged else ', not within tol'})")
-    _emit(args, payload)
+    _emit(args, payload, args.out)
     return 0 if cert.converged or args.allow_gap else 2
 
 
-def _report_dict(rep: CommutatorReport) -> dict:
-    return {"lhs_s1": rep.lhs_s1, "rhs_s1": rep.rhs_s1,
-            "residual_s1": rep.residual_s1,
-            "bound_ingredients": rep.bound_ingredients,
-            "empirical_constant": rep.empirical_constant, "notes": rep.notes}
-
-
 def cmd_commutator_verify(args) -> int:
-    phi = fileio.read_function_spec(args.phi)
-    if args.A and args.B:
-        a = HermitianOperator(fileio.read_matrix(args.A))
-        b = HermitianOperator(fileio.read_matrix(args.B))
+    phi, pair = _operands(args)
+    if pair:
         if args.psi:
-            psi = fileio.read_function_spec(args.psi)
-            _, rep = commutator_of_functions(phi, psi, a, b)
+            _, rep = commutator_of_functions(phi, fileio.read_function_spec(args.psi), *pair)
         else:
-            rng = Xorshift64Star(args.seed)
-            q = rng.complex_normal((a.dim, a.dim))
+            q = Xorshift64Star(args.seed).complex_normal((pair[0].dim, pair[0].dim))
             q /= np.linalg.norm(q, 2)
-            rep = verify_theorem_41(phi, a, b, q)
+            rep = verify_theorem_41(phi, *pair, q)
         payload = {"command": "commutator-verify", "mode": "single",
-                   "seed": args.seed, "report": _report_dict(rep)}
+                   "seed": args.seed, "report": dataclasses.asdict(rep)}
         tol = args.tolerance * max(rep.lhs_s1, 1.0)
         ok = rep.residual_s1 <= tol
         _print(args, f"residual_s1 {rep.residual_s1:.3e} "
@@ -154,7 +137,7 @@ def cmd_commutator_verify(args) -> int:
     else:
         results = theorem41_trial_suite(n_trials=args.trials, seed=args.seed,
                                         max_dim=args.max_dim, degree=args.degree)
-        trials = [{"meta": meta, **_report_dict(rep)} for meta, rep in results]
+        trials = [{"meta": meta, **dataclasses.asdict(rep)} for meta, rep in results]
         max_resid = max(t["residual_s1"] for t in trials)
         max_const = max(t["empirical_constant"] for t in trials)
         scale = max(max(t["lhs_s1"] for t in trials), 1.0)
@@ -165,18 +148,13 @@ def cmd_commutator_verify(args) -> int:
         ok = max_resid <= args.tolerance * scale
         _print(args, f"{len(trials)} trials: max residual {max_resid:.3e}, "
                      f"max empirical constant {max_const:.4f}")
-    if args.report:
-        fileio.write_report(args.report, payload)
-    if args.json:
-        print(fileio.report_text(payload))
+    _emit(args, payload, args.report)
     return 0 if ok else 2
 
 
 def cmd_probe(args) -> int:
-    phi = fileio.read_function_spec(args.phi)
+    phi, (a, b) = _operands(args)
     psi = fileio.read_function_spec(args.psi)
-    a = HermitianOperator(fileio.read_matrix(args.A))
-    b = HermitianOperator(fileio.read_matrix(args.B))
     p1 = probe_problem1(phi, psi, a, b)
     p2 = probe_problem2(phi, a, b)
     payload = {"command": "probe",
@@ -184,7 +162,7 @@ def cmd_probe(args) -> int:
                "self_adjointness_defect_s1": p2}
     _print(args, f"(phi psi)(A,B) - phi(A,B) psi(A,B) trace norm: {p1!r}")
     _print(args, f"phi(A,B)* - conj(phi)(A,B) trace norm:          {p2!r}")
-    _emit(args, payload)
+    _emit(args, payload, args.out)
     return 0
 
 
@@ -201,18 +179,25 @@ def _symbol_from_cfg(cfg: dict, path) -> models.Symbol:
 
 def cmd_trace_formula(args) -> int:
     cfg = fileio.read_config(args.config)
-    base = Path(args.config).parent
     mode = cfg.get("mode", "polynomial-suite")
+    if mode not in CFG_KEYS:
+        raise ValueError(f"unknown trace-formula mode {mode!r}")
+    if unread := [key for key in cfg if key not in CFG_KEYS[mode]]:
+        raise ValueError(f"{args.config}: mode {mode} does not read key {unread[0]!r}")
+
+    def number(key, text):
+        return fileio.read_number(args.config, key, text, CFG_NUMBERS[key], "key")
     # m and resolution below 1 fall to the corner and quadrature rules, which name them
-    n = (_cfg_value(args.config, "n", cfg["n"], POSITIVE_INTEGER) if "n" in cfg
-         else heltonhowe.TraceExperimentConfig.n)
-    m = _cfg_value(args.config, "m", cfg["m"], INTEGER) if "m" in cfg else None
+    numbers = {key: tuple(number(key, entry) for entry in text.split(","))
+               if key in ("n_table", "m_fractions") else number(key, text)
+               for key, text in cfg.items() if key in CFG_NUMBERS}
+    n = numbers.setdefault("n", heltonhowe.TraceExperimentConfig.n)
     if mode == "polynomial-suite":
+        m = numbers.get("m", n // 4)
         rows = heltonhowe.polynomial_suite(n=n, m=m)
         max_lhs = max(r["lhs_err"] for r in rows)
         max_rhs = max(r["rhs_err"] for r in rows)
-        payload = {"command": "trace-formula", "mode": mode, "n": n,
-                   "m": m if m is not None else n // 4, "suite": rows,
+        payload = {"command": "trace-formula", "mode": mode, "n": n, "m": m, "suite": rows,
                    "max_lhs_err": max_lhs, "max_rhs_err": max_rhs}
         ok = max_lhs <= 1e-8 and max_rhs <= 5e-3
         for r in rows:
@@ -220,19 +205,11 @@ def cmd_trace_formula(args) -> int:
                          f"expected {r['exact']!r}")
         if args.csv:
             fileio.write_csv(args.csv, rows)
-    elif mode == "single":
-        phi = fileio.read_function_spec(base / cfg["phi"])
-        psi = fileio.read_function_spec(base / cfg["psi"])
-        symbol = _symbol_from_cfg(cfg, args.config)
-        fields = {key: tuple(_cfg_value(args.config, key, entry, kind)
-                             for entry in cfg[key].split(","))
-                  for key, kind in (("n_table", POSITIVE_INTEGER), ("m_fractions", POSITIVE))
-                  if key in cfg}
-        if "resolution" in cfg:
-            fields["resolution"] = _cfg_value(args.config, "resolution", cfg["resolution"],
-                                              INTEGER)
-        exp_cfg = heltonhowe.TraceExperimentConfig(phi=phi, psi=psi, symbol=symbol, n=n, m=m,
-                                                   **fields)
+    else:
+        phi, psi = (fileio.read_function_spec(Path(args.config).parent / cfg[key])
+                    for key in ("phi", "psi"))
+        exp_cfg = heltonhowe.TraceExperimentConfig(
+            phi=phi, psi=psi, symbol=_symbol_from_cfg(cfg, args.config), **numbers)
         rep = heltonhowe.trace_formula_experiment(exp_cfg)
         payload = {"command": "trace-formula", "mode": mode, "n": n,
                    "m": exp_cfg.corner(), "resolution": exp_cfg.resolution,
@@ -244,9 +221,7 @@ def cmd_trace_formula(args) -> int:
         _print(args, f"lhs {rep.lhs!r}  rhs {rep.rhs!r}  abs_err {rep.abs_err:.3e}")
         if args.csv:
             fileio.write_csv(args.csv, [dict(r) for r in rep.convergence])
-    else:
-        raise ValueError(f"unknown trace-formula mode {mode!r}")
-    _emit(args, payload)
+    _emit(args, payload, args.out)
     return 0 if ok else 2
 
 
@@ -304,8 +279,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
                    max_lhs <= 1e-8 and max_rhs <= 5e-3,
                    f"lhs err {max_lhs:.2e}, rhs err {max_rhs:.2e}"))
 
-    from .divdiff import sinc_partition_deficit
-    deficit = float(np.abs(sinc_partition_deficit(
+    deficit = float(np.abs(divdiff.sinc_partition_deficit(
         np.linspace(-np.pi, np.pi, 64), 2000)).max())
     checks.append(("sinc partition identity", deficit <= 1e-3,
                    f"deficit {deficit:.2e}"))
@@ -320,7 +294,7 @@ def cmd_selftest(args) -> int:
                "passed": all(p for _, p, _ in checks)}
     for name, passed, detail in checks:
         _print(args, f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
-    _emit(args, payload)
+    _emit(args, payload, args.out)
     return 0 if payload["passed"] else 2
 
 
@@ -338,18 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dyadic band norm of a sampled function")
     p.add_argument("--input", required=True)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--p", default="inf")
-    p.add_argument("--q", default="1")
+    p.add_argument("--p", type=_exponent, default="inf")
+    p.add_argument("--q", type=_exponent, default="1")
     p.add_argument("--band-min", type=int, default=None)
     p.add_argument("--band-max", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_besov_norm)
 
     p = sub.add_parser("funcalc", parents=[common], help="phi(A, B) for a two-variable function")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--out", required=True)
+    for flag in ("--phi", "--A", "--B", "--out"):
+        p.add_argument(flag, required=True)
     p.add_argument("--report")
     p.set_defaults(func=cmd_funcalc)
 
@@ -364,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("commutator-verify", parents=[common],
                        help="triple-integral commutator identity checks")
     p.add_argument("--phi", required=True)
-    p.add_argument("--psi")
-    p.add_argument("--A")
-    p.add_argument("--B")
+    for flag in ("--psi", "--A", "--B"):
+        p.add_argument(flag)
     p.add_argument("--trials", type=_flag(POSITIVE_INTEGER), default=50)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--max-dim", type=_flag(POSITIVE_INTEGER), default=32)
@@ -376,10 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_commutator_verify)
 
     p = sub.add_parser("probe", parents=[common], help="open-problem defect probes (reported only)")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
+    for flag in ("--phi", "--psi", "--A", "--B"):
+        p.add_argument(flag, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_probe)
 

@@ -26,22 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import divided_quotient
-from .functions import Function1D, Function2D
+from .functions import Function1D
 from .spectral import decompose
-
-
-def _eval_grid(phi, xs, ys) -> np.ndarray:
-    if isinstance(phi, Function2D):
-        vals = phi.eval_grid(xs, ys)
-    else:
-        vals = np.asarray(phi(np.asarray(xs)[:, None], np.asarray(ys)[None, :]),
-                          dtype=np.complex128)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(
-            f"integrand not evaluable at ({xs[i]:.6g}, {ys[j]:.6g})")
-    return np.asarray(vals, dtype=np.complex128)
+from .toi import _on_spectra
 
 
 def double_operator_integral(phi, a, t, b) -> np.ndarray:
@@ -58,7 +45,7 @@ def _weighted_sum(phi, da, db, t) -> np.ndarray:
     """U_A (phi_hat * U_A* T U_B) U_B*; t None is T = I, not multiplied out.
     U_A* T U_B stays an unnamed temporary, so numpy reuses its buffer (and
     swaps the Hadamard operands) alike in both cases: the bits agree."""
-    phi_hat = _eval_grid(phi, da.eigenvalues, db.eigenvalues)
+    phi_hat = np.asarray(_on_spectra(phi, da.eigenvalues, db.eigenvalues), dtype=np.complex128)
     uah, ub = da.eigenvectors.conj().T, db.eigenvectors
     return da.eigenvectors @ (phi_hat * (uah @ ub if t is None else uah @ t @ ub)) @ ub.conj().T
 
@@ -77,9 +64,10 @@ def funcalc(phi, a, b) -> np.ndarray:
 
 
 def scalar_calculus(f: Function1D, a) -> np.ndarray:
-    """f(A) for a one-variable function via the eigendecomposition."""
+    """f(A) for a one-variable function via the eigendecomposition; a
+    non-finite value of f on the spectrum is refused."""
     da = decompose(a)
-    vals = np.asarray(f(da.eigenvalues), dtype=np.complex128)
+    vals = np.asarray(_on_spectra(f, da.eigenvalues), dtype=np.complex128)
     u = da.eigenvectors
     return (u * vals) @ u.conj().T
 

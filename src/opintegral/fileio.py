@@ -13,12 +13,40 @@ and no timestamps, so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .functions import Function1D, Function2D, UniformGrid, parse_expr
 from .models import Symbol
+
+#: (number type, test, name) of a number read from outside (file fields, cfg
+#: values, flags): it must parse as the type, be finite and pass the test
+INTEGER = (int, lambda v: True, "an integer")
+POSITIVE_INTEGER = (int, lambda v: v > 0, "a positive integer")
+NON_NEGATIVE_INTEGER = (int, lambda v: v >= 0, "a non-negative integer")
+POSITIVE = (float, lambda v: v > 0, "a finite positive number")
+NON_NEGATIVE = (float, lambda v: v >= 0, "a finite non-negative number")
+
+
+def parse_number(text: str, kind):
+    """text read as kind's number type, or None unless it is finite and passes
+    kind's test."""
+    number, ok, _ = kind
+    try:
+        value = number(text)
+    except ValueError:
+        return None
+    return value if (number is int or math.isfinite(value)) and ok(value) else None
+
+
+def read_number(path, line: str, text: str, kind, entry: str = "line"):
+    """text, a field of line in path (entry "key": of the cfg key line), refused
+    naming the file and the entry unless it is a number of kind."""
+    if (value := parse_number(text, kind)) is None:
+        raise ValueError(f"{path}: not {kind[2]}: {text!r} in {entry} {line!r}")
+    return value
 
 
 def write_matrix(path, m: np.ndarray) -> None:
@@ -39,7 +67,7 @@ def read_matrix(path) -> np.ndarray:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "dim" or head[2] != "complex":
         raise ValueError(f"{path}: bad header {lines[0]!r}, expected 'dim n complex'")
-    if (n := _int(path, lines[0], head[1])) < 0:
+    if (n := read_number(path, lines[0], head[1], INTEGER)) < 0:
         raise ValueError(f"{path}: negative size {n} in line {lines[0]!r}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != n * n:
@@ -92,7 +120,7 @@ def read_symbol(path) -> Symbol:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "deg":
         raise ValueError(f"{path}: bad header {lines[0]!r}, expected 'deg d'")
-    if (deg := _int(path, lines[0], head[1])) < 0:
+    if (deg := read_number(path, lines[0], head[1], INTEGER)) < 0:
         raise ValueError(f"{path}: negative size {deg} in line {lines[0]!r}")
     return symbol_from_entries(path, [(ln, ln.split()) for ln in lines[1:]], deg, "line")
 
@@ -102,7 +130,7 @@ def symbol_from_entries(path, entries, deg: int | None, entry: str) -> Symbol:
     symbol; a bad or repeated index or number is refused, naming the entry."""
     coeffs = {}
     for text, (k, *fields) in entries:
-        k = _int(path, text, k, entry)
+        k = read_number(path, text, k, INTEGER, entry)
         if deg is not None and abs(k) > deg:
             raise ValueError(f"{path}: index {k} outside -{deg}..{deg} in {entry} {text!r}")
         if k in coeffs:
@@ -151,7 +179,7 @@ def read_function_spec(path) -> Function2D:
         for ln in lines[1:]:
             parts = ln.split()
             if (parts[0] != "coeff" or len(parts) != 5
-                    or min(jk := (_int(path, ln, parts[1]), _int(path, ln, parts[2]))) < 0):
+                    or min(jk := tuple(read_number(path, ln, j, INTEGER) for j in parts[1:3])) < 0):
                 raise ValueError(f"{path}: bad coeff line {ln!r}, expected 'coeff j k re im' "
                                  f"with exponents j, k >= 0")
             if jk in entries:
@@ -182,14 +210,6 @@ def read_function_spec(path) -> Function2D:
     raise ValueError(f"{path}: unknown variant {variant!r}")
 
 
-def _int(path, line: str, field: str, entry: str = "line") -> int:
-    """The integer field of line."""
-    try:
-        return int(field)
-    except ValueError:
-        raise ValueError(f"{path}: not an integer: {field!r} in {entry} {line!r}") from None
-
-
 def _pair(path, line: str, fields, entry: str = "line") -> complex:
     """re + i im from fields, the two numbers that end line."""
     try:
@@ -215,14 +235,17 @@ def _get_key(lines, key, path) -> str:
 
 
 def read_config(path) -> dict:
-    """Flat key-value config: first token is the key, the rest the value."""
+    """Flat key-value config: first token is the key, the rest the value; a
+    key given twice is refused, naming the file and the line."""
     out = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split(None, 1)
-        out[parts[0]] = parts[1].strip() if len(parts) > 1 else ""
+        key, *value = line.split(None, 1)
+        if key in out:
+            raise ValueError(f"{path}: repeated key {key!r} in line {raw!r}")
+        out[key] = value[0] if value else ""
     return out
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functions import Function2D
 from .spectral import decompose, schatten_norm
 
 #: kind -> zero-based slot of the variable its doubly-indexed factor depends on
@@ -221,30 +222,35 @@ def rep_norm_certificate(rep: HaagerupRep, s1, s2, s3) -> RepNormCertificate:
     return RepNormCertificate(rep.kind, float(np.prod(norms)), norms)
 
 
+def _on_spectra(psi, *spectra) -> np.ndarray:
+    """psi on the tensor grid of the spectra, the one sampling of the double and
+    triple integrals: HaagerupRep.evaluate_grid, Function2D.eval_grid, or any
+    other callable broadcast over the open grid; a non-finite value is refused."""
+    if isinstance(psi, HaagerupRep):
+        vals = psi.evaluate_grid(*spectra)
+    elif isinstance(psi, Function2D):
+        vals = psi.eval_grid(*spectra)
+    else:
+        # an integrand free of some variable returns a broadcastable shape
+        vals = np.broadcast_to(psi(*np.ix_(*spectra)), tuple(s.size for s in spectra))
+    if not (finite := np.isfinite(vals)).all():
+        point = ", ".join(f"{s[i]:.6g}" for s, i in zip(spectra, np.argwhere(~finite)[0]))
+        raise ValueError(f"integrand not evaluable at ({point})")
+    return vals
+
+
 def triple_spectral_sum(psi, a, b, c, t, r) -> np.ndarray:
     """Direct spectral realization sum_ijk Psi(lambda_i, mu_j, nu_k) P_i T Q_j R S_k.
 
-    psi is a callable broadcast over the three spectra or a HaagerupRep,
-    whose integrand tensor comes from HaagerupRep.evaluate_grid.
+    psi is a callable broadcast over the three spectra or a HaagerupRep, its
+    integrand tensor sampled by _on_spectra in the representation's dtype.
     """
     da, db, dc = decompose(a), decompose(b), decompose(c)
     t = np.asarray(t, dtype=np.complex128)
     r = np.asarray(r, dtype=np.complex128)
     if t.shape != (da.dim, db.dim) or r.shape != (db.dim, dc.dim):
         raise ValueError("operator shapes incompatible with the spectra")
-    la, mu, nu = da.eigenvalues, db.eigenvalues, dc.eigenvalues
-    if isinstance(psi, HaagerupRep):
-        vals = psi.evaluate_grid(la, mu, nu)
-    else:
-        # an integrand free of some variable returns a broadcastable shape
-        vals = np.broadcast_to(np.asarray(
-            psi(la[:, None, None], mu[None, :, None], nu[None, None, :]),
-            dtype=np.complex128), (la.size, mu.size, nu.size))
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i, j, k = np.argwhere(bad)[0]
-        raise ValueError(
-            f"integrand not evaluable at ({la[i]:.6g}, {mu[j]:.6g}, {nu[k]:.6g})")
+    vals = _on_spectra(psi, da.eigenvalues, db.eigenvalues, dc.eigenvalues)
     tp = da.eigenvectors.conj().T @ t @ db.eigenvectors
     rp = db.eigenvectors.conj().T @ r @ dc.eigenvectors
     out = np.zeros((da.dim, dc.dim), dtype=np.complex128)

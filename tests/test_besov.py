@@ -114,11 +114,15 @@ def test_besov_sin_value_one():
     ({"s": -np.inf}, "Besov smoothness s must be finite, got -inf"),
     ({"p": 0.0}, r"Besov exponent p must lie in \(0, inf\], got 0.0"),
     ({"q": np.nan}, r"Besov exponent q must lie in \(0, inf\], got nan"),
-    ({"q": -1.0}, r"Besov exponent q must lie in \(0, inf\], got -1.0")])
+    ({"q": -1.0}, r"Besov exponent q must lie in \(0, inf\], got -1.0"),
+    ({"s": np.nan, "q": 0.0}, "Besov smoothness s must be finite, got nan")])
 def test_lp_besov_norm_rejects_bad_parameters(kwargs, message):
     grid = DEFAULT_GRID_1D
     with pytest.raises(ValueError, match=message):
         lp_decompose(np.sin(grid.axis()), grid).besov_norm(**kwargs)
+    # a polynomial's norm is zero without bands, but its parameters are checked alike
+    with pytest.raises(ValueError, match=message):
+        besov_norm(Function2D.polynomial([[1.0, 2.0]]), **kwargs)
 
 
 def test_besov_polynomial_variant_zero():

@@ -73,6 +73,19 @@ def test_function_spec_roundtrips(tmp_path):
     assert back(0.5, 0.25) == pytest.approx(samp(0.5, 0.25))
 
 
+def test_handwritten_product_spec_reads_as_its_closed_form(tmp_path):
+    # the README's variant product: u and v both in x, read as u(x) v(y)
+    spec = tmp_path / "prod.spec"
+    spec.write_text("# a product\nvariant product\nu sin(x)\nv 1 + x*x\n", encoding="utf-8")
+    f = read_function_spec(spec)
+    assert f.kind == "closed_form"
+    assert f(0.3, 2.0) == pytest.approx(np.sin(0.3) * 5.0)
+    back = tmp_path / "back.spec"
+    write_function_spec(back, f)
+    assert back.read_text(encoding="utf-8").splitlines()[0] == "variant closed_form"
+    assert read_function_spec(back)(0.3, 2.0) == f(0.3, 2.0)
+
+
 def test_function_spec_rejects_closed_forms_with_complex_constants(tmp_path):
     scaled = Function2D.closed_form(parse_expr("x") * 1j)
     product = Function2D.product(Function1D.polynomial([1.0, 2j]),
@@ -89,6 +102,15 @@ def test_config_parsing(tmp_path):
     cfg.write_text("# comment line\nmode single   # trailing comment\nn 64\n\nseed 7\n")
     parsed = read_config(cfg)
     assert parsed == {"mode": "single", "n": "64", "seed": "7"}
+
+
+def test_config_refuses_a_repeated_key(tmp_path):
+    # a second line for one key is more likely a typo than an intent
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("mode single\nn 16\nn 8  # smaller\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}: repeated key 'n' in line "
+                                                   f"'n 8  # smaller'")):
+        read_config(cfg)
 
 
 def test_bad_matrix_file(tmp_path):
@@ -127,10 +149,15 @@ def test_cli_besov_rejects_non_finite_samples(tmp_path, capsys):
 
 
 def _single_trace_config(tmp_path, phi, symbol="shift", resolution=64, extra=""):
+    """A single-mode cfg; each 'key value' line of extra replaces the line of
+    its key or, for a key not set here, is appended (a key given twice is
+    refused)."""
+    keys = {"mode": "single", "symbol": symbol, "phi": phi, "psi": DATA_DIR / "psi_y.spec",
+            "n": 16, "resolution": resolution, "n_table": 16}
+    keys.update(line.split(" ", 1) for line in extra.splitlines())
     cfg = tmp_path / "single.cfg"
-    cfg.write_text(f"mode single\nsymbol {symbol}\nphi {phi}\n"
-                   f"psi {DATA_DIR / 'psi_y.spec'}\nn 16\nresolution {resolution}\n"
-                   f"n_table 16\n{extra}", encoding="utf-8")
+    cfg.write_text("".join(f"{key} {value}\n" for key, value in keys.items()),
+                   encoding="utf-8")
     return cfg
 
 
@@ -157,6 +184,27 @@ def test_cli_single_mode_rejects_corners_outside_one_to_half_n(tmp_path, capsys,
 def test_cli_trace_formula_refuses_bad_cfg_numbers_naming_file_and_key(tmp_path, capsys,
                                                                        line, message):
     cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", extra=line + "\n")
+    assert main(["trace-formula", "--config", str(cfg)]) == 1
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, lines, message", [
+    ("single", "resolutoin 64\n", "mode single does not read key 'resolutoin'"),
+    ("single", "seed 7\n", "mode single does not read key 'seed'"),
+    ("polynomial-suite", "n 16\nresolution 64\n",
+     "mode polynomial-suite does not read key 'resolution'"),
+    ("polynomial-suite", "n 16\nphi phi_x.spec\n",
+     "mode polynomial-suite does not read key 'phi'"),
+    ("single", "n 8\nresolutoin 64\n", "repeated key 'n' in line 'n 8'")])
+def test_cli_trace_formula_refuses_keys_its_mode_does_not_read(tmp_path, capsys, mode, lines,
+                                                               message):
+    # a misspelt or repeated key used to leave its value unread or overridden, exit 0
+    cfg = tmp_path / "bad.cfg"
+    if mode == "single":
+        cfg.write_text(_single_trace_config(tmp_path, DATA_DIR / "phi_x.spec").read_text()
+                       + lines, encoding="utf-8")
+    else:
+        cfg.write_text(f"mode {mode}\n{lines}", encoding="utf-8")
     assert main(["trace-formula", "--config", str(cfg)]) == 1
     assert f"error: {cfg}: {message}" in capsys.readouterr().err
 
@@ -331,13 +379,24 @@ def test_cli_trace_formula_bundled(tmp_path, capsys):
     assert "resolution" not in payload
 
 
+#: name -> command line of each report compared across BLAS thread counts; the
+#: report path is appended, {data} stands for the bundled data directory
+THREAD_REPORTS = {
+    "gauss_single": ["trace-formula", "--config", "{data}/gauss_single.cfg", "--out"],
+    "shift_suite": ["trace-formula", "--config", "{data}/shift_suite.cfg", "--out"],
+    "selftest": ["selftest", "--json", "--out"],
+    "commutator": ["commutator-verify", "--phi", "{data}/phi_xy.spec", "--trials", "10",
+                   "--report"]}
+
+
 def test_trace_formula_report_bytes_repeat_across_blas_threads(tmp_path):
-    # the Toeplitz model pairs go through LAPACK eigh at n = 128; the reports
-    # must not depend on how many threads the BLAS runs
+    # the Toeplitz model pairs go through LAPACK eigh at n = 128, the selftest
+    # and trial suite through eigh at n <= 64; the reports must not depend on
+    # how many threads the BLAS runs
     script = ("import sys\nfrom opintegral.cli import main\n"
-              "for name in ('gauss_single', 'shift_suite'):\n"
-              "    assert main(['trace-formula', '--config', f'{sys.argv[1]}/{name}.cfg',\n"
-              "                 '--out', f'{sys.argv[2]}/{name}.json']) == 0\n")
+              f"for name, argv in {THREAD_REPORTS!r}.items():\n"
+              "    argv = [a.format(data=sys.argv[1]) for a in argv]\n"
+              "    assert main(argv + [f'{sys.argv[2]}/{name}.json']) == 0\n")
     src = str(DATA_DIR.parents[1])
     reports = []
     for threads in (1, 2):
@@ -346,8 +405,7 @@ def test_trace_formula_report_bytes_repeat_across_blas_threads(tmp_path):
         subprocess.run([sys.executable, "-c", script, str(DATA_DIR), str(out)], check=True,
                        capture_output=True, env={**os.environ, "PYTHONPATH": src,
                                                  "OPENBLAS_NUM_THREADS": str(threads)})
-        reports.append([(out / f"{name}.json").read_bytes()
-                        for name in ("gauss_single", "shift_suite")])
+        reports.append([(out / f"{name}.json").read_bytes() for name in THREAD_REPORTS])
     assert reports[0] == reports[1] and all(reports[0])
 
 
@@ -432,7 +490,9 @@ def test_cli_commutator_suite(tmp_path, capsys):
     ("--p", "0", "Besov exponent p must lie in (0, inf], got 0.0"),
     ("--q", "nan", "Besov exponent q must lie in (0, inf], got nan"),
     ("--q", "0", "Besov exponent q must lie in (0, inf], got 0.0"),
-    ("--q", "-1", "Besov exponent q must lie in (0, inf], got -1.0")])
+    ("--q", "-1", "Besov exponent q must lie in (0, inf], got -1.0"),
+    ("--p", "abc", "argument --p: not a number, inf or oo: 'abc'"),
+    ("--q", "abc", "argument --q: not a number, inf or oo: 'abc'")])
 def test_cli_besov_refuses_bad_parameters(capsys, flag, value, message):
     code = main(["besov-norm", "--input", str(DATA_DIR / "sin.opfun"), flag, value])
     assert code == 1
@@ -450,6 +510,18 @@ def test_cli_commutator_verify_refuses_bad_flags(capsys, flag, value, message):
     code = main(["commutator-verify", "--phi", str(DATA_DIR / "phi_xy.spec"), flag, value])
     assert code == 1
     assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--A", "missing.opmat"], ["--B", "missing.opmat"],
+    ["--psi", str(DATA_DIR / "psi_y.spec")],
+    ["--psi", str(DATA_DIR / "psi_y.spec"), "--A", "missing.opmat"]],
+    ids=["A-alone", "B-alone", "psi-alone", "psi-and-A"])
+def test_cli_commutator_verify_refuses_an_incomplete_operand_set(capsys, flags):
+    # these ran the trial suite and exited 0, even with the named file missing
+    code = main(["commutator-verify", "--phi", str(DATA_DIR / "phi_xy.spec"), *flags])
+    assert code == 1
+    assert "error: --A and --B name the Hermitian pair" in capsys.readouterr().err
 
 
 def test_cli_reports_are_deterministic(tmp_path):

@@ -55,6 +55,14 @@ def test_doi_rejects_unevaluable_point(rng):
         double_operator_integral(bad, a, np.eye(2), b)
 
 
+def test_scalar_calculus_rejects_a_non_finite_value():
+    # funcalc of the same closed form refuses it; f(A) took the overflow as NaN
+    f = Function1D.closed_form("exp(x*x*1000)")
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"integrand not evaluable at \(-1\)"):
+        scalar_calculus(f, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
 def test_funcalc_product_property(rng):
     a = rng.hermitian(8)
     b = rng.hermitian(8)
