@@ -115,13 +115,16 @@ def default_band_range(grid: UniformGrid) -> tuple[int, int]:
 def _band_windows(grid: UniformGrid, band_range: tuple[int, int]):
     """lp_decompose's half-plane arrays, once per grid and band range, read-only:
     each band's window w(|xi|/2^n), cut after its last nonzero column (bands
-    with no nonzero bin left out), each column's weight (2 for a column that
-    also stands for its conjugate, else 1) and 1 - min(sum of the windows, 1)."""
+    with no nonzero bin left out, unevaluated below the grid's lowest nonzero
+    |xi|), each column's weight (2 for a column that also stands for its
+    conjugate, else 1) and 1 - min(sum of the windows, 1)."""
     radii = grid.radial_frequencies()[..., :grid.points // 2 + 1]
     weight = np.ones(radii.shape[-1])
     weight[1:(grid.points + 1) // 2] = 2.0
     windows, covered = {}, np.zeros_like(radii)
     for n in range(band_range[0], band_range[1] + 1):
+        if 2.0 ** (n + 1) <= radii.flat[1]:     # annulus below the lowest nonzero |xi|
+            continue
         w = window_eval(radii / 2.0 ** n)
         if (cols := np.flatnonzero(w.reshape(-1, w.shape[-1]).any(axis=0))).size:
             covered += w
@@ -149,6 +152,9 @@ def lp_decompose(values, grid: UniformGrid,
     n_min, n_max = band_range
     if n_min > n_max:
         raise ValueError(f"empty band range {band_range}")
+    if n_min < -1022:
+        raise ValueError(f"band {n_min} is below band -1022, the lowest whose "
+                         f"scale 2^n is a normal double")
     if 2.0 ** (n_max + 1) > grid.nyquist * (1.0 + 1e-12):
         need = int(np.ceil(2.0 ** (n_max + 1) * grid.period / np.pi))
         raise ValueError(

@@ -198,19 +198,26 @@ def commutator_of_functions(phi: Function2D, psi: Function2D, a, b,
                         bphi * bpsi * cab, note_phi)
 
 
+def _on_values(op, *fs):
+    """The integrand op(f(lambda_i, mu_j) for f in fs): in finite dimensions
+    phi(A,B) depends only on phi's values on the joint spectrum, so a product
+    or conjugate of functions is one of their values there."""
+    return lambda x, y: op(*(f.eval_grid(x[:, 0], y[0]) for f in fs))
+
+
 def probe_problem1(phi: Function2D, psi: Function2D, a, b) -> float:
     """Trace norm of (phi psi)(A,B) - phi(A,B) psi(A,B): the almost
     multiplicativity defect.  Reported, never asserted against a bound."""
     da, db = decompose(a), decompose(b)
-    prod = phi.multiply(psi)
-    return schatten_norm(funcalc(prod, da, db) - funcalc(phi, da, db) @ funcalc(psi, da, db), 1)
+    prod = funcalc(_on_values(np.multiply, phi, psi), da, db)
+    return schatten_norm(prod - funcalc(phi, da, db) @ funcalc(psi, da, db), 1)
 
 
 def probe_problem2(phi: Function2D, a, b) -> float:
     """Trace norm of phi(A,B)* - conj(phi)(A,B): the self-adjointness defect."""
     da, db = decompose(a), decompose(b)
     f = funcalc(phi, da, db)
-    return schatten_norm(f.conj().T - funcalc(phi.conjugate(), da, db), 1)
+    return schatten_norm(f.conj().T - funcalc(_on_values(np.conj, phi), da, db), 1)
 
 
 # ---------------------------------------------------------------------------

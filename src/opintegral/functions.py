@@ -52,9 +52,6 @@ class Expr:
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
-    def conj(self) -> "Expr":
-        raise NotImplementedError
-
 
 def _as_expr(v) -> Expr:
     if isinstance(v, Expr):
@@ -72,9 +69,6 @@ class Const(Expr):
     def diff(self, var):
         return Const(0.0)
 
-    def conj(self):
-        return Const(np.conj(self.value))
-
     def __repr__(self):
         v = complex(self.value)
         return repr(v.real) if v.imag == 0 else repr(v)
@@ -89,9 +83,6 @@ class Var(Expr):
 
     def diff(self, var):
         return Const(1.0 if var == self.name else 0.0)
-
-    def conj(self):
-        return self
 
     def __repr__(self):
         return self.name
@@ -108,9 +99,6 @@ class Add(Expr):
     def diff(self, var):
         return Add(self.a.diff(var), self.b.diff(var))
 
-    def conj(self):
-        return Add(self.a.conj(), self.b.conj())
-
     def __repr__(self):
         return f"({self.a!r} + {self.b!r})"
 
@@ -125,9 +113,6 @@ class Mul(Expr):
 
     def diff(self, var):
         return Add(Mul(self.a.diff(var), self.b), Mul(self.a, self.b.diff(var)))
-
-    def conj(self):
-        return Mul(self.a.conj(), self.b.conj())
 
     def __repr__(self):
         return f"({self.a!r} * {self.b!r})"
@@ -151,9 +136,6 @@ class Call(Expr):
         if self.name == "sin":
             return Mul(da, Call("cos", self.a))
         return Mul(Const(-1.0), Mul(da, Call("sin", self.a)))
-
-    def conj(self):
-        return Call(self.name, self.a.conj())
 
     def __repr__(self):
         return f"{self.name}({self.a!r})"
@@ -555,46 +537,13 @@ class Function2D:
             raise ValueError("axis must be 1 or 2")
         if self.kind == "polynomial":
             a = self.data
-            if axis == 1:
-                if a.shape[0] == 1:
-                    return Function2D.polynomial(np.zeros((1, 1)))
-                j = np.arange(1, a.shape[0])
-                return Function2D.polynomial(a[1:, :] * j[:, None])
-            if a.shape[1] == 1:
-                return Function2D.polynomial(np.zeros((1, 1)))
-            k = np.arange(1, a.shape[1])
-            return Function2D.polynomial(a[:, 1:] * k[None, :])
+            return Function2D.polynomial(np.zeros((1, 1)) if a.shape[axis - 1] == 1
+                                         else np.polynomial.polynomial.polyder(a, axis=axis - 1))
         if self.kind == "closed_form":
             return Function2D.closed_form(self.data.diff("x" if axis == 1 else "y"))
         xi = 1j * self.grid.frequencies()
         return Function2D.from_spectrum(
             self.spectrum() * (xi[:, None] if axis == 1 else xi[None, :]), self.grid)
-
-    def conjugate(self) -> "Function2D":
-        if self.kind == "polynomial":
-            return Function2D.polynomial(np.conj(self.data))
-        if self.kind == "closed_form":
-            return Function2D.closed_form(self.data.conj())
-        return Function2D.sampled(np.conj(self.data), self.grid)
-
-    def multiply(self, other: "Function2D") -> "Function2D":
-        """Pointwise product, staying exact where the representations allow."""
-        if self.kind == "polynomial" and other.kind == "polynomial":
-            a, b = self.data, other.data
-            out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
-                           dtype=np.complex128)
-            for j in range(a.shape[0]):
-                for k in range(a.shape[1]):
-                    if a[j, k] != 0:
-                        out[j:j + b.shape[0], k:k + b.shape[1]] += a[j, k] * b
-            return Function2D.polynomial(out)
-        if self.kind == "sampled" and other.kind == "sampled" and self.grid == other.grid:
-            return Function2D.sampled(self.data * other.data, self.grid)
-        ea = _to_expr(self)
-        eb = _to_expr(other)
-        if ea is not None and eb is not None:
-            return Function2D.closed_form(Mul(ea, eb))
-        raise ValueError(f"cannot multiply {self.kind} by {other.kind} exactly")
 
     def sample(self, grid: UniformGrid) -> "Function2D":
         """Resample onto a 2-d periodic grid."""
@@ -611,35 +560,22 @@ def _check_square_grid(grid: UniformGrid | None, shape) -> None:
         raise ValueError("sample shape does not match grid")
 
 
-def _to_expr(f: Function2D) -> Expr | None:
-    if f.kind == "closed_form":
-        return f.data
-    if f.kind == "polynomial":
-        node = Const(0.0)
-        x, y = Var("x"), Var("y")
-        for j in range(f.data.shape[0]):
-            for k in range(f.data.shape[1]):
-                c = f.data[j, k]
-                if c == 0:
-                    continue
-                term: Expr = Const(c)
-                for _ in range(j):
-                    term = Mul(term, x)
-                for _ in range(k):
-                    term = Mul(term, y)
-                node = Add(node, term)
-        return node
-    return None
-
-
 def _one_var_expr(f: Function1D, var: str) -> Expr | None:
-    """The tree of f in the variable var ("x" or "y"); None for samples."""
+    """The tree of f in the variable var ("x" or "y"); None for samples.  A
+    polynomial is 0 + c_k v^k summed over its nonzero coefficients, each
+    power written as k factors v."""
     if f.kind == "closed_form":
         return f.data if var == "x" else _swap_vars(f.data)
-    if f.kind == "polynomial":
-        a = f.data[:, None] if var == "x" else f.data[None, :]
-        return _to_expr(Function2D.polynomial(a))
-    return None
+    if f.kind != "polynomial":
+        return None
+    node: Expr = Const(0.0)
+    for k, c in enumerate(f.data):
+        if c != 0:
+            term: Expr = Const(c)
+            for _ in range(k):
+                term = Mul(term, Var(var))
+            node = Add(node, term)
+    return node
 
 
 def _vars(e: Expr) -> set[str]:

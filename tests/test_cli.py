@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -386,7 +388,10 @@ THREAD_REPORTS = {
     "shift_suite": ["trace-formula", "--config", "{data}/shift_suite.cfg", "--out"],
     "selftest": ["selftest", "--json", "--out"],
     "commutator": ["commutator-verify", "--phi", "{data}/phi_xy.spec", "--trials", "10",
-                   "--report"]}
+                   "--report"],
+    "probe": ["probe", "--phi", "{data}/gauss_bump.spec", "--psi", "{data}/psi_gauss.spec",
+              "--A", "{pair}/A.opmat", "--B", "{pair}/B.opmat", "--out"],
+    "besov": ["besov-norm", "--input", "{data}/sin.opfun", "--out"]}
 
 
 def test_trace_formula_report_bytes_repeat_across_blas_threads(tmp_path):
@@ -395,16 +400,17 @@ def test_trace_formula_report_bytes_repeat_across_blas_threads(tmp_path):
     # how many threads the BLAS runs
     script = ("import sys\nfrom opintegral.cli import main\n"
               f"for name, argv in {THREAD_REPORTS!r}.items():\n"
-              "    argv = [a.format(data=sys.argv[1]) for a in argv]\n"
+              "    argv = [a.format(data=sys.argv[1], pair=sys.argv[3]) for a in argv]\n"
               "    assert main(argv + [f'{sys.argv[2]}/{name}.json']) == 0\n")
     src = str(DATA_DIR.parents[1])
+    _write_pair(tmp_path)
     reports = []
     for threads in (1, 2):
         out = tmp_path / str(threads)
         out.mkdir()
-        subprocess.run([sys.executable, "-c", script, str(DATA_DIR), str(out)], check=True,
-                       capture_output=True, env={**os.environ, "PYTHONPATH": src,
-                                                 "OPENBLAS_NUM_THREADS": str(threads)})
+        subprocess.run([sys.executable, "-c", script, str(DATA_DIR), str(out), str(tmp_path)],
+                       check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)})
         reports.append([(out / f"{name}.json").read_bytes() for name in THREAD_REPORTS])
     assert reports[0] == reports[1] and all(reports[0])
 
@@ -435,12 +441,18 @@ def test_cli_trace_formula_bad_reported_corner_still_fails(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_funcalc_and_probe(tmp_path, capsys):
+def _write_pair(path):
+    """A fixed Hermitian 6x6 pair, as path/A.opmat and path/B.opmat."""
     rng = Xorshift64Star(4)
     a = rng.hermitian(6)
     b = rng.hermitian(6)
-    write_matrix(tmp_path / "A.opmat", a)
-    write_matrix(tmp_path / "B.opmat", b)
+    write_matrix(path / "A.opmat", a)
+    write_matrix(path / "B.opmat", b)
+    return a, b
+
+
+def test_cli_funcalc_and_probe(tmp_path, capsys):
+    a, b = _write_pair(tmp_path)
     code = main(["funcalc", "--phi", str(DATA_DIR / "phi_xy.spec"),
                  "--A", str(tmp_path / "A.opmat"), "--B", str(tmp_path / "B.opmat"),
                  "--out", str(tmp_path / "out.opmat")])
@@ -454,6 +466,46 @@ def test_cli_funcalc_and_probe(tmp_path, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "probe.json").read_text())
     assert payload["multiplicativity_defect_s1"] <= 1e-10
+
+
+def test_cli_probe_takes_every_pair_of_kinds(tmp_path, capsys):
+    # phi and psi each a polynomial, a closed form or samples (the two sampled
+    # on different grids): the probes take values on the spectra, so all run
+    _write_pair(tmp_path)
+    for name, points in (("gauss_bump", 64), ("psi_gauss", 48)):
+        grid = UniformGrid(dim=2, period=16 * np.pi, points=points)
+        write_function_spec(tmp_path / f"{name}.spec",
+                            read_function_spec(DATA_DIR / f"{name}.spec").sample(grid),
+                            samples_path=tmp_path / f"{name}.opfun")
+    phis = (DATA_DIR / "phi_xy.spec", DATA_DIR / "gauss_bump.spec", tmp_path / "gauss_bump.spec")
+    psis = (DATA_DIR / "psi_y.spec", DATA_DIR / "psi_gauss.spec", tmp_path / "psi_gauss.spec")
+    for phi in phis:
+        for psi in psis:
+            code = main(["probe", "--phi", str(phi), "--psi", str(psi),
+                         "--A", str(tmp_path / "A.opmat"), "--B", str(tmp_path / "B.opmat"),
+                         "--json"])
+            assert code == 0, (phi, psi)
+            payload = json.loads(capsys.readouterr().out)
+            assert np.isfinite(payload["multiplicativity_defect_s1"])
+            assert np.isfinite(payload["self_adjointness_defect_s1"])
+
+
+def test_cli_besov_band_min_stops_at_the_lowest_normal_scale(tmp_path, capsys, monkeypatch):
+    # bands below the grid's lowest frequency hold no mass: band -1000 keeps
+    # the report's bytes, and a band below -1022 is refused
+    monkeypatch.chdir(DATA_DIR)
+    out = tmp_path / "besov.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["besov-norm", "--input", "sin.opfun", "--band-min", "-1000",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c59c65ad394ac77d209460562870224efd272e62e87b862c197734002edcd2df")
+    capsys.readouterr()
+    for band in ("-10000", "-100000000"):
+        assert main(["besov-norm", "--input", "sin.opfun", "--band-min", band]) == 1
+        assert (f"error: band {band} is below band -1022, the lowest whose scale 2^n "
+                f"is a normal double" in capsys.readouterr().err)
 
 
 def test_cli_schur_norm(tmp_path, capsys):

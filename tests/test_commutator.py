@@ -200,6 +200,32 @@ def test_probes_finite_on_random_pairs(rng):
     assert np.isfinite(p1) and np.isfinite(p2)
 
 
+def _gaussians():
+    return (Function2D.closed_form("exp(-3*((x - 0.2)**2 + y*y))"),
+            Function2D.closed_form("exp(-3*(x*x + (y - 0.2)**2))"))
+
+
+def test_probe1_of_samples_is_the_product_of_their_values_on_the_spectra(rng):
+    a, b = rng.hermitian(6), rng.hermitian(6)
+    grid = UniformGrid(dim=2, period=16 * np.pi, points=64)
+    phi, psi = (f.sample(grid) for f in _gaussians())
+    la, ua = np.linalg.eigh(a)
+    lb, ub = np.linalg.eigh(b)
+
+    def op(values):       # U_A (values o U_A* U_B) U_B*
+        return ua @ (values * (ua.conj().T @ ub)) @ ub.conj().T
+    ph, ps = phi.eval_grid(la, lb), psi.eval_grid(la, lb)
+    want = np.linalg.norm(op(ph * ps) - op(ph) @ op(ps), "nuc")
+    assert probe_problem1(phi, psi, a, b) == pytest.approx(want, rel=1e-12)
+
+
+def test_probe2_of_a_real_function_is_the_defect_of_its_adjoint(rng):
+    a, b = almost_commuting_pair(rng, 8, rank=2)
+    for phi in (random_polynomial(rng, 3), _gaussians()[0]):
+        f = funcalc(phi, a, b)
+        assert probe_problem2(phi, a, b) == schatten_norm(f.conj().T - f, 1)
+
+
 def test_trial_suite_deterministic():
     res1 = theorem41_trial_suite(n_trials=3, seed=11)
     res2 = theorem41_trial_suite(n_trials=3, seed=11)

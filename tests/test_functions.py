@@ -196,13 +196,6 @@ def test_closed_form_values_and_partials_keep_their_bits(text):
         assert got == PINNED[text][name], name
 
 
-def test_conjugate_variants():
-    phi = Function2D.polynomial([[1j, 0.0], [2.0, 0.0]])
-    assert phi.conjugate()(2.0, 0.0) == pytest.approx(np.conj(phi(2.0, 0.0)))
-    g = Function2D.closed_form("exp(-(x*x))")
-    assert g.conjugate()(1.0, 0.0) == pytest.approx(g(1.0, 0.0))
-
-
 def _complex_horner(phi, xs, ys):
     """The tensor-grid Horner of eval_grid carried out on complex coefficients."""
     pv = np.polynomial.polynomial.polyval
@@ -246,19 +239,34 @@ def test_sampled_spectral_derivative():
     assert f.partial(1)(0.2, 0.0) == pytest.approx(3 * np.cos(0.6), abs=1e-10)
 
 
-def test_multiply_polynomials_exact():
-    a = Function2D.polynomial([[1.0], [1.0]])       # 1 + x
-    b = Function2D.polynomial([[0.0, 1.0]])         # y
-    prod = a.multiply(b)
-    assert prod.kind == "polynomial"
-    assert prod(2.0, 3.0) == pytest.approx((1 + 2) * 3)
+def test_polynomial_partials_scale_each_coefficient_by_its_power():
+    # a_jk -> j a_jk along x (k a_jk along y) with the top power dropped; an
+    # axis with one coefficient gives the (1, 1) zero polynomial
+    gen = np.random.default_rng(5)
+    for trial in range(40):
+        shape = tuple(gen.integers(1, 5, size=2))
+        a = gen.normal(size=shape) + (1j * gen.normal(size=shape) if trial % 2 else 0)
+        phi = Function2D.polynomial(a)
+        for axis in (1, 2):
+            n = shape[axis - 1]
+            if n == 1:
+                want = np.zeros((1, 1), dtype=np.complex128)
+            else:
+                power = np.arange(1, n, dtype=np.complex128)
+                want = (phi.data[1:] * power[:, None] if axis == 1
+                        else phi.data[:, 1:] * power[None, :])
+            got = phi.partial(axis).data
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_multiply_closed_forms():
-    a = Function2D.closed_form("sin(x)")
-    b = Function2D.closed_form("cos(y)")
-    prod = a.multiply(b)
-    assert prod(0.4, 0.9) == pytest.approx(np.sin(0.4) * np.cos(0.9))
+def test_product_trees_of_polynomial_and_closed_form_factors():
+    u = Function1D.polynomial([0.5, 0.0, -2.0, 1j])
+    c = Function1D.closed_form("exp(-(x*x)) + sin(3*x)")
+    poly_x = "(((0.0 + 0.5) + ((-2.0 * x) * x)) + (((1j * x) * x) * x))"
+    assert repr(Function2D.product(u, c).data) == (
+        f"({poly_x} * (exp((-1.0 * (y * y))) + sin((3.0 * y))))")
+    assert repr(Function2D.product(c, u).data) == (
+        f"((exp((-1.0 * (x * x))) + sin((3.0 * x))) * {poly_x.replace('x', 'y')})")
 
 
 def test_one_var_sampled_interpolation():
