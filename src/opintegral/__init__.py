@@ -26,7 +26,7 @@ from .models import (PrincipalFunction, Symbol, hankel_matrix, principal_functio
 from .rng import Xorshift64Star
 from .spectral import HermitianOperator, SpectralDecomposition, decompose, schatten_norm
 from .toi import (HaagerupRep, RepNormCertificate, S1Certificate,
-                  eval_representation, s1_certificate, triple_spectral_sum)
+                  eval_representation, s1_certificate)
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,7 @@ __all__ = [
     "principal_function", "probe_problem1", "probe_problem2",
     "projective_decompose_trig", "rhs_integral", "s1_certificate",
     "schatten_norm", "schur_multiplier_norm", "sinc_representation",
-    "toeplitz_matrix", "trace_formula_experiment", "triple_spectral_sum",
+    "toeplitz_matrix", "trace_formula_experiment",
     "verify_hankel_identity", "verify_theorem_41", "window_eval",
     "winding_factor_experiment",
 ]

@@ -91,7 +91,13 @@ class LPDecomposition:
         terms = {}
         for n in sorted(self.bands):
             lp = self.sup_norms[n] if np.isinf(p) else _grid_lp_norm(self.bands[n], self.grid, p)
-            terms[n] = 2.0 ** (n * s) * lp
+            if lp:  # an empty band contributes 0 and computes no weight
+                try:
+                    lp = 2.0 ** (n * s) * lp
+                except OverflowError:
+                    raise ValueError(f"Besov weight 2^(n s) overflows at s = {s:g} "
+                                     f"on band {n}") from None
+            terms[n] = lp
         vals = np.array([terms[n] for n in sorted(terms)])
         if np.isinf(q):
             value = float(vals.max()) if vals.size else 0.0

@@ -30,7 +30,7 @@ import numpy as np
 
 from .besov import analysis_samples, bandlimit_check, lp_decompose
 from .functions import Function2D, UniformGrid
-from .toi import SLOTS, HaagerupRep, _double_norm, _LazyFloat, rep_norm_certificate
+from .toi import SLOTS, HaagerupRep, _double_norm, rep_norm_certificate
 
 #: bands whose sup norm is below this fraction of the largest band's are
 #: dropped from a band representation as numerically zero
@@ -105,10 +105,13 @@ class SincRep:
     The lattice is j pi / sigma, |j| <= J.  rep is first_kind for axis 1
     (doubly-indexed lattice samples as functions of y) and second_kind for
     axis 2; all its families are float64 for a real band.  delta_norm is the
-    measured sup (over probe points) operator norm of the lattice sample
-    matrix, symmetric for a real band (see _double_norm); tail_bound, also
-    rep.tail_bound, is the recorded truncation bound, valid for evaluation
-    points within domain_radius.  Both are computed on first read and cached.
+    operator norm of the lattice sample matrix (symmetric for a real band; see
+    _double_norm), maximised over five probe points evenly spaced on
+    [-domain_radius, domain_radius].  tail_bound combines it with the sinc l^2
+    tail outside |j| <= J for evaluation points within domain_radius.  It is
+    an estimate, not a bound: a sup over five probes can read low (ROADMAP
+    item 6).  Both are computed on first read and cached, so building or
+    evaluating the representation takes no slice norm.
     """
 
     sigma: float
@@ -117,8 +120,16 @@ class SincRep:
     lattice: np.ndarray
     rep: HaagerupRep
     domain_radius: float
-    delta_norm: float = _LazyFloat()
-    tail_bound: float = _LazyFloat()
+
+    @functools.cached_property
+    def delta_norm(self) -> float:
+        probes = np.linspace(-self.domain_radius, self.domain_radius, 5)
+        return _double_norm(self.rep.double, probes)
+
+    @functools.cached_property
+    def tail_bound(self) -> float:
+        slack = max(self.j_max - self.sigma * self.domain_radius / np.pi - 1.0, 0.5)
+        return float(3.0 * max(self.delta_norm, 1e-300) * np.sqrt(2.0) / (np.pi * np.sqrt(slack)))
 
 
 def _lattice_double(phi: Function2D, axis: int, lattice: np.ndarray):
@@ -157,10 +168,9 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
     """Sinc-sampling representation of the divided difference of phi.
 
     phi must be band-limited to |xi| <= sigma (checked on its analysis grid,
-    besov.analysis_samples, unless skip_bandlimit_check).  The
-    recorded tail_bound combines the measured sample-matrix norm with the
-    sinc l^2 tail outside |j| <= J, so evaluations inside domain_radius
-    agree with the divided difference to within it.
+    besov.analysis_samples, unless skip_bandlimit_check).  The returned
+    SincRep estimates, on first read of its tail_bound, how far evaluations
+    inside domain_radius stray from the divided difference.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
@@ -181,19 +191,9 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
     def sincs(x):
         return np.sinc(sigma * np.asarray(x, dtype=float) / np.pi - js[:, None])
 
-    double = _lattice_double(phi, axis, lattice)
-
-    # measured operator norm of the sample matrix at probe points (on first read)
-    probes = np.linspace(-domain_radius, domain_radius, 5)
-    delta_norm = functools.cache(lambda: _double_norm(double, probes))
-    slack = max(j_max - sigma * domain_radius / np.pi - 1.0, 0.5)
-    tail = functools.cache(
-        lambda: 3.0 * max(delta_norm(), 1e-300) * np.sqrt(2.0) / (np.pi * np.sqrt(slack)))
-
-    rep = _axis_rep(axis, sincs, double, tail_bound=tail)
+    rep = _axis_rep(axis, sincs, _lattice_double(phi, axis, lattice))
     return SincRep(sigma=sigma, j_max=j_max, axis=axis, lattice=lattice, rep=rep,
-                   domain_radius=float(domain_radius), delta_norm=delta_norm,
-                   tail_bound=tail)
+                   domain_radius=float(domain_radius))
 
 
 def _check_lattice_args(j_max, domain_radius) -> None:
@@ -203,13 +203,13 @@ def _check_lattice_args(j_max, domain_radius) -> None:
         raise ValueError(f"domain radius must be finite and non-negative, got {domain_radius!r}")
 
 
-def _axis_rep(axis: int, family, double, tail_bound=0.0) -> HaagerupRep:
+def _axis_rep(axis: int, family, double) -> HaagerupRep:
     """Representation of an axis divided difference from its single-index
     family (in both differenced variables) and its doubly-indexed family (in
     the other variable): axis 1 first, axis 2 second kind."""
     kind = "first_kind" if axis == 1 else "second_kind"
     families = [None if i == SLOTS[kind] else family for i in range(3)]
-    return HaagerupRep(kind, *families, double=double, tail_bound=tail_bound)
+    return HaagerupRep(kind, *families, double=double)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ and no timestamps, so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -276,13 +277,10 @@ def _jsonable(x):
 
 
 def write_csv(path, rows: list[dict]) -> None:
-    """Plain CSV for external plotting; column order is first-row key order."""
-    if not rows:
-        Path(path).write_text("", encoding="utf-8")
-        return
-    cols = list(rows[0])
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Plain CSV for external plotting; column order is first-row key order,
+    and a field is quoted only when it needs it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if rows:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(rows[0])
+            writer.writerows([row[c] for c in rows[0]] for row in rows)

@@ -70,25 +70,6 @@ def _diagonal(family):
     return build
 
 
-class _LazyFloat:
-    """Dataclass field descriptor for a float that may be given as a
-    zero-argument callable, called on first read and its result cached."""
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return 0.0
-        value = obj.__dict__[self.key]
-        if callable(value):
-            value = obj.__dict__[self.key] = float(value())
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.key] = value
-
-
 @dataclass
 class HaagerupRep:
     """A structured representation of a three-variable integrand.
@@ -105,10 +86,6 @@ class HaagerupRep:
     kind "projective": left/mid/right are equal-length factor lists and the
     integrand is sum_n left_n(x1) mid_n(x2) right_n(x3), the haagerup case
     whose doubly-indexed family is the diagonal of mid.
-
-    tail_bound documents the truncation error of the producer (zero for
-    exact finite representations); given as a zero-argument callable, it is
-    computed on first read and cached.
     """
 
     kind: str
@@ -116,7 +93,6 @@ class HaagerupRep:
     mid: object | None = None
     right: object | None = None
     double: object | None = None
-    tail_bound: float = _LazyFloat()
 
     def __post_init__(self):
         if self.kind not in SLOTS:
@@ -239,11 +215,14 @@ def _on_spectra(psi, *spectra) -> np.ndarray:
     return vals
 
 
-def triple_spectral_sum(psi, a, b, c, t, r) -> np.ndarray:
-    """Direct spectral realization sum_ijk Psi(lambda_i, mu_j, nu_k) P_i T Q_j R S_k.
+def eval_representation(psi, a, t, b, r, c) -> np.ndarray:
+    """The triple operator integral sum_ijk Psi(lambda_i, mu_j, nu_k) P_i T Q_j R S_k.
 
-    psi is a callable broadcast over the three spectra or a HaagerupRep, its
-    integrand tensor sampled by _on_spectra in the representation's dtype.
+    psi is a HaagerupRep or a callable broadcast over the three spectra, its
+    integrand tensor sampled by _on_spectra in the representation's dtype.  In
+    finite dimensions every kind reduces to this spectral sum; first/second
+    kinds agree with their trace-duality definitions (a reference the tests
+    check against).
     """
     da, db, dc = decompose(a), decompose(b), decompose(c)
     t = np.asarray(t, dtype=np.complex128)
@@ -259,16 +238,6 @@ def triple_spectral_sum(psi, a, b, c, t, r) -> np.ndarray:
         term = vals[:, j, :] * np.outer(tp[:, j], rp[j, :])
         out, comp = _kahan(out, comp, term)
     return da.eigenvectors @ out @ dc.eigenvectors.conj().T
-
-
-def eval_representation(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
-    """Evaluate the triple operator integral of a structured representation.
-
-    In finite dimensions every kind reduces to the spectral sum over its
-    integrand tensor on the joint spectra; first/second kinds agree with
-    their trace-duality definitions (a reference the tests check against).
-    """
-    return triple_spectral_sum(rep, a, b, c, t, r)
 
 
 def projective_to_kind(rep: HaagerupRep, kind: str, s1, s2, s3) -> HaagerupRep:
@@ -289,8 +258,7 @@ def projective_to_kind(rep: HaagerupRep, kind: str, s1, s2, s3) -> HaagerupRep:
     families = [None if i == s else
                 _weighted(f, np.sqrt(np.prod(sups[:i] + sups[i + 1:], axis=0) / sups[i]))
                 for i, f in enumerate(rep.factors)]
-    return HaagerupRep(kind, *families, double=_diagonal(_weighted(rep.factors[s], 1.0 / sups[s])),
-                       tail_bound=rep.tail_bound)
+    return HaagerupRep(kind, *families, double=_diagonal(_weighted(rep.factors[s], 1.0 / sups[s])))
 
 
 @dataclass(frozen=True)
@@ -302,11 +270,9 @@ class S1Certificate:
     bound: float
     satisfied: bool
     rep_norm: float
-    tail_bound: float
 
 
-def s1_certificate(rep: HaagerupRep, a, t, b, r, c,
-                   w: np.ndarray | None = None) -> S1Certificate:
+def s1_certificate(rep: HaagerupRep, a, t, b, r, c) -> S1Certificate:
     """Check the kind-appropriate norm inequality on an evaluated instance.
 
     haagerup / projective: ||W|| <= rep_norm ||T|| ||R||;
@@ -314,12 +280,11 @@ def s1_certificate(rep: HaagerupRep, a, t, b, r, c,
     second kind: ||W||_S1 <= rep_norm ||T|| ||R||_S1.
     """
     da, db, dc = decompose(a), decompose(b), decompose(c)
-    if w is None:
-        w = eval_representation(rep, da, t, db, r, dc)
+    w = eval_representation(rep, da, t, db, r, dc)
     cert = rep_norm_certificate(rep, da.eigenvalues, db.eigenvalues, dc.eigenvalues)
     pw, pt, pr = _CERT_EXPONENTS[rep.slot]
     lhs = schatten_norm(w, pw)
     bound = cert.value * schatten_norm(t, pt) * schatten_norm(r, pr)
     return S1Certificate(kind=rep.kind, lhs=lhs, bound=bound,
                          satisfied=bool(lhs <= bound + 1e-9),
-                         rep_norm=cert.value, tail_bound=rep.tail_bound)
+                         rep_norm=cert.value)

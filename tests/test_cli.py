@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -382,7 +383,8 @@ def test_cli_trace_formula_bundled(tmp_path, capsys):
 
 
 #: name -> command line of each report compared across BLAS thread counts; the
-#: report path is appended, {data} stands for the bundled data directory
+#: report path is appended, {data} stands for the bundled data directory and
+#: {pair} for the directory of the fixed 6x6 pair (_write_pair)
 THREAD_REPORTS = {
     "gauss_single": ["trace-formula", "--config", "{data}/gauss_single.cfg", "--out"],
     "shift_suite": ["trace-formula", "--config", "{data}/shift_suite.cfg", "--out"],
@@ -391,7 +393,12 @@ THREAD_REPORTS = {
                    "--report"],
     "probe": ["probe", "--phi", "{data}/gauss_bump.spec", "--psi", "{data}/psi_gauss.spec",
               "--A", "{pair}/A.opmat", "--B", "{pair}/B.opmat", "--out"],
-    "besov": ["besov-norm", "--input", "{data}/sin.opfun", "--out"]}
+    "besov": ["besov-norm", "--input", "{data}/sin.opfun", "--out"],
+    "commutator_single": ["commutator-verify", "--phi", "{data}/phi_x.spec",
+                          "--psi", "{data}/psi_y.spec", "--A", "{pair}/A.opmat",
+                          "--B", "{pair}/B.opmat", "--report"],
+    "funcalc": ["funcalc", "--phi", "{data}/phi_xy.spec", "--A", "{pair}/A.opmat",
+                "--B", "{pair}/B.opmat", "--out", "{pair}/F.opmat", "--report"]}
 
 
 def test_trace_formula_report_bytes_repeat_across_blas_threads(tmp_path):
@@ -468,6 +475,60 @@ def test_cli_funcalc_and_probe(tmp_path, capsys):
     assert payload["multiplicativity_defect_s1"] <= 1e-10
 
 
+def test_cli_funcalc_report_writes_the_trace_as_re_and_im(tmp_path):
+    a, b = _write_pair(tmp_path)
+    report = tmp_path / "funcalc.json"
+    assert main(["funcalc", "--phi", str(DATA_DIR / "phi_xy.spec"),
+                 "--A", str(tmp_path / "A.opmat"), "--B", str(tmp_path / "B.opmat"),
+                 "--out", str(tmp_path / "F.opmat"), "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["out"] == str(tmp_path / "F.opmat")
+    assert set(payload["trace"]) == {"re", "im"}
+    # phi_xy is xy, so the trace is tr(AB), real for a Hermitian pair
+    assert payload["trace"]["re"] == pytest.approx(np.trace(a @ b).real, abs=1e-10)
+    assert abs(payload["trace"]["im"]) <= 1e-10
+
+
+@pytest.mark.parametrize("specs", [["--phi", "phi_xy.spec"],
+                                   ["--phi", "phi_x.spec", "--psi", "psi_y.spec"]],
+                         ids=["phi", "phi-psi"])
+def test_cli_commutator_verify_single_pair(tmp_path, specs):
+    # the identity on the pair read from --A/--B: with --phi alone, [phi(A,B), Q]
+    # for a seeded Q; with --psi too, [phi(A,B), psi(A,B)]
+    _write_pair(tmp_path)
+    report = tmp_path / "single.json"
+    argv = [str(DATA_DIR / f) if f.endswith(".spec") else f for f in specs]
+    assert main(["commutator-verify", *argv, "--A", str(tmp_path / "A.opmat"),
+                 "--B", str(tmp_path / "B.opmat"), "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["mode"] == "single"
+    rep = payload["report"]
+    assert rep["lhs_s1"] > 0
+    assert rep["residual_s1"] <= 1e-12 * max(rep["lhs_s1"], 1.0)
+
+
+@pytest.mark.parametrize("mode", ["single", "polynomial-suite"])
+def test_cli_trace_formula_csv_reads_back_as_the_report_rows(tmp_path, mode):
+    # the suite's pair names hold commas ("x,y"), so the CSV must quote them
+    if mode == "single":
+        cfg = _single_trace_config(tmp_path, DATA_DIR / "phi_x.spec", extra="n_table 8,16")
+    else:
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("mode polynomial-suite\nn 32\n", encoding="utf-8")
+    out, table = tmp_path / "report.json", tmp_path / "table.csv"
+    assert main(["trace-formula", "--config", str(cfg), "--out", str(out),
+                 "--csv", str(table)]) == 0
+    want = json.loads(out.read_text())["convergence" if mode == "single" else "suite"]
+    with open(table, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        got = list(reader)
+    assert set(reader.fieldnames) == set(want[0]) and len(got) == len(want) > 1
+    for row, expected in zip(got, want):
+        assert None not in row
+        assert {k: v if isinstance(expected[k], str) else type(expected[k])(v)
+                for k, v in row.items()} == expected
+
+
 def test_cli_probe_takes_every_pair_of_kinds(tmp_path, capsys):
     # phi and psi each a polynomial, a closed form or samples (the two sampled
     # on different grids): the probes take values on the spectra, so all run
@@ -506,6 +567,19 @@ def test_cli_besov_band_min_stops_at_the_lowest_normal_scale(tmp_path, capsys, m
         assert main(["besov-norm", "--input", "sin.opfun", "--band-min", band]) == 1
         assert (f"error: band {band} is below band -1022, the lowest whose scale 2^n "
                 f"is a normal double" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--band-min", "-600", "--s", "-2"], 0, "besov norm (s=-2.0, p=inf, q=1): 1.0000000000000233"),
+    (["--s", "300"], 1, "error: Besov weight 2^(n s) overflows at s = 300 on band ")],
+    ids=["empty-bands", "nonzero-band"])
+def test_cli_besov_weight_overflow(capsys, monkeypatch, flags, code, message):
+    # 2^(n s) overflows a double: on bands -600..-6, which hold no mass, the
+    # weight is never formed; on a band with mass the overflow is refused
+    monkeypatch.chdir(DATA_DIR)
+    assert main(["besov-norm", "--input", "sin.opfun", *flags]) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)
 
 
 def test_cli_schur_norm(tmp_path, capsys):

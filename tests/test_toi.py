@@ -4,8 +4,7 @@ import pytest
 from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose, schatten_norm
 from opintegral.toi import (HaagerupRep, _double_norm, eval_representation,
-                            projective_to_kind, rep_norm_certificate, s1_certificate,
-                            triple_spectral_sum)
+                            projective_to_kind, rep_norm_certificate, s1_certificate)
 from oracles import eval_via_trace_duality
 
 
@@ -39,7 +38,7 @@ def test_triple_sum_constant_collapses(rng):
     t = rng.complex_normal((6, 6))
     r = rng.complex_normal((6, 6))
     one = lambda x, y, z: np.ones(np.broadcast_shapes(x.shape, y.shape, z.shape))
-    w = triple_spectral_sum(one, a, b, c, t, r)
+    w = eval_representation(one, a, t, b, r, c)
     assert np.linalg.norm(w - t @ r) <= 1e-12 * np.linalg.norm(t @ r)
 
 
@@ -52,7 +51,7 @@ def test_triple_sum_product_factors(rng):
     v = lambda x: x ** 2
     w_ = lambda x: np.exp(0.3 * x)
     psi = lambda x, y, z: u(x) * v(y) * w_(z)
-    out = triple_spectral_sum(psi, da, db, dc, t, r)
+    out = eval_representation(psi, da, t, db, r, dc)
     ua, ub, uc = da.eigenvectors, db.eigenvectors, dc.eigenvectors
     ua_f = (ua * u(da.eigenvalues)) @ ua.conj().T
     vb_f = (ub * v(db.eigenvalues)) @ ub.conj().T
@@ -67,7 +66,7 @@ def test_triple_sum_diagonal_index_oracle(rng):
     t = rng.complex_normal((3, 3))
     r = rng.complex_normal((3, 3))
     psi = lambda x, y, z: np.sin(x + 2 * y) * np.cos(z) + x * z
-    w = triple_spectral_sum(psi, np.diag(la), np.diag(mu), np.diag(nu), t, r)
+    w = eval_representation(psi, np.diag(la), t, np.diag(mu), r, np.diag(nu))
     expected = np.zeros((3, 3), dtype=complex)
     for i in range(3):
         for k in range(3):
@@ -84,7 +83,7 @@ def test_triple_sum_rejects_unevaluable(rng):
             return 1.0 / (x + y + z)
 
     with pytest.raises(ValueError, match="not evaluable"):
-        triple_spectral_sum(bad, a, a, a, np.eye(2), -2.0 * np.eye(2))
+        eval_representation(bad, a, np.eye(2), a, -2.0 * np.eye(2), a)
 
 
 def test_trivial_representation(rng):
@@ -107,7 +106,7 @@ def test_representation_independence_all_kinds():
         r = rng.complex_normal((8, 8))
         terms = _random_terms(rng)
         rep = _projective(terms)
-        direct = triple_spectral_sum(_psi_of(terms), da, db, dc, t, r)
+        direct = eval_representation(_psi_of(terms), da, t, db, r, dc)
         scale = max(np.linalg.norm(direct, 2), 1.0)
         for kind in ("haagerup", "first_kind", "second_kind"):
             repk = projective_to_kind(rep, kind, da.eigenvalues, db.eigenvalues,
@@ -139,7 +138,7 @@ def test_unitary_mixed_haagerup_rep(rng):
 
     rep = HaagerupRep(kind="haagerup", left=[alpha(j) for j in range(n)],
                       double=double, right=[t3[2] for t3 in terms])
-    direct = triple_spectral_sum(_psi_of(terms), da, db, dc, t, r)
+    direct = eval_representation(_psi_of(terms), da, t, db, r, dc)
     w = eval_representation(rep, da, t, db, r, dc)
     assert np.linalg.norm(w - direct, 2) <= 1e-11 * max(np.linalg.norm(direct, 2), 1.0)
 
@@ -294,12 +293,12 @@ def test_trace_duality_rejects_haagerup_and_projective(rng):
 def test_triple_sum_integrand_free_of_a_variable(rng):
     a, b, c = rng.hermitian(3), rng.hermitian(4), rng.hermitian(5)
     t, r = rng.complex_normal((3, 4)), rng.complex_normal((4, 5))
-    got = triple_spectral_sum(lambda x, y, z: np.sin(x + z), a, b, c, t, r)
-    want = triple_spectral_sum(lambda x, y, z: np.sin(x + z) + 0.0 * y, a, b, c, t, r)
+    got = eval_representation(lambda x, y, z: np.sin(x + z), a, t, b, r, c)
+    want = eval_representation(lambda x, y, z: np.sin(x + z) + 0.0 * y, a, t, b, r, c)
     assert np.array_equal(got, want)
     eye = np.eye(3, dtype=np.complex128)
     diag = np.diag([0.1, 0.5, -0.3])
-    out = triple_spectral_sum(lambda x, y, z: np.sin(x + z), diag, diag, diag, eye, eye)
+    out = eval_representation(lambda x, y, z: np.sin(x + z), diag, eye, diag, eye, diag)
     assert np.allclose(out, np.diag(np.sin(2 * np.diag(diag))), rtol=0, atol=1e-15)
 
 
