@@ -11,9 +11,8 @@ from .besov import (BesovNorm, LPDecomposition, bandlimit_check, besov_norm,
 from .commutator import (CommutatorReport, commutator_of_functions,
                          commutator_via_toi, probe_problem1, probe_problem2,
                          verify_theorem_41)
-from .divdiff import (BandRepList, DividedDifference, SincRep,
-                      besov_representation, divided_difference,
-                      sinc_representation)
+from .divdiff import (BandRepList, SincRep, besov_representation,
+                      divided_difference, sinc_representation)
 from .doi import (SchurMultiplierCertificate, TrigProjectiveRows,
                   double_operator_integral, funcalc, one_var_commutator_identity,
                   projective_decompose_trig, schur_multiplier_norm)
@@ -31,8 +30,8 @@ from .toi import (HaagerupRep, RepNormCertificate, S1Certificate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandRepList", "BesovNorm", "CommutatorReport", "DividedDifference",
-    "Expr", "Function1D", "Function2D", "HaagerupRep", "HermitianOperator",
+    "BandRepList", "BesovNorm", "CommutatorReport", "Expr", "Function1D",
+    "Function2D", "HaagerupRep", "HermitianOperator",
     "LPDecomposition", "PrincipalFunction", "RepNormCertificate",
     "S1Certificate", "SchurMultiplierCertificate", "SincRep",
     "SpectralDecomposition", "Symbol", "TraceExperimentConfig", "TraceReport",

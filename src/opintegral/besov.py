@@ -99,10 +99,15 @@ class LPDecomposition:
                                      f"on band {n}") from None
             terms[n] = lp
         vals = np.array([terms[n] for n in sorted(terms)])
-        if np.isinf(q):
-            value = float(vals.max()) if vals.size else 0.0
+        top = float(vals.max()) if vals.size else 0.0
+        if np.isinf(q) or top == 0.0:
+            value = top
+        elif q == 1:
+            value = float(np.sum(vals))
         else:
-            value = float(np.sum(vals ** q) ** (1.0 / q))
+            # scaled by the largest term, so that finite terms whose q-th
+            # powers overflow still give the finite norm
+            value = top * float(np.sum((vals / top) ** q) ** (1.0 / q))
         return BesovNorm(s=s, p=p, q=q, value=value, band_terms=terms,
                          uncovered_mass=self.uncovered_mass)
 
@@ -213,8 +218,7 @@ class BesovNorm:
 
 
 def _grid_lp_norm(band: np.ndarray, grid: UniformGrid, p: float) -> float:
-    if np.isinf(p):
-        return float(np.abs(band).max())
+    """Grid l^p norm of a band for finite p, each sample weighted by its cell."""
     cell = grid.spacing ** grid.dim
     return float((np.sum(np.abs(band) ** p) * cell) ** (1.0 / p))
 

@@ -24,7 +24,7 @@ representations sum to a representation of the whole divided difference.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,39 +51,28 @@ def divided_quotient(f, df, z1, z2) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class DividedDifference:
-    """Callable divided difference with a diagonal (derivative) convention:
-    arguments closer than 1e-7 times the span of the same-axis arguments of
-    each call (the spectral diameter when evaluated on spectra) coincide.
-    """
+def divided_difference(phi: Function2D, axis: int):
+    """Divided difference of phi along axis 1 (x) or 2 (y), as a callable of
+    (x1, x2, y) for axis 1 and (x, y1, y2) for axis 2, broadcast.
 
-    source: Function2D
-    axis: int
-    _partial: Function2D = field(repr=False, default=None)
-
-    def __call__(self, u, v, w):
-        """axis 1: arguments (x1, x2, y); axis 2: arguments (x, y1, y2)."""
-        u, v, w = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (u, v, w)))
-        z1, z2, fixed = (u, v, w) if self.axis == 1 else (v, w, u)
-
-        def at(z):
-            return (z, fixed) if self.axis == 1 else (fixed, z)
-
-        return divided_quotient(lambda z: self.source(*at(z)),
-                                lambda z: self._partial(*at(z)), z1, z2)
-
-
-def divided_difference(phi: Function2D, axis: int) -> DividedDifference:
-    """Divided difference of phi along axis 1 (x) or 2 (y).
-
-    Below the coincidence tolerance (1e-7 times the argument span) the
-    quotient switches to the exact (polynomial, closed-form) or
+    Arguments closer than 1e-7 times the span of the same-axis arguments of
+    each call (the spectral diameter when evaluated on spectra) coincide, and
+    there the quotient switches to the exact (polynomial, closed-form) or
     spectral (sampled) partial derivative.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    return DividedDifference(source=phi, axis=axis, _partial=phi.partial(axis))
+    dphi = phi.partial(axis)
+
+    def dd(u, v, w):
+        u, v, w = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (u, v, w)))
+        z1, z2, fixed = (u, v, w) if axis == 1 else (v, w, u)
+
+        def at(z):
+            return (z, fixed) if axis == 1 else (fixed, z)
+
+        return divided_quotient(lambda z: phi(*at(z)), lambda z: dphi(*at(z)), z1, z2)
+    return dd
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +105,6 @@ class SincRep:
 
     sigma: float
     j_max: int
-    axis: int
     lattice: np.ndarray
     rep: HaagerupRep
     domain_radius: float
@@ -192,7 +180,7 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
         return np.sinc(sigma * np.asarray(x, dtype=float) / np.pi - js[:, None])
 
     rep = _axis_rep(axis, sincs, _lattice_double(phi, axis, lattice))
-    return SincRep(sigma=sigma, j_max=j_max, axis=axis, lattice=lattice, rep=rep,
+    return SincRep(sigma=sigma, j_max=j_max, lattice=lattice, rep=rep,
                    domain_radius=float(domain_radius))
 
 
@@ -226,19 +214,20 @@ def polynomial_dd_rep(phi: Function2D, axis: int) -> HaagerupRep:
     """
     if phi.kind != "polynomial":
         raise ValueError("exact path expects a polynomial")
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
     # row l + m of table: coefficients of the fixed variable at power l + m + 1
-    # of the differenced one
+    # of the differenced one; entry (l, m) of the Hankel index is row l + m,
+    # or the appended zero row past the last
     table = (phi.data if axis == 1 else phi.data.T)[1:]
     n_idx = max(len(table), 1)
+    hankel = np.minimum(np.add.outer(np.arange(n_idx), np.arange(n_idx)), len(table))
 
     def double(points):
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros((pts.size, n_idx, n_idx), dtype=np.complex128)
-        for l in range(n_idx):
-            for m in range(n_idx - l):
-                if l + m < len(table) and np.any(table[l + m]):
-                    out[:, l, m] = np.polynomial.polynomial.polyval(pts, table[l + m])
-        return out
+        pts = np.asarray(points, dtype=float).reshape(-1, 1)
+        rows = np.polynomial.polynomial.polyval(pts, table.T, tensor=False)  # (npts, rows)
+        rows = np.concatenate([rows, np.zeros((len(pts), 1), dtype=np.complex128)], axis=1)
+        return np.take(rows, hankel, axis=1)
 
     def powers(x):
         return np.array([np.asarray(x, dtype=np.complex128) ** p for p in range(n_idx)])
@@ -260,7 +249,6 @@ class BandRepList:
     uncovered_mass, both from its decomposition on its analysis grid.
     """
 
-    axis: int
     items: dict
     uncovered_mass: float
     band_norm: float
@@ -298,7 +286,7 @@ def band_representations(phi: Function2D, axes=(1, 2), j_max: int = 256,
         raise ValueError("axis must be 1 or 2")
     _check_lattice_args(j_max, domain_radius)
     if phi.kind == "polynomial":
-        return {axis: BandRepList(axis=axis, items={}, uncovered_mass=0.0, band_norm=0.0)
+        return {axis: BandRepList(items={}, uncovered_mass=0.0, band_norm=0.0)
                 for axis in axes}
     dec = lp_decompose(*analysis_samples(phi, grid))
     peak = max(dec.sup_norms.values(), default=0.0)
@@ -308,7 +296,7 @@ def band_representations(phi: Function2D, axes=(1, 2), j_max: int = 256,
              if dec.sup_norms[n] > BAND_DROP_RTOL * max(peak, 1e-300)}
     fields = {"uncovered_mass": dec.uncovered_mass, "band_norm": dec.besov_norm().value}
     del dec  # the band samples are not needed past this point
-    return {axis: BandRepList(axis=axis, items={
+    return {axis: BandRepList(items={
         n: sinc_representation(band_fn, axis, sigma=2.0 ** (n + 1), j_max=j_max,
                                domain_radius=domain_radius, skip_bandlimit_check=True)
         for n, band_fn in bands.items()}, **fields) for axis in axes}

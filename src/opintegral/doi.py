@@ -128,18 +128,6 @@ class SchurMultiplierCertificate:
                 f"certificate sandwich violated: lower {self.lower} > upper {self.upper}")
 
 
-def _witness_from_factorization(p: np.ndarray, q: np.ndarray):
-    """Balanced PSD witness from Phi = P* Q; returns (X, Y, bound)."""
-    x = p.conj().T @ p
-    y = q.conj().T @ q
-    dx = float(np.max(np.diag(x).real))
-    dy = float(np.max(np.diag(y).real))
-    if dx <= 0 or dy <= 0:
-        return x, y, 0.0
-    c = np.sqrt(dy / dx)
-    return c * x, y / c, float(np.sqrt(dx * dy))
-
-
 def _block(phi: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The Hermitian block [[X, Phi], [Phi*, Y]]."""
     m, n = phi.shape
@@ -154,12 +142,18 @@ def _block(phi: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _repair(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Rigorous witness from Phi ~ P* Q; returns (X, Y, bound).
 
-    The balanced blocks of the factorization are joined by phi itself, not by
-    P* Q, and shifted by -lambda_min when the block is not PSD, so the bound
-    absorbs the rounding of the factors.
+    The blocks P* P and Q* Q, balanced by c = sqrt(max diag Q* Q / max diag
+    P* P) to c P* P and Q* Q / c, are joined by phi itself, not by P* Q, and
+    shifted by -lambda_min when the block is not PSD, so the bound absorbs the
+    rounding of the factors.
     """
     m, n = phi.shape
-    block = _block(phi, *_witness_from_factorization(p, q)[:2])
+    x, y = p.conj().T @ p, q.conj().T @ q
+    dx, dy = float(np.max(np.diag(x).real)), float(np.max(np.diag(y).real))
+    if dx > 0 and dy > 0:
+        c = np.sqrt(dy / dx)
+        x, y = c * x, y / c
+    block = _block(phi, x, y)
     shift = max(0.0, -float(np.linalg.eigvalsh(block)[0]))
     xr = block[:m, :m] + shift * np.eye(m)
     yr = block[m:, m:] + shift * np.eye(n)

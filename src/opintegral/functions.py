@@ -469,9 +469,12 @@ class Function2D:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.kind == "polynomial":
-            shape = np.broadcast_shapes(x.shape, y.shape)
-            return np.polynomial.polynomial.polyval2d(
-                np.broadcast_to(x, shape), np.broadcast_to(y, shape), self.data)
+            # polyval2d's Horner, in x then in y, on unbroadcast points; real
+            # coefficients take the same steps in real arithmetic, which give
+            # the real part of the complex result bit for bit
+            pv = np.polynomial.polynomial.polyval
+            a = self.data if self.data.imag.any() else self.data.real
+            return pv(y, pv(x, a), tensor=False)
         if self.kind == "closed_form":
             out = self.data.eval(x, y)
             return np.asarray(out) + np.zeros(np.broadcast_shapes(x.shape, y.shape))
@@ -484,8 +487,7 @@ class Function2D:
         return ((t if lx is None else lx @ t) * right).sum(axis=1).reshape(shape)
 
     def eval_grid(self, xs, ys) -> np.ndarray:
-        """Matrix of values phi(xs[i], ys[j]) on the tensor grid xs x ys;
-        float64 for a polynomial whose coefficients are all real.  A sampled
+        """Matrix of values phi(xs[i], ys[j]) on the tensor grid xs x ys.  A sampled
         function goes through Chebyshev nodes on an axis whose points span a
         short enough interval (_axis_interp, as __call__ does for scattered
         points), and rejects non-finite points."""
@@ -496,14 +498,6 @@ class Function2D:
             out = ex @ self.spectrum() @ ey.T
             out = out if lx is None else lx @ out
             return out if ly is None else out @ ly.T
-        if self.kind == "polynomial":
-            # Horner in x on the axis, then in y: per element the operations
-            # of polyval2d on the broadcast grid, without its grid-sized stage;
-            # real coefficients take the same steps in real arithmetic, which
-            # give the real part of the complex result bit for bit
-            pv = np.polynomial.polynomial.polyval
-            a = self.data if self.data.imag.any() else self.data.real
-            return pv(ys[None, :], pv(xs, a)[:, :, None], tensor=False)
         return self(xs[:, None], ys[None, :])
 
     def lattice_evaluator(self, axis: int, lattice):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -401,25 +402,44 @@ THREAD_REPORTS = {
                 "--B", "{pair}/B.opmat", "--out", "{pair}/F.opmat", "--report"]}
 
 
+#: sha256 of each THREAD_REPORTS report at one BLAS thread (numpy 2.4.6,
+#: OpenBLAS 0.3.31); a change that moves report bytes on purpose updates this
+#: table and says why
+THREAD_REPORT_SHA256 = {
+    "gauss_single": "503251d1b28d8d34910f61dfac94ad439c543d84cf28b5404abf2ad850168e88",
+    "shift_suite": "3b721f39d23e7e4e1b6be3623f17e3ef739a621664944ed41ff5a4045cc80c1a",
+    "selftest": "8343e264e7ad4b7d349cdde739f7f847da222dd61fb4af3e8d67825c4807dc45",
+    "commutator": "c077dbd464139e4f0671733c25142d2571709b01914150021e2b6bb79bbc258c",
+    "probe": "4d4735fd920bad3837bed9659fbee321e1b61b09ba0d454af26a2ce307e93aa0",
+    "besov": "f880cbc8da5c59d18145a2a7fd45ee3e08adc447cb600e2b478facdee0255e0d",
+    "commutator_single": "6e72adcc046752d9134a69f2dcbe901e2f9d1deab87783bf278f7daefa08d2ff",
+    "funcalc": "386fc0f45b5525dcd86f6b8314db5dfd54e978cca8c8f865985d44b2fff288cf"}
+
+
 def test_trace_formula_report_bytes_repeat_across_blas_threads(tmp_path):
     # the Toeplitz model pairs go through LAPACK eigh at n = 128, the selftest
     # and trial suite through eigh at n <= 64; the reports must not depend on
-    # how many threads the BLAS runs
+    # how many threads the BLAS runs, and keep their pinned bytes.  The runs
+    # read and write relative paths from tmp_path, as reports record the
+    # paths they were given
     script = ("import sys\nfrom opintegral.cli import main\n"
               f"for name, argv in {THREAD_REPORTS!r}.items():\n"
-              "    argv = [a.format(data=sys.argv[1], pair=sys.argv[3]) for a in argv]\n"
-              "    assert main(argv + [f'{sys.argv[2]}/{name}.json']) == 0\n")
+              "    argv = [a.format(data='data', pair='.') for a in argv]\n"
+              "    assert main(argv + [f'{sys.argv[1]}/{name}.json']) == 0\n")
     src = str(DATA_DIR.parents[1])
+    shutil.copytree(DATA_DIR, tmp_path / "data")
     _write_pair(tmp_path)
     reports = []
     for threads in (1, 2):
-        out = tmp_path / str(threads)
-        out.mkdir()
-        subprocess.run([sys.executable, "-c", script, str(DATA_DIR), str(out), str(tmp_path)],
+        (tmp_path / str(threads)).mkdir()
+        subprocess.run([sys.executable, "-c", script, str(threads)], cwd=tmp_path,
                        check=True, capture_output=True,
                        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)})
-        reports.append([(out / f"{name}.json").read_bytes() for name in THREAD_REPORTS])
-    assert reports[0] == reports[1] and all(reports[0])
+        reports.append([(tmp_path / str(threads) / f"{name}.json").read_bytes()
+                        for name in THREAD_REPORTS])
+    assert reports[0] == reports[1]
+    assert {name: hashlib.sha256(report).hexdigest()
+            for name, report in zip(THREAD_REPORTS, reports[0])} == THREAD_REPORT_SHA256
 
 
 def _double_winding_gauss_config(tmp_path, sizes):
@@ -580,6 +600,23 @@ def test_cli_besov_weight_overflow(capsys, monkeypatch, flags, code, message):
     assert main(["besov-norm", "--input", "sin.opfun", *flags]) == code
     captured = capsys.readouterr()
     assert message in (captured.out if code == 0 else captured.err)
+
+
+def test_cli_besov_lq_sum_of_finite_terms_is_finite(capsys, monkeypatch):
+    # at s = 140 band 5's term is 4.0e196: its square overflows a double, the
+    # l^2 norm does not, and lies between the largest term and the l^1 norm
+    monkeypatch.chdir(DATA_DIR)
+    norms = {}
+    for q in ("1", "2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["besov-norm", "--input", "sin.opfun", "--s", "140", "--q", q,
+                         "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        norms[q] = payload["value"]
+    top = max(payload["band_terms"].values())
+    assert norms["1"] == 4.002662208198804e+196
+    assert np.isfinite(norms["2"]) and top <= norms["2"] <= norms["1"]
 
 
 def test_cli_schur_norm(tmp_path, capsys):

@@ -136,6 +136,17 @@ def test_polynomial_paths_agree_exactly(rng):
         assert np.all(np.abs(grid - exact) <= 1e-12 * (1 + np.abs(exact)))
 
 
+@pytest.mark.parametrize("axis", [0, 3])
+def test_axis_builders_refuse_axes_other_than_one_and_two(axis):
+    phi = Function2D.polynomial([[0, 1], [1, 0]])
+    builders = [polynomial_dd_rep, divided_difference, Function2D.partial,
+                lambda f, a: sinc_representation(f, a, sigma=1.0),
+                lambda f, a: band_representations(f, (a,))]
+    for build in builders:
+        with pytest.raises(ValueError, match="axis must be 1 or 2"):
+            build(phi, axis)
+
+
 def test_polynomial_rep_operator_agreement(rng):
     coeffs = rng.normal(9).reshape(3, 3)
     phi = Function2D.polynomial(coeffs)

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from opintegral.doi import (double_operator_integral, funcalc,
                             one_var_commutator_identity, projective_decompose_trig,
-                            scalar_calculus, schur_multiplier_norm,
-                            _witness_from_factorization)
+                            scalar_calculus, schur_multiplier_norm, _repair)
 from opintegral.functions import Function1D, Function2D
 from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose
@@ -221,7 +220,7 @@ def test_schur_sign_matrix():
     p = np.array([[1.0, 0.0], [0.0, 1.0]])
     q = np.array([[1.0, 1.0], [1.0, -1.0]])
     assert np.allclose(p.conj().T @ q, phi)
-    _, _, oracle_bound = _witness_from_factorization(p, q)
+    _, _, oracle_bound = _repair(phi, p, q)
     assert oracle_bound == pytest.approx(np.sqrt(2.0), abs=1e-12)
     cert = schur_multiplier_norm(phi, tol=1e-4)
     assert cert.gap <= 1e-4

@@ -219,6 +219,18 @@ def test_real_coefficient_polynomials_take_real_horner():
     got = phi.eval_grid(*small)
     assert got.dtype == np.complex128
     assert got.tobytes() == _complex_horner(phi, *small).tobytes()
+    # the one evaluator: scattered points (x and y of one shape) give polyval2d's
+    # bits, its real part for real coefficients, and eval_grid is __call__ on
+    # the open grid
+    x, y = 3.0 * gen.normal(size=(2, 41))
+    for phi in [phi] + [f for f, _ in cases]:
+        got, want = phi(x, y), np.polynomial.polynomial.polyval2d(x, y, phi.data)
+        if not phi.data.imag.any():
+            assert got.dtype == np.float64
+            want = want.real
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        xs, ys = small
+        assert phi.eval_grid(xs, ys).tobytes() == phi(xs[:, None], ys[None, :]).tobytes()
 
 
 def test_sampled_trig_interpolation():
