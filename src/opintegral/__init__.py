@@ -17,9 +17,8 @@ from .doi import (SchurMultiplierCertificate, TrigProjectiveRows,
                   double_operator_integral, funcalc, one_var_commutator_identity,
                   projective_decompose_trig, schur_multiplier_norm)
 from .functions import Expr, Function1D, Function2D, UniformGrid, parse_expr
-from .heltonhowe import (TraceExperimentConfig, TraceReport, lhs_corner_trace,
-                         polynomial_suite, rhs_integral, trace_formula_experiment,
-                         winding_factor_experiment)
+from .heltonhowe import (TraceExperimentConfig, TraceReport, polynomial_suite,
+                         rhs_integral, trace_formula_experiment, winding_factor_experiment)
 from .models import (PrincipalFunction, Symbol, hankel_matrix, principal_function,
                      toeplitz_matrix, verify_hankel_identity)
 from .rng import Xorshift64Star
@@ -39,7 +38,7 @@ __all__ = [
     "bandlimit_check", "besov_norm", "besov_representation",
     "commutator_of_functions", "commutator_via_toi", "decompose",
     "divided_difference", "double_operator_integral", "eval_representation",
-    "funcalc", "hankel_matrix", "lhs_corner_trace", "lp_decompose",
+    "funcalc", "hankel_matrix", "lp_decompose",
     "one_var_commutator_identity", "parse_expr", "polynomial_suite",
     "principal_function", "probe_problem1", "probe_problem2",
     "projective_decompose_trig", "rhs_integral", "s1_certificate",

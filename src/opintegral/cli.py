@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import sys
 from pathlib import Path
 
@@ -62,6 +63,13 @@ def _operands(args):
         HermitianOperator(fileio.read_matrix(m)) for m in (args.A, args.B))
 
 
+def _file_record(path) -> dict:
+    """A file as a report records it: its name and the sha256 of its bytes,
+    so the same data give the same report from any directory."""
+    path = Path(path)
+    return {"name": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
 def _print(args, text):
     if not args.json:
         print(text)
@@ -83,7 +91,7 @@ def cmd_besov_norm(args) -> int:
     band_range = (lo if args.band_min is None else args.band_min,
                   hi if args.band_max is None else args.band_max)
     bn = besov.besov_norm(values, grid, s=args.s, p=p, q=q, band_range=band_range)
-    payload = {"command": "besov-norm", "input": str(args.input), "s": args.s,
+    payload = {"command": "besov-norm", "input": _file_record(args.input), "s": args.s,
                "p": str(args.p), "q": str(args.q), "value": bn.value,
                "band_terms": {str(k): v for k, v in bn.band_terms.items()},
                "uncovered_mass": bn.uncovered_mass}
@@ -96,8 +104,9 @@ def cmd_funcalc(args) -> int:
     phi, (a, b) = _operands(args)
     result = doi.funcalc(phi, a, b)
     fileio.write_matrix(args.out, result)
-    payload = {"command": "funcalc", "phi": str(args.phi), "A": str(args.A),
-               "B": str(args.B), "out": str(args.out),
+    payload = {"command": "funcalc", "phi": _file_record(args.phi),
+               "A": _file_record(args.A), "B": _file_record(args.B),
+               "out": _file_record(args.out),
                "operator_norm": float(np.linalg.norm(result, 2)),
                "trace": complex(np.trace(result))}
     _print(args, f"phi(A,B) written to {args.out}")
@@ -108,7 +117,7 @@ def cmd_funcalc(args) -> int:
 def cmd_schur_norm(args) -> int:
     m = fileio.read_matrix(args.matrix)
     cert = doi.schur_multiplier_norm(m, tol=args.tol)
-    payload = {"command": "schur-norm", "matrix": str(args.matrix),
+    payload = {"command": "schur-norm", "matrix": _file_record(args.matrix),
                "tol": args.tol, "upper": cert.upper, "lower": cert.lower,
                "gap": cert.gap, "converged": cert.converged,
                "witness_min_eig": cert.witness_min_eig,

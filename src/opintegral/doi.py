@@ -27,7 +27,7 @@ import numpy as np
 
 from .divdiff import divided_quotient
 from .functions import Function1D
-from .spectral import decompose
+from .spectral import _centro_conjugate, decompose
 from .toi import _on_spectra
 
 
@@ -44,23 +44,45 @@ def double_operator_integral(phi, a, t, b) -> np.ndarray:
 def _weighted_sum(phi, da, db, t) -> np.ndarray:
     """U_A (phi_hat * U_A* T U_B) U_B*; t None is T = I, not multiplied out.
     U_A* T U_B stays an unnamed temporary, so numpy reuses its buffer (and
-    swaps the Hadamard operands) alike in both cases: the bits agree."""
+    swaps the Hadamard operands) alike in both cases: the bits agree.
+
+    With t None and both decompositions centro, U_A* U_B = V_A^T V_B is real,
+    and the sum is returned in the real basis: G = V_A (phi_hat * V_A^T V_B)
+    V_B^T, with the operator Q G Q*.  G is real when phi_hat is; otherwise its
+    real and imaginary parts are two real products."""
     phi_hat = np.asarray(_on_spectra(phi, da.eigenvalues, db.eigenvalues), dtype=np.complex128)
+    if t is None and da.centro and db.centro:
+        va, vb = da.vectors, db.vectors
+        m = va.T @ vb
+        g = va @ (phi_hat.real * m) @ vb.T
+        if not phi_hat.imag.any():
+            return g
+        g = g.astype(np.complex128)
+        g.imag = va @ (phi_hat.imag * m) @ vb.T
+        return g
     uah, ub = da.eigenvectors.conj().T, db.eigenvectors
     return da.eigenvectors @ (phi_hat * (uah @ ub if t is None else uah @ t @ ub)) @ ub.conj().T
+
+
+def _operator(m, da, db) -> np.ndarray:
+    """The operator of M, a weighted sum with t None or a product of such sums
+    over the same pair: Q M Q* when M is in the real basis (both
+    decompositions centro), M itself otherwise."""
+    return _centro_conjugate(m) if da.centro and db.centro else m
 
 
 def funcalc(phi, a, b) -> np.ndarray:
     """The operator phi(A, B) = sum_ij phi(lambda_i, mu_j) P_i Q_j.
 
     For phi(x, y) = sum a_jk x^j y^k this reproduces sum a_jk A^j B^k (all
-    A-powers to the left) even for noncommuting A and B.
+    A-powers to the left) even for noncommuting A and B.  A centrohermitian
+    pair is summed in its real basis and conjugated by Q.
     """
     da = decompose(a)
     db = decompose(b)
     if da.dim != db.dim:
         raise ValueError(f"A and B must have the same size, got {da.dim} and {db.dim}")
-    return _weighted_sum(phi, da, db, None)
+    return _operator(_weighted_sum(phi, da, db, None), da, db)
 
 
 def scalar_calculus(f: Function1D, a) -> np.ndarray:

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .doi import funcalc
+from .doi import _operator, _weighted_sum
 from .functions import Function2D, UniformGrid
 from .models import PrincipalFunction, Symbol, principal_function, toeplitz_matrix
-from .besov import lp_decompose, plateau
+from .besov import plateau
 from .spectral import decompose
 
 IMAG_RESIDUE_RTOL = 1e-10
@@ -102,8 +102,11 @@ def _corner_traces(cfg: TraceExperimentConfig, pairs, corners, table=()) -> list
     """Per (phi, psi) in pairs, [(corner trace, imaginary residue)] of
     K = i [phi(A_n, B_n), psi(A_n, B_n)] on the model pair of cfg.symbol at
     n = cfg.n (decomposed once, each matrix freed with its decomposition; each
-    distinct function's operator formed once), one per corner size, then one
-    per (informational) table corner.
+    distinct function's weighted sum formed once), one per corner size, then
+    one per (informational) table corner.  The Toeplitz pair is
+    centrohermitian, so each sum is the G of phi(A, B) = Q G Q* in the real
+    basis, and K = i Q X Q* with X = G_phi G_psi - G_psi G_phi comes from
+    index slices; U = Q V is never lifted.
 
     Every corner passes cfg.corner().  The residue tolerance of a pair's
     corners (not table corners) is strict on the exact polynomial path and a
@@ -117,7 +120,7 @@ def _corner_traces(cfg: TraceExperimentConfig, pairs, corners, table=()) -> list
     decs = [decompose(toeplitz_matrix(part, cfg.n))
             for part in (cfg.symbol.real_part(), cfg.symbol.imag_part())]
     funcs = {id(f): f for pair in pairs for f in pair}
-    ops = {key: funcalc(f, *decs) for key, f in funcs.items()}
+    sums = {key: _weighted_sum(f, *decs, None) for key, f in funcs.items()}
     out = []
     for phi, psi in pairs:
         exact = phi.kind == psi.kind == "polynomial"
@@ -127,17 +130,12 @@ def _corner_traces(cfg: TraceExperimentConfig, pairs, corners, table=()) -> list
                 warnings.warn(
                     f"corner {m} reaches within the boundary bandwidth {span} of "
                     f"n = {cfg.n}; polynomial exactness is not guaranteed", stacklevel=3)
-        f1, f2 = ops[id(phi)], ops[id(psi)]
-        k = 1j * (f1 @ f2 - f2 @ f1)
+        g1, g2 = sums[id(phi)], sums[id(psi)]
+        k = 1j * _operator(g1 @ g2 - g2 @ g1, *decs)
         rtol = IMAG_RESIDUE_RTOL if exact else LOOSE_RESIDUE_RTOL
         out.append([corner_trace(k, m, rtol) for m in corners]
                    + [corner_trace(k, m, None) for m in table])
     return out
-
-
-def lhs_corner_trace(cfg: TraceExperimentConfig) -> float:
-    """Corner trace of i [phi(A_N, B_N), psi(A_N, B_N)] at cfg.corner()."""
-    return _corner_traces(cfg, [(cfg.phi, cfg.psi)], [cfg.corner()])[0][0][0]
 
 
 def rhs_integral(phi: Function2D, psi: Function2D, g: PrincipalFunction,
@@ -246,38 +244,6 @@ def polynomial_suite(n: int = 128, m: int | None = None):
                     "lhs_err": abs(lhs - exact), "rhs_err": abs(rhs - exact),
                     "imag_residue": residue})
     return out
-
-
-def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
-                          grid: UniformGrid | None = None):
-    """Decompose phi and psi into dyadic bands and compare the band-pair sums
-    of both sides with the totals (both sides are bilinear, so the band sums
-    telescope, to rounding on both sides: the right side is the contour sum)."""
-    m = cfg.corner()
-    grid = grid or UniformGrid(dim=2, period=32.0 * np.pi, points=256)
-    phi_s, psi_s = cfg.phi.sample(grid), cfg.psi.sample(grid)
-    dec_phi, dec_psi = (lp_decompose(f.data, grid, band_range) for f in (phi_s, psi_s))
-    g = principal_function(cfg.symbol)
-
-    # means are stripped by the band decomposition; add them back as a band
-    bands_phi, bands_psi = ([*(Function2D.sampled(v, grid) for v in dec.bands.values()),
-                             Function2D.polynomial([[complex(np.mean(f.data))]])]
-                            for dec, f in ((dec_phi, phi_s), (dec_psi, psi_s)))
-    band_pairs = [(bp, bq) for bp in bands_phi for bq in bands_psi]
-    [[(lhs_total, _)]] = _corner_traces(cfg, [(phi_s, psi_s)], [m])
-    rhs_total = rhs_integral(phi_s, psi_s, g)
-
-    # band pairs are informational: table corners, with no residue cap
-    lhs_bands = rhs_bands = 0.0
-    for (bp, bq), [(trace, _)] in zip(band_pairs, _corner_traces(cfg, band_pairs, [], [m])):
-        lhs_bands += trace
-        rhs_bands += rhs_integral(bp, bq, g)
-    return {"lhs_total": lhs_total, "lhs_band_sum": lhs_bands,
-            "rhs_total": rhs_total, "rhs_band_sum": rhs_bands,
-            "lhs_gap": abs(lhs_total - lhs_bands),
-            "rhs_gap": abs(rhs_total - rhs_bands),
-            "uncovered_phi": dec_phi.uncovered_mass,
-            "uncovered_psi": dec_psi.uncovered_mass}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ decomposed through a real symmetric one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,19 +65,28 @@ class HermitianOperator:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix: ascending eigenvalues, and the
-    eigenvectors as the columns of a unitary matrix."""
+    eigenvectors as the columns of a unitary matrix U.  On the centrohermitian
+    path (centro true) vectors holds the real V of U = Q V, and U is lifted on
+    first read; otherwise vectors is U."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    vectors: np.ndarray
+    centro: bool = False
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return _centro_lift(self.vectors) if self.centro else self.vectors
+
     def matrix(self) -> np.ndarray:
-        """Reassemble U diag(lambda) U*."""
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        """Reassemble U diag(lambda) U*; on the centro path Q (V diag(lambda)
+        V^T) Q*, a real product and a Q-conjugation."""
+        v = self.vectors
+        m = (v * self.eigenvalues) @ v.conj().T
+        return _centro_conjugate(m) if self.centro else m
 
 
 def _mirror_halves(n: int) -> tuple[slice, slice]:
@@ -116,24 +126,48 @@ def _centro_lift(v: np.ndarray) -> np.ndarray:
     return u
 
 
+def _centro_conjugate(m: np.ndarray) -> np.ndarray:
+    """Q M Q* for the Q of _centro_real and a real or complex M, from index
+    slices.  With t the indices c < n/2 and b their mirrors, the blocks are
+    (tt, bb) = ((M_tt + M_bb) +- i (M_bt - M_tb)) / 2 and
+    (tb, bt) = ((M_tt - M_bb) +- i (M_bt + M_tb)) / 2; for odd n the middle
+    row and column are (M_kt -+ i M_kb) / sqrt 2 and (M_tk +- i M_bk) / sqrt 2
+    around M_kk."""
+    n = m.shape[0]
+    top, bottom = _mirror_halves(n)
+    tt, tb, bt, bb = m[top, top], m[top, bottom], m[bottom, top], m[bottom, bottom]
+    out = np.empty((n, n), dtype=np.complex128)
+    out[top, top] = 0.5 * ((tt + bb) + 1j * (bt - tb))
+    out[bottom, bottom] = 0.5 * ((tt + bb) - 1j * (bt - tb))
+    out[top, bottom] = 0.5 * ((tt - bb) + 1j * (bt + tb))
+    out[bottom, top] = 0.5 * ((tt - bb) - 1j * (bt + tb))
+    if n % 2:
+        k, s = n // 2, np.sqrt(0.5)
+        out[top, k] = s * (m[top, k] + 1j * m[bottom, k])
+        out[bottom, k] = s * (m[top, k] - 1j * m[bottom, k])
+        out[k, top] = s * (m[k, top] - 1j * m[k, bottom])
+        out[k, bottom] = s * (m[k, top] + 1j * m[k, bottom])
+        out[k, k] = m[k, k]
+    return out
+
+
 def decompose(h) -> SpectralDecomposition:
     """Eigendecomposition by LAPACK (numpy.linalg.eigh), with the Hermitian
-    check of HermitianOperator and a reconstruction-residual check.  A
-    SpectralDecomposition is passed through.  A centrohermitian matrix (every
-    Hermitian Toeplitz matrix is one) is decomposed as the real symmetric
-    Q* A Q of _centro_real, and U = Q V; any other goes through complex eigh."""
+    check of HermitianOperator and a reconstruction-residual check against
+    the complex A.  A SpectralDecomposition is passed through.  A
+    centrohermitian matrix (every Hermitian Toeplitz matrix is one) is
+    decomposed as the real symmetric Q* A Q of _centro_real and keeps the
+    real eigenvectors V; any other goes through complex eigh."""
     if isinstance(h, SpectralDecomposition):
         return h
     if not isinstance(h, HermitianOperator):
         h = HermitianOperator(h)
     a = h.entries
     if np.array_equal(a, a[::-1, ::-1].conj()):
-        w, v = np.linalg.eigh(_centro_real(a))
-        u = _centro_lift(v)
+        dec = SpectralDecomposition(*np.linalg.eigh(_centro_real(a)), centro=True)
     else:
-        w, u = np.linalg.eigh(a)
-    norm = max(float(np.abs(w).max()), 1e-300)
-    dec = SpectralDecomposition(eigenvalues=w, eigenvectors=u)
+        dec = SpectralDecomposition(*np.linalg.eigh(a))
+    norm = max(float(np.abs(dec.eigenvalues).max()), 1e-300)
     # Frobenius norm: an upper bound for the 2-norm at a fraction of an SVD
     residual = np.linalg.norm(dec.matrix() - a)
     if residual > RECONSTRUCTION_RTOL * norm:

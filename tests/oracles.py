@@ -8,7 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opintegral.models import CURVE_POINTS, Symbol
+from opintegral.besov import lp_decompose
+from opintegral.functions import Function2D, UniformGrid
+from opintegral.heltonhowe import TraceExperimentConfig, _corner_traces, rhs_integral
+from opintegral.models import CURVE_POINTS, Symbol, principal_function
 from opintegral.spectral import _as_complex_matrix, decompose
 from opintegral.toi import HaagerupRep, eval_representation
 
@@ -52,6 +55,18 @@ def eval_via_trace_duality(rep: HaagerupRep, a, t, b, r, c) -> np.ndarray:
             v = eval_representation(inner, decs[lo], ops[lo], decs[s], ops[s], decs[hi])
             w[p, q] = np.trace(v @ ops[hi])
     return w
+
+
+def dense_q(n):
+    """The unitary Q of spectral._centro_real as a dense matrix (docs/decisions.md,
+    "Centrohermitian matrices through real arithmetic")."""
+    q = np.zeros((n, n), dtype=np.complex128)
+    for c in range(n // 2):
+        q[[c, n - 1 - c], c] = np.sqrt(0.5)
+        q[[c, n - 1 - c], n - 1 - c] = np.sqrt(0.5) * np.array([1j, -1j])
+    if n % 2:
+        q[n // 2, n // 2] = 1.0
+    return q
 
 
 def winding_grid_rows(f, xs, ys, points):
@@ -187,3 +202,40 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     w = np.diag(a).real
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+def lhs_corner_trace(cfg: TraceExperimentConfig) -> float:
+    """Corner trace of i [phi(A_N, B_N), psi(A_N, B_N)] at cfg.corner()."""
+    return _corner_traces(cfg, [(cfg.phi, cfg.psi)], [cfg.corner()])[0][0][0]
+
+
+def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
+                          grid: UniformGrid | None = None):
+    """Decompose phi and psi into dyadic bands and compare the band-pair sums
+    of both sides with the totals (both sides are bilinear, so the band sums
+    telescope, to rounding on both sides: the right side is the contour sum)."""
+    m = cfg.corner()
+    grid = grid or UniformGrid(dim=2, period=32.0 * np.pi, points=256)
+    phi_s, psi_s = cfg.phi.sample(grid), cfg.psi.sample(grid)
+    dec_phi, dec_psi = (lp_decompose(f.data, grid, band_range) for f in (phi_s, psi_s))
+    g = principal_function(cfg.symbol)
+
+    # means are stripped by the band decomposition; add them back as a band
+    bands_phi, bands_psi = ([*(Function2D.sampled(v, grid) for v in dec.bands.values()),
+                             Function2D.polynomial([[complex(np.mean(f.data))]])]
+                            for dec, f in ((dec_phi, phi_s), (dec_psi, psi_s)))
+    band_pairs = [(bp, bq) for bp in bands_phi for bq in bands_psi]
+    [[(lhs_total, _)]] = _corner_traces(cfg, [(phi_s, psi_s)], [m])
+    rhs_total = rhs_integral(phi_s, psi_s, g)
+
+    # band pairs are informational: table corners, with no residue cap
+    lhs_bands = rhs_bands = 0.0
+    for (bp, bq), [(trace, _)] in zip(band_pairs, _corner_traces(cfg, band_pairs, [], [m])):
+        lhs_bands += trace
+        rhs_bands += rhs_integral(bp, bq, g)
+    return {"lhs_total": lhs_total, "lhs_band_sum": lhs_bands,
+            "rhs_total": rhs_total, "rhs_band_sum": rhs_bands,
+            "lhs_gap": abs(lhs_total - lhs_bands),
+            "rhs_gap": abs(rhs_total - rhs_bands),
+            "uncovered_phi": dec_phi.uncovered_mass,
+            "uncovered_psi": dec_psi.uncovered_mass}

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,22 +407,21 @@ THREAD_REPORTS = {
 #: OpenBLAS 0.3.31); a change that moves report bytes on purpose updates this
 #: table and says why
 THREAD_REPORT_SHA256 = {
-    "gauss_single": "503251d1b28d8d34910f61dfac94ad439c543d84cf28b5404abf2ad850168e88",
-    "shift_suite": "3b721f39d23e7e4e1b6be3623f17e3ef739a621664944ed41ff5a4045cc80c1a",
-    "selftest": "8343e264e7ad4b7d349cdde739f7f847da222dd61fb4af3e8d67825c4807dc45",
+    "gauss_single": "8a8300beb903ace94af3cf7dac78eca81a4fd0eb5b572c6ba3201c4fec74a2fb",
+    "shift_suite": "401583752db01b864fd67f92487cae862b86952974e3d9c9d64d8ce914d52474",
+    "selftest": "5bb732bb306c25d1016ef76652e1993a674b08caa10622679c645e2067f1ed52",
     "commutator": "c077dbd464139e4f0671733c25142d2571709b01914150021e2b6bb79bbc258c",
     "probe": "4d4735fd920bad3837bed9659fbee321e1b61b09ba0d454af26a2ce307e93aa0",
-    "besov": "f880cbc8da5c59d18145a2a7fd45ee3e08adc447cb600e2b478facdee0255e0d",
+    "besov": "3c41834e7fc42cf577fc089c75edab1c63ee77b432a96b4a24b0ad3ac7a54e7f",
     "commutator_single": "6e72adcc046752d9134a69f2dcbe901e2f9d1deab87783bf278f7daefa08d2ff",
-    "funcalc": "386fc0f45b5525dcd86f6b8314db5dfd54e978cca8c8f865985d44b2fff288cf"}
+    "funcalc": "e47240f2b1efa78e1a4f32bcc11d8cac473100682e94f9858913d41fb2509968"}
 
 
 def test_trace_formula_report_bytes_repeat_across_blas_threads(tmp_path):
     # the Toeplitz model pairs go through LAPACK eigh at n = 128, the selftest
     # and trial suite through eigh at n <= 64; the reports must not depend on
     # how many threads the BLAS runs, and keep their pinned bytes.  The runs
-    # read and write relative paths from tmp_path, as reports record the
-    # paths they were given
+    # read and write relative paths from tmp_path
     script = ("import sys\nfrom opintegral.cli import main\n"
               f"for name, argv in {THREAD_REPORTS!r}.items():\n"
               "    argv = [a.format(data='data', pair='.') for a in argv]\n"
@@ -440,6 +440,26 @@ def test_trace_formula_report_bytes_repeat_across_blas_threads(tmp_path):
     assert reports[0] == reports[1]
     assert {name: hashlib.sha256(report).hexdigest()
             for name, report in zip(THREAD_REPORTS, reports[0])} == THREAD_REPORT_SHA256
+
+
+def test_reports_record_file_names_and_digests_not_paths(tmp_path, monkeypatch):
+    # the same funcalc and besov-norm runs give the same report bytes from
+    # absolute and from relative paths
+    shutil.copytree(DATA_DIR, tmp_path / "data")
+    _write_pair(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for root in (tmp_path, "."):
+        out = tmp_path / "absolute" if root == tmp_path else Path("relative")
+        out.mkdir()
+        for name in ("funcalc", "besov"):
+            argv = [a.format(data=f"{root}/data", pair=root) for a in THREAD_REPORTS[name]]
+            assert main(argv + [str(out / f"{name}.json")]) == 0
+        reports.append([(out / f"{name}.json").read_bytes() for name in ("funcalc", "besov")])
+    assert reports[0] == reports[1]
+    sin = json.loads(reports[0][1])["input"]
+    assert sin == {"name": "sin.opfun",
+                   "sha256": hashlib.sha256((DATA_DIR / "sin.opfun").read_bytes()).hexdigest()}
 
 
 def _double_winding_gauss_config(tmp_path, sizes):
@@ -502,7 +522,8 @@ def test_cli_funcalc_report_writes_the_trace_as_re_and_im(tmp_path):
                  "--A", str(tmp_path / "A.opmat"), "--B", str(tmp_path / "B.opmat"),
                  "--out", str(tmp_path / "F.opmat"), "--report", str(report)]) == 0
     payload = json.loads(report.read_text())
-    assert payload["out"] == str(tmp_path / "F.opmat")
+    assert payload["out"] == {"name": "F.opmat", "sha256": hashlib.sha256(
+        (tmp_path / "F.opmat").read_bytes()).hexdigest()}
     assert set(payload["trace"]) == {"re", "im"}
     # phi_xy is xy, so the trace is tr(AB), real for a Hermitian pair
     assert payload["trace"]["re"] == pytest.approx(np.trace(a @ b).real, abs=1e-10)
@@ -581,7 +602,7 @@ def test_cli_besov_band_min_stops_at_the_lowest_normal_scale(tmp_path, capsys, m
         assert main(["besov-norm", "--input", "sin.opfun", "--band-min", "-1000",
                      "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "c59c65ad394ac77d209460562870224efd272e62e87b862c197734002edcd2df")
+        "91c89fe892782a82bb6ed80cc5b3e2f4ffcbe9575afd124d352577aaaa94484a")
     capsys.readouterr()
     for band in ("-10000", "-100000000"):
         assert main(["besov-norm", "--input", "sin.opfun", "--band-min", band]) == 1

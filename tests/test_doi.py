@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 from opintegral.doi import (double_operator_integral, funcalc,
                             one_var_commutator_identity, projective_decompose_trig,
                             scalar_calculus, schur_multiplier_norm, _repair)
-from opintegral.functions import Function1D, Function2D
+from opintegral.functions import Function1D, Function2D, UniformGrid
+from opintegral.models import Symbol
 from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose
+
+from oracles import dense_q
 
 
 def test_doi_constant_one_returns_t(rng):
@@ -111,6 +114,58 @@ def test_funcalc_polynomial_keeps_a_powers_left(n, seed, degrees):
     scale = sum(abs(coeffs[j, k]) * np.linalg.norm(a, 2) ** j * np.linalg.norm(b, 2) ** k
                 for j in range(degrees[0] + 1) for k in range(degrees[1] + 1))
     assert np.linalg.norm(out - expected, 2) <= 1e-12 * max(scale, 1.0)
+
+
+def _toeplitz_pair(n):
+    """T_{Re f} and T_{Im f} of a degree-2 symbol with a constant term, also
+    for n <= deg f (fhat(k) is 0 for |k| > deg f)."""
+    f = Symbol.from_dict({-1: 0.2j, 0: 0.1 + 0.4j, 1: 0.5 + 0.25j, 2: 0.3 - 0.7j})
+    return tuple(np.array([[part.coefficient(j - k) for k in range(n)] for j in range(n)])
+                 for part in (f.real_part(), f.imag_part()))
+
+
+def _sampled_bump():
+    """A sampled Gaussian bump: its values between grid points have an
+    imaginary part, so phi_hat is complex."""
+    grid = UniformGrid(dim=2, period=32.0 * np.pi, points=128)
+    xg, yg = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
+    return Function2D.sampled(np.exp(-((xg - 0.2) ** 2 + yg ** 2)), grid)
+
+
+def _dense_funcalc(phi, ua, da, ub, db):
+    """U_A (phi_hat o U_A* U_B) U_B* from dense eigenvector matrices."""
+    phi_hat = np.asarray(phi.eval_grid(da.eigenvalues, db.eigenvalues), dtype=np.complex128)
+    return ua @ (phi_hat * (ua.conj().T @ ub)) @ ub.conj().T, phi_hat
+
+
+CENTRO_PHIS = {"polynomial": Function2D.polynomial([[0.0, 1.0], [1.0, 0.5], [0.3, 0.0]]),
+               "closed-form": Function2D.closed_form("exp(-((x - 0.2)**2 + y**2) * 3)"),
+               "sampled": _sampled_bump()}
+
+
+@pytest.mark.parametrize("kind", CENTRO_PHIS)
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+def test_funcalc_on_centrohermitian_pairs_matches_dense_q(kind, n):
+    # the real basis: Q G Q* with G = V_A (phi_hat o V_A^T V_B) V_B^T, against
+    # the complex sum over U = Q V built from a dense Q
+    phi = CENTRO_PHIS[kind]
+    da, db = (decompose(m) for m in _toeplitz_pair(n))
+    assert da.centro and db.centro
+    q = dense_q(n)
+    ref, phi_hat = _dense_funcalc(phi, q @ da.vectors, da, q @ db.vectors, db)
+    assert phi_hat.imag.any() == (kind == "sampled")
+    assert np.abs(funcalc(phi, da, db) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", CENTRO_PHIS)
+def test_funcalc_on_a_mixed_pair_takes_the_complex_path(rng, kind):
+    # a Toeplitz A and a random Hermitian B: U_A = Q V_A is lifted, U_B is eigh's
+    phi = CENTRO_PHIS[kind]
+    a, _ = _toeplitz_pair(24)
+    da, db = decompose(a), decompose(rng.hermitian(24))
+    assert da.centro and not db.centro
+    ref, _ = _dense_funcalc(phi, dense_q(24) @ da.vectors, da, db.vectors, db)
+    assert np.abs(funcalc(phi, da, db) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_funcalc_rejects_operators_of_different_sizes(rng):

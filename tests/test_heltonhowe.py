@@ -9,13 +9,15 @@ import pytest
 import opintegral
 from opintegral.doi import funcalc
 from opintegral.functions import Function2D, UniformGrid
-from opintegral.heltonhowe import (SHIFT_SYMBOL, TraceExperimentConfig, _grid_integrals,
-                                   _midpoint_jacobian, band_additivity_check, corner_trace,
-                                   lhs_corner_trace, polynomial_suite, rhs_integral,
-                                   trace_formula_experiment, winding_factor_experiment)
+from opintegral import spectral
+from opintegral.heltonhowe import (SHIFT_SYMBOL, TraceExperimentConfig, _corner_traces,
+                                   _grid_integrals, _midpoint_jacobian, corner_trace,
+                                   plateau_coordinate_pair, polynomial_suite,
+                                   rhs_integral, trace_formula_experiment,
+                                   winding_factor_experiment)
 from opintegral.models import Symbol, principal_function, toeplitz_matrix
 from opintegral.spectral import decompose
-from oracles import disk_principal_function
+from oracles import band_additivity_check, dense_q, disk_principal_function, lhs_corner_trace
 
 X = Function2D.polynomial([[0], [1]])
 Y = Function2D.polynomial([[0, 1]])
@@ -118,6 +120,34 @@ def test_commuting_inputs_zero_trace():
     k = 1j * (f @ g - g @ f)
     val, _ = corner_trace(k, 12, None)
     assert abs(val) <= 1e-12
+
+
+def test_corner_traces_stay_in_the_real_basis(monkeypatch):
+    # the Toeplitz pair is centrohermitian: K = i Q [G_phi, G_psi] Q* is formed
+    # without lifting U = Q V, for a real phi_hat (polynomials) and a complex
+    # one (the sampled plateau pair), and matches K from a dense Q
+    lifts = []
+    lift = spectral._centro_lift
+    monkeypatch.setattr(spectral, "_centro_lift", lambda v: lifts.append(v.shape) or lift(v))
+    symbol = Symbol.from_dict({2: 1.0, 1: 0.5})
+    pairs = [(X2, XY), plateau_coordinate_pair(2.0, 3.2)]
+    cfg = TraceExperimentConfig(phi=X, psi=Y, symbol=symbol, n=64)
+    rows = _corner_traces(cfg, pairs, [], [4, 16, 32])
+    assert lifts == []
+    da, db = (decompose(m) for m in model_pair(symbol, 64))
+    q = dense_q(64)
+    ua, ub = q @ da.vectors, q @ db.vectors
+    assert np.abs(da.eigenvectors - ua).max() <= 1e-13 and lifts == [(64, 64)]
+    for (phi, psi), row in zip(pairs, rows):
+        f, g = (ua @ (np.asarray(h.eval_grid(da.eigenvalues, db.eigenvalues), dtype=complex)
+                      * (ua.conj().T @ ub)) @ ub.conj().T for h in (phi, psi))
+        assert np.imag(phi.eval_grid(da.eigenvalues, db.eigenvalues)).any() == (phi is not X2)
+        k = 1j * (f @ g - g @ f)
+        scale = np.abs(k).max()
+        for m, (trace, residue) in zip([4, 16, 32], row):
+            ref, ref_residue = corner_trace(k, m, None)
+            assert abs(trace - ref) <= 1e-13 * scale * m
+            assert abs(residue - ref_residue) <= 1e-13 * scale * m
 
 
 def test_corner_warning_when_window_too_large():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from opintegral.models import Symbol, toeplitz_matrix
-from opintegral.spectral import (HermitianOperator, _centro_lift, _centro_real, decompose,
-                                 schatten_norm)
+from opintegral.spectral import (HermitianOperator, _centro_conjugate, _centro_lift, _centro_real,
+                                 decompose, schatten_norm)
 
-from oracles import jacobi_eigh
+from oracles import dense_q, jacobi_eigh
 
 
 def test_identity_eigensystem():
@@ -152,17 +152,6 @@ def _centrohermitian_cases(rng):
         yield h + h[::-1, ::-1].conj()
 
 
-def _dense_q(n):
-    """Q of docs/decisions.md, "Centrohermitian matrices through real arithmetic"."""
-    q = np.zeros((n, n), dtype=np.complex128)
-    for c in range(n // 2):
-        q[[c, n - 1 - c], c] = np.sqrt(0.5)
-        q[[c, n - 1 - c], n - 1 - c] = np.sqrt(0.5) * np.array([1j, -1j])
-    if n % 2:
-        q[n // 2, n // 2] = 1.0
-    return q
-
-
 def test_centrohermitian_matrices_take_real_eigh(rng, monkeypatch):
     eigh = np.linalg.eigh
     dtypes = _record_eigh(monkeypatch)
@@ -170,18 +159,35 @@ def test_centrohermitian_matrices_take_real_eigh(rng, monkeypatch):
         n = a.shape[0]
         dec = decompose(a)
         assert dtypes.pop() == np.float64
+        # the real path keeps V, and lifts U = Q V only when it is read
+        assert dec.centro and dec.vectors.dtype == np.float64
+        assert "eigenvectors" not in vars(dec)
         w_ref = eigh(HermitianOperator(a).entries)[0]
         scale = np.abs(w_ref).max()
         assert np.abs(dec.eigenvalues - w_ref).max() <= 1e-14 * scale
         u = dec.eigenvectors
         assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-13
         # the slices agree with the dense unitary Q: R = Q* A Q and U = Q V
-        q = _dense_q(n)
+        q = dense_q(n)
         assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-15
         r = _centro_real(HermitianOperator(a).entries)
         assert np.abs(r - q.conj().T @ a @ q).max() <= 1e-15 * n * max(scale, 1.0)
         v = eigh(r)[1]
         assert np.abs(_centro_lift(v) - q @ v).max() <= 1e-15 * n
+        assert np.abs(dec.eigenvectors - q @ dec.vectors).max() <= 1e-15 * n
+        assert dec.eigenvectors is dec.eigenvectors
+        # matrix() is Q (V diag(w) V^T) Q*, against the dense product U diag(w) U*
+        u = q @ dec.vectors
+        dense = (u * dec.eigenvalues) @ u.conj().T
+        assert np.abs(dec.matrix() - dense).max() <= 1e-14 * n * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 65])
+def test_centro_conjugate_matches_dense_q(rng, n):
+    q = dense_q(n)
+    for m in (rng.complex_normal((n, n)).real, rng.complex_normal((n, n))):
+        dense = q @ m @ q.conj().T
+        assert np.abs(_centro_conjugate(m) - dense).max() <= 1e-15 * n * np.abs(m).max()
 
 
 def test_hermitian_matrix_that_is_not_centrohermitian_takes_complex_eigh(rng, monkeypatch):
@@ -189,5 +195,5 @@ def test_hermitian_matrix_that_is_not_centrohermitian_takes_complex_eigh(rng, mo
     a = toeplitz_matrix(Symbol.from_dict({2: 1.0, 1: 0.5}).real_part(), 9)
     a[0, 0] += 1e-3  # breaks the mirror symmetry in one entry, not the Hermitian one
     for m in (a, rng.hermitian(9).real, rng.hermitian(9)):
-        decompose(m)
+        assert not decompose(m).centro
     assert dtypes == [np.complex128] * 3
