@@ -11,8 +11,7 @@ from .besov import (BesovNorm, LPDecomposition, bandlimit_check, besov_norm,
 from .commutator import (CommutatorReport, commutator_of_functions,
                          commutator_via_toi, probe_problem1, probe_problem2,
                          verify_theorem_41)
-from .divdiff import (BandRepList, SincRep, besov_representation,
-                      divided_difference, sinc_representation)
+from .divdiff import BandRepList, SincRep, besov_representation, sinc_representation
 from .doi import (SchurMultiplierCertificate, TrigProjectiveRows,
                   double_operator_integral, funcalc, one_var_commutator_identity,
                   projective_decompose_trig, schur_multiplier_norm)
@@ -37,7 +36,7 @@ __all__ = [
     "TrigProjectiveRows", "UniformGrid", "Xorshift64Star",
     "bandlimit_check", "besov_norm", "besov_representation",
     "commutator_of_functions", "commutator_via_toi", "decompose",
-    "divided_difference", "double_operator_integral", "eval_representation",
+    "double_operator_integral", "eval_representation",
     "funcalc", "hankel_matrix", "lp_decompose",
     "one_var_commutator_identity", "parse_expr", "polynomial_suite",
     "principal_function", "probe_problem1", "probe_problem2",

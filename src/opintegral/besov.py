@@ -72,13 +72,6 @@ class LPDecomposition:
     sup_norms: dict
     uncovered_mass: float
 
-    def reconstruction(self) -> np.ndarray:
-        """Sum of all bands, ascending n (misses the mean / zero bin)."""
-        total = np.zeros_like(next(iter(self.bands.values())))
-        for n in sorted(self.bands):
-            total = total + self.bands[n]
-        return total
-
     def besov_norm(self, s: float = 1.0, p: float = np.inf,
                    q: float = 1.0) -> "BesovNorm":
         """Homogeneous Besov norm ||{2^(ns) ||f_n||_p}||_{l^q} of these bands,

@@ -55,12 +55,17 @@ def _exponent(text: str) -> str:
 
 def _operands(args):
     """phi, then the Hermitian pair (A, B), or None for a command given
-    neither; half a pair, or --psi without the pair, is refused."""
+    neither; half a pair, --psi without the pair, or a pair of two sizes is
+    refused."""
     if (args.A is None) != (args.B is None) or (args.A is None and getattr(args, "psi", None)):
         raise ValueError("--A and --B name the Hermitian pair: give both, or neither and no --psi")
     phi = fileio.read_function_spec(args.phi)
-    return phi, None if args.A is None else tuple(
-        HermitianOperator(fileio.read_matrix(m)) for m in (args.A, args.B))
+    if args.A is None:
+        return phi, None
+    a, b = (HermitianOperator(fileio.read_matrix(m)) for m in (args.A, args.B))
+    if a.dim != b.dim:
+        raise ValueError(f"A and B must have the same size, got {a.dim} and {b.dim}")
+    return phi, (a, b)
 
 
 def _file_record(path) -> dict:
@@ -179,11 +184,12 @@ def _symbol_from_cfg(cfg: dict, path) -> models.Symbol:
     spec = cfg.get("symbol", "shift")
     if spec == "shift":
         return heltonhowe.SHIFT_SYMBOL
-    if ":" in spec and not Path(spec).exists():
+    # a file name is read relative to the cfg's directory, so it is looked for there
+    p = Path(spec) if Path(spec).is_absolute() else Path(path).parent / spec
+    if ":" in spec and not p.exists():
         entries = [(part, part.split(":")) for part in spec.split(",")]
         return fileio.symbol_from_entries(path, entries, None, "symbol entry")
-    p = Path(spec)
-    return fileio.read_symbol(p if p.is_absolute() else Path(path).parent / p)
+    return fileio.read_symbol(p)
 
 
 def cmd_trace_formula(args) -> int:

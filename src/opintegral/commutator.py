@@ -84,19 +84,19 @@ def _sum_terms(reps: dict, da, db, comm_a, comm_b) -> np.ndarray:
     return out
 
 
-def commutator_via_toi(phi: Function2D, a, b, q, j_max: int = 256,
-                       grid: UniformGrid | None = None) -> np.ndarray:
-    """[phi(A,B), Q] assembled from the two divided-difference triple integrals."""
+def commutator_via_toi(phi: Function2D, a, b, q) -> np.ndarray:
+    """[phi(A,B), Q] assembled from the two divided-difference triple integrals
+    (verify_theorem_41's default lattice and grid)."""
     da, db = decompose(a), decompose(b)
-    reps, _ = _dd_terms(phi, da, db, j_max, grid)
+    reps, _ = _dd_terms(phi, da, db, 256, None)
     q = np.asarray(q, dtype=np.complex128)
     return _sum_terms(reps, da, db, _commutator(da.matrix(), q),
                       _commutator(db.matrix(), q))
 
 
-def commutator_with_operator(psi: Function2D, da, db, which: str,
-                             j_max: int = 256, grid=None) -> np.ndarray:
-    """[A, psi(A,B)] or [B, psi(A,B)] via the identity with Q = A (resp. B).
+def commutator_with_operator(psi: Function2D, da, db, which: str) -> np.ndarray:
+    """[A, psi(A,B)] or [B, psi(A,B)] via the identity with Q = A (resp. B),
+    on verify_theorem_41's default lattice and grid.
 
     With Q = A the x-divided-difference term vanishes ([A, A] = 0), leaving
     minus the y-term against [B, A]; symmetrically for Q = B.
@@ -104,7 +104,7 @@ def commutator_with_operator(psi: Function2D, da, db, which: str,
     if which not in ("A", "B"):
         raise ValueError("which must be 'A' or 'B'")
     da, db = decompose(da), decompose(db)
-    reps, _ = _dd_terms(psi, da, db, j_max, grid)
+    reps, _ = _dd_terms(psi, da, db, 256, None)
     comm_ab = _commutator(da.matrix(), db.matrix())
     return -(_sum_terms(reps, da, db, None, -comm_ab) if which == "A"
              else _sum_terms(reps, da, db, comm_ab, None))
@@ -277,8 +277,8 @@ def one_var_inequality_suite(n_trials: int = 50, seed: int = 4096, max_dim: int 
 
     Each trial measures ||f(A)Q - Qf(B)||_S1 against
     (band norm of f) * ||AQ - QB||_S1 for a random trig polynomial f
-    (sampled, so its band norm is computed, not prescribed) and random
-    Hermitian A, B with a random contraction Q.
+    (evaluated in closed form; its band norm is computed from its samples,
+    not prescribed) and random Hermitian A, B with a random contraction Q.
     """
     from .besov import DEFAULT_GRID_1D
     from .doi import scalar_calculus
@@ -293,10 +293,12 @@ def one_var_inequality_suite(n_trials: int = 50, seed: int = 4096, max_dim: int 
         dim = dims[trial % len(dims)]
         freqs = [1, 2, 3, 5][: 1 + trial % 4]
         amps = rng.normal(len(freqs))
-        values = np.zeros_like(ax)
+        values, terms = np.zeros_like(ax), []
         for fq, amp in zip(freqs, amps):
-            values = values + amp * np.sin(fq * ax + rng.uniform(1)[0])
-        f = Function1D.sampled(values.astype(np.complex128), grid)
+            phase = rng.uniform(1)[0]
+            values = values + amp * np.sin(fq * ax + phase)
+            terms.append(f"{float(amp)!r} * sin({fq} * x + {float(phase)!r})")
+        f = Function1D.closed_form(" + ".join(terms))
         fnorm = besov_norm(values.astype(np.complex128), grid).value
         a = rng.hermitian(dim)
         a /= np.linalg.norm(a, 2)

@@ -51,30 +51,6 @@ def divided_quotient(f, df, z1, z2) -> np.ndarray:
     return vals
 
 
-def divided_difference(phi: Function2D, axis: int):
-    """Divided difference of phi along axis 1 (x) or 2 (y), as a callable of
-    (x1, x2, y) for axis 1 and (x, y1, y2) for axis 2, broadcast.
-
-    Arguments closer than 1e-7 times the span of the same-axis arguments of
-    each call (the spectral diameter when evaluated on spectra) coincide, and
-    there the quotient switches to the exact (polynomial, closed-form) or
-    spectral (sampled) partial derivative.
-    """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    dphi = phi.partial(axis)
-
-    def dd(u, v, w):
-        u, v, w = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (u, v, w)))
-        z1, z2, fixed = (u, v, w) if axis == 1 else (v, w, u)
-
-        def at(z):
-            return (z, fixed) if axis == 1 else (fixed, z)
-
-        return divided_quotient(lambda z: phi(*at(z)), lambda z: dphi(*at(z)), z1, z2)
-    return dd
-
-
 # ---------------------------------------------------------------------------
 # sinc-lattice representations for band-limited functions
 

@@ -105,14 +105,6 @@ def read_samples(path):
     return vals.reshape((grid.points,) * grid.dim), grid
 
 
-def write_symbol(path, sym: Symbol) -> None:
-    lines = [f"deg {sym.degree}"]
-    for k in range(-sym.degree, sym.degree + 1):
-        c = sym.coefficient(k)
-        lines.append(f"{k} {float(c.real)!r} {float(c.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def read_symbol(path) -> Symbol:
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
@@ -167,6 +159,10 @@ def write_function_spec(path, f: Function2D, samples_path=None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+#: the key lines each non-polynomial .spec variant reads after its variant line
+SPEC_KEYS = {"closed_form": ("expr",), "product": ("u", "v"), "sampled": ("file",)}
+
+
 def read_function_spec(path) -> Function2D:
     base = Path(path).parent
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
@@ -192,23 +188,25 @@ def read_function_spec(path) -> Function2D:
         for jk, v in entries.items():
             a[jk] = v
         return Function2D.polynomial(a)
+    if variant not in SPEC_KEYS:
+        raise ValueError(f"{path}: unknown variant {variant!r}")
+    # key lines are cfg lines: a repeated key is refused by read_config
+    keys = read_config(path)
+    if unread := [key for key in keys if key not in ("variant", *SPEC_KEYS[variant])]:
+        raise ValueError(f"{path}: variant {variant} does not read key {unread[0]!r}")
+    if missing := [key for key in SPEC_KEYS[variant] if key not in keys]:
+        raise ValueError(f"{path}: missing '{missing[0]}' line")
     if variant == "closed_form":
-        expr = _get_key(lines, "expr", path)
-        return Function2D.closed_form(expr)
+        return Function2D.closed_form(keys["expr"])
     if variant == "product":
         # factors are one-variable expressions, both written in the variable x;
         # the product is built as a closed form (Function2D.product)
-        u = Function1D.closed_form(_get_key(lines, "u", path))
-        v = Function1D.closed_form(_get_key(lines, "v", path))
-        return Function2D.product(u, v)
-    if variant == "sampled":
-        fname = _get_key(lines, "file", path)
-        p = Path(fname)
-        values, grid = read_samples(p if p.is_absolute() else base / p)
-        if grid.dim != 2:
-            raise ValueError(f"{path}: sampled Function2D needs a 2-d grid")
-        return Function2D.sampled(values, grid)
-    raise ValueError(f"{path}: unknown variant {variant!r}")
+        return Function2D.product(*(Function1D.closed_form(keys[k]) for k in ("u", "v")))
+    p = Path(keys["file"])
+    values, grid = read_samples(p if p.is_absolute() else base / p)
+    if grid.dim != 2:
+        raise ValueError(f"{path}: sampled Function2D needs a 2-d grid")
+    return Function2D.sampled(values, grid)
 
 
 def _pair(path, line: str, fields, entry: str = "line") -> complex:
@@ -226,13 +224,6 @@ def _complex(path, line: str, fields, entry: str = "line") -> complex:
     if not np.isfinite(z):
         raise ValueError(f"{path}: non-finite number in {entry} {line!r}")
     return z
-
-
-def _get_key(lines, key, path) -> str:
-    for ln in lines:
-        if ln.startswith(key + " "):
-            return ln[len(key) + 1:].strip()
-    raise ValueError(f"{path}: missing '{key}' line")
 
 
 def read_config(path) -> dict:

@@ -5,9 +5,9 @@ polynomial coefficient matrices, band-limited samples on a periodic grid
 (evaluated anywhere by trigonometric interpolation), and closed-form
 expression trees over {+, *, exp, sin, cos}, read from text by Python's
 own grammar (parse_expr).  A product u(x)v(y) is built as one of them: a
-polynomial when both factors are, a closed form otherwise.  Polynomials and
-closed forms differentiate exactly; sampled functions differentiate
-spectrally.
+polynomial when both factors are, a closed form otherwise; a function of one
+variable is a polynomial or a closed form.  Polynomials and closed forms
+differentiate exactly; sampled functions differentiate spectrally.
 """
 
 from __future__ import annotations
@@ -321,30 +321,23 @@ def _axis_interp(grid: UniformGrid, points: np.ndarray, axis: str):
 
 
 class Function1D:
-    """One-variable function: polynomial coefficients, a closed form, or samples.
+    """One-variable function: polynomial coefficients or a closed form.
 
-    Supports pointwise evaluation and exact/spectral differentiation.
+    Supports pointwise evaluation and exact differentiation.
     """
 
-    def __init__(self, kind: str, data, grid: UniformGrid | None = None):
-        if kind not in ("polynomial", "closed_form", "sampled"):
+    def __init__(self, kind: str, data):
+        if kind not in ("polynomial", "closed_form"):
             raise ValueError(f"unknown Function1D kind {kind!r}")
         self.kind = kind
-        self.grid = grid
         if kind == "polynomial":
             self.data = np.atleast_1d(np.asarray(data, dtype=np.complex128))
-        elif kind == "closed_form":
+        else:
             if not isinstance(data, Expr):
                 raise TypeError("closed_form expects an Expr")
             if "y" in _vars(data):
                 raise ValueError(f"a one-variable closed form is written in x: {data!r}")
             self.data = data
-        else:
-            if grid is None or grid.dim != 1:
-                raise ValueError("sampled Function1D needs a 1-d grid")
-            self.data = np.asarray(data, dtype=np.complex128)
-            if self.data.shape != (grid.points,):
-                raise ValueError("sample count does not match grid")
 
     @classmethod
     def polynomial(cls, coeffs) -> "Function1D":
@@ -356,28 +349,17 @@ class Function1D:
             expr = parse_expr(expr)
         return cls("closed_form", expr)
 
-    @classmethod
-    def sampled(cls, values, grid: UniformGrid) -> "Function1D":
-        return cls("sampled", values, grid)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
             return np.polynomial.polynomial.polyval(x, self.data)
-        if self.kind == "closed_form":
-            out = np.asarray(self.data.eval(x, None))
-            return out + np.zeros(x.shape) if out.shape != x.shape else out
-        e = _interp_matrix(self.grid, np.ravel(x))
-        vals = e @ np.fft.fft(self.data)
-        return vals.reshape(np.shape(x))
+        out = np.asarray(self.data.eval(x, None))
+        return out + np.zeros(x.shape) if out.shape != x.shape else out
 
     def derivative(self) -> "Function1D":
         if self.kind == "polynomial":
             return Function1D.polynomial(np.polynomial.polynomial.polyder(self.data))
-        if self.kind == "closed_form":
-            return Function1D.closed_form(self.data.diff("x"))
-        spec = np.fft.fft(self.data) * (1j * self.grid.frequencies())
-        return Function1D.sampled(np.fft.ifft(spec), self.grid)
+        return Function1D.closed_form(self.data.diff("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +423,7 @@ class Function2D:
         factors, else the closed form of the product of the factors' trees."""
         if u.kind == "polynomial" and v.kind == "polynomial":
             return cls.polynomial(np.outer(u.data, v.data))
-        eu, ev = _one_var_expr(u, "x"), _one_var_expr(v, "y")
-        if eu is None or ev is None:
-            raise ValueError("a product with a sampled factor has no exact form")
-        return cls.closed_form(Mul(eu, ev))
+        return cls.closed_form(Mul(_one_var_expr(u, "x"), _one_var_expr(v, "y")))
 
     @classmethod
     def sampled(cls, values, grid: UniformGrid) -> "Function2D":
@@ -554,14 +533,12 @@ def _check_square_grid(grid: UniformGrid | None, shape) -> None:
         raise ValueError("sample shape does not match grid")
 
 
-def _one_var_expr(f: Function1D, var: str) -> Expr | None:
-    """The tree of f in the variable var ("x" or "y"); None for samples.  A
-    polynomial is 0 + c_k v^k summed over its nonzero coefficients, each
-    power written as k factors v."""
+def _one_var_expr(f: Function1D, var: str) -> Expr:
+    """The tree of f in the variable var ("x" or "y").  A polynomial is
+    0 + c_k v^k summed over its nonzero coefficients, each power written as
+    k factors v."""
     if f.kind == "closed_form":
         return f.data if var == "x" else _swap_vars(f.data)
-    if f.kind != "polynomial":
-        return None
     node: Expr = Const(0.0)
     for k, c in enumerate(f.data):
         if c != 0:

@@ -41,11 +41,6 @@ class Symbol:
     def degree(self) -> int:
         return self.coeffs.size // 2
 
-    def coefficient(self, k: int) -> complex:
-        if abs(k) > self.degree:
-            return 0.0
-        return complex(self.coeffs[k + self.degree])
-
     def __call__(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         ks = np.arange(-self.degree, self.degree + 1)
@@ -62,9 +57,6 @@ class Symbol:
 
     def imag_part(self) -> "Symbol":
         return Symbol((self.coeffs - np.conj(self.coeffs[::-1])) / 2j)
-
-    def multiply(self, other: "Symbol") -> "Symbol":
-        return Symbol(np.convolve(self.coeffs, other.coeffs))
 
     @classmethod
     def from_dict(cls, entries: dict, degree: int | None = None) -> "Symbol":

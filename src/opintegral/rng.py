@@ -3,9 +3,9 @@
 The generator is xorshift64* with the multiplier 0x2545F4914F6CDD1D and
 shift triple (12, 25, 27); seeds pass through one splitmix64 scramble so
 that small seeds give unrelated streams.  The point of pinning the exact
-generator is that every sampled ensemble (random Hermitian matrices,
-unitaries, trial suites) is reproducible bit-for-bit from a 64-bit
-seed, independently of numpy's RNG evolution.
+generator is that every sampled ensemble (random Hermitian matrices, trial
+suites) is reproducible bit-for-bit from a 64-bit seed, independently of
+numpy's RNG evolution.
 """
 
 from __future__ import annotations
@@ -69,8 +69,3 @@ class Xorshift64Star:
         """Random dense Hermitian matrix, entries O(scale)."""
         g = self.complex_normal((n, n))
         return scale * 0.5 * (g + g.conj().T)
-
-    def unitary(self, n: int) -> np.ndarray:
-        """Haar-ish random unitary via QR of a complex Gaussian."""
-        q, r = np.linalg.qr(self.complex_normal((n, n)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))

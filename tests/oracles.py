@@ -5,18 +5,81 @@ independent of the library path they check.
 """
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from opintegral.besov import lp_decompose
+from opintegral.besov import LPDecomposition, lp_decompose
+from opintegral.divdiff import divided_quotient
 from opintegral.functions import Function2D, UniformGrid
 from opintegral.heltonhowe import TraceExperimentConfig, _corner_traces, rhs_integral
 from opintegral.models import CURVE_POINTS, Symbol, principal_function
+from opintegral.rng import Xorshift64Star
 from opintegral.spectral import _as_complex_matrix, decompose
 from opintegral.toi import HaagerupRep, eval_representation
 
 CURVE_PROXIMITY = 1e-9
 WINDING_DRIFT_TOL = 1e-6
+
+
+def divided_difference(phi: Function2D, axis: int):
+    """Divided difference of phi along axis 1 (x) or 2 (y), as a callable of
+    (x1, x2, y) for axis 1 and (x, y1, y2) for axis 2, broadcast: the
+    point-wise reference the representations are checked against.
+
+    Arguments closer than 1e-7 times the span of the same-axis arguments of
+    each call (the spectral diameter when evaluated on spectra) coincide, and
+    there the quotient switches to the exact (polynomial, closed-form) or
+    spectral (sampled) partial derivative.
+    """
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
+    dphi = phi.partial(axis)
+
+    def dd(u, v, w):
+        u, v, w = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (u, v, w)))
+        z1, z2, fixed = (u, v, w) if axis == 1 else (v, w, u)
+
+        def at(z):
+            return (z, fixed) if axis == 1 else (fixed, z)
+
+        return divided_quotient(lambda z: phi(*at(z)), lambda z: dphi(*at(z)), z1, z2)
+    return dd
+
+
+def lp_reconstruction(dec: LPDecomposition) -> np.ndarray:
+    """Sum of all bands of dec, ascending n (misses the mean / zero bin)."""
+    total = np.zeros_like(next(iter(dec.bands.values())))
+    for n in sorted(dec.bands):
+        total = total + dec.bands[n]
+    return total
+
+
+def random_unitary(rng: Xorshift64Star, n: int) -> np.ndarray:
+    """Haar-ish random unitary via QR of a complex Gaussian drawn from rng."""
+    q, r = np.linalg.qr(rng.complex_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def symbol_coefficient(sym: Symbol, k: int) -> complex:
+    """fhat(k) of sym, 0 outside -deg..deg."""
+    if abs(k) > sym.degree:
+        return 0.0
+    return complex(sym.coeffs[k + sym.degree])
+
+
+def symbol_product(f: Symbol, g: Symbol) -> Symbol:
+    """The symbol f g: the convolution of the coefficients."""
+    return Symbol(np.convolve(f.coeffs, g.coeffs))
+
+
+def write_symbol(path, sym: Symbol) -> None:
+    """sym as a .sym file: the "deg d" header, then one "k re im" line per index."""
+    lines = [f"deg {sym.degree}"]
+    for k in range(-sym.degree, sym.degree + 1):
+        c = symbol_coefficient(sym, k)
+        lines.append(f"{k} {float(c.real)!r} {float(c.imag)!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _transposed_double(double):

@@ -15,11 +15,13 @@ import pytest
 from opintegral.cli import DATA_DIR, _symbol_from_cfg, main
 from opintegral.fileio import (read_config, read_function_spec, read_matrix,
                                read_samples, read_symbol, write_function_spec,
-                               write_matrix, write_samples, write_symbol)
+                               write_matrix, write_samples)
 from opintegral.functions import (MAX_EXPR_NODES, Function1D, Function2D, UniformGrid,
                                   parse_expr)
 from opintegral.models import Symbol
 from opintegral.rng import Xorshift64Star
+
+from oracles import write_symbol
 
 
 def test_matrix_roundtrip(tmp_path, rng):
@@ -336,6 +338,69 @@ def test_cli_rejects_headerless_symbol_and_bare_variant_spec(tmp_path, capsys):
     assert main(["trace-formula", "--config", str(_single_trace_config(tmp_path, spec))]) == 1
     assert (f"{spec}: function spec must start with a 'variant <kind>' line"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("variant closed_form\nexpr x\nexpr y\n", "repeated key 'expr' in line 'expr y'"),
+    ("variant product\nu x\nv x\nu sin(x)\n", "repeated key 'u' in line 'u sin(x)'"),
+    ("variant product\nu x\nv x\nv sin(x)\n", "repeated key 'v' in line 'v sin(x)'"),
+    ("variant sampled\nfile a.opfun\nfile b.opfun\n",
+     "repeated key 'file' in line 'file b.opfun'"),
+    ("variant closed_form\nexrp y\nexpr x\n", "variant closed_form does not read key 'exrp'"),
+    ("variant product\nu x\nv x\nexpr x\n", "variant product does not read key 'expr'"),
+    ("variant closed_form\n", "missing 'expr' line")],
+    ids=["expr-twice", "u-twice", "v-twice", "file-twice", "unknown-key", "key-of-another-variant",
+         "missing"])
+def test_cli_reads_spec_key_lines_as_cfg_lines(tmp_path, capsys, text, message):
+    # a second line for a key, or a key the variant does not read, is more
+    # likely a typo than an intent
+    spec = tmp_path / "keys.spec"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["trace-formula", "--config", str(_single_trace_config(tmp_path, spec))]) == 1
+    assert f"{spec}: {message}" in capsys.readouterr().err
+
+
+def test_spec_key_lines_may_be_indented(tmp_path):
+    spec = tmp_path / "indented.spec"
+    spec.write_text("variant product\n  u sin(x)\n\tv 1 + x*x\n", encoding="utf-8")
+    f = read_function_spec(spec)
+    assert f(0.7, 1.5) == pytest.approx(np.sin(0.7) * (1 + 1.5 ** 2), rel=1e-15)
+    spec.write_text("variant closed_form\n    expr x*y\n", encoding="utf-8")
+    assert read_function_spec(spec)(2.0, 3.0) == 6.0
+
+
+def test_cfg_symbol_file_is_looked_for_beside_the_cfg(tmp_path, monkeypatch):
+    # a symbol file whose name holds ':' is read relative to the cfg's
+    # directory, so it must be looked for there, not in the working directory
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "s:1.sym").write_text("deg 1\n1 1 0\n", encoding="utf-8")
+    _single_trace_config(sub, DATA_DIR / "phi_x.spec", symbol="s:1.sym")
+    reports = []
+    for cwd, cfg in ((sub, "single.cfg"), (tmp_path, "sub/single.cfg")):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"{cwd.name}.json"
+        assert main(["trace-formula", "--config", cfg, "--out", str(out)]) == 0, cwd
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["funcalc", "--phi", "phi_xy.spec", "--out", "F.opmat"],
+    ["commutator-verify", "--phi", "phi_xy.spec"],
+    ["commutator-verify", "--phi", "phi_x.spec", "--psi", "psi_y.spec"],
+    ["probe", "--phi", "phi_x.spec", "--psi", "psi_y.spec"]],
+    ids=["funcalc", "commutator-verify", "commutator-verify-psi", "probe"])
+def test_cli_refuses_a_pair_of_two_sizes(tmp_path, capsys, argv):
+    # every command that reads the pair names both sizes
+    rng = Xorshift64Star(4)
+    write_matrix(tmp_path / "A.opmat", rng.hermitian(3))
+    write_matrix(tmp_path / "B.opmat", rng.hermitian(4))
+    argv = [str(DATA_DIR / a) if a.endswith(".spec") else str(tmp_path / a)
+            if a.endswith(".opmat") else a for a in argv]
+    assert main([*argv, "--A", str(tmp_path / "A.opmat"), "--B", str(tmp_path / "B.opmat")]) == 1
+    assert "error: A and B must have the same size, got 3 and 4" in capsys.readouterr().err
+    assert not (tmp_path / "F.opmat").exists()
 
 
 @pytest.mark.parametrize("resolution", [0, -4])

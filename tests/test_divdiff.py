@@ -4,13 +4,14 @@ import pytest
 from opintegral import divdiff, functions
 from opintegral.besov import bandlimit_check, lp_decompose
 from opintegral.divdiff import (band_representations, besov_representation,
-                                divided_difference,
                                 polynomial_dd_rep, sinc_partition_deficit,
                                 sinc_representation)
 from opintegral.functions import Function1D, Function2D, UniformGrid
 from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose
 from opintegral.toi import eval_representation, rep_norm_certificate
+
+from oracles import divided_difference
 
 
 def _sin_x_sampled(points=256):

@@ -11,7 +11,7 @@ from opintegral.models import Symbol
 from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose
 
-from oracles import dense_q
+from oracles import dense_q, symbol_coefficient
 
 
 def test_doi_constant_one_returns_t(rng):
@@ -120,7 +120,7 @@ def _toeplitz_pair(n):
     """T_{Re f} and T_{Im f} of a degree-2 symbol with a constant term, also
     for n <= deg f (fhat(k) is 0 for |k| > deg f)."""
     f = Symbol.from_dict({-1: 0.2j, 0: 0.1 + 0.4j, 1: 0.5 + 0.25j, 2: 0.3 - 0.7j})
-    return tuple(np.array([[part.coefficient(j - k) for k in range(n)] for j in range(n)])
+    return tuple(np.array([[symbol_coefficient(part, j - k) for k in range(n)] for j in range(n)])
                  for part in (f.real_part(), f.imag_part()))
 
 

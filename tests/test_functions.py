@@ -143,12 +143,12 @@ def test_product_builds_a_polynomial_or_a_closed_form(tmp_path):
 
 
 def test_product_with_a_sampled_factor_raises():
+    # a one-variable function is a polynomial or a closed form, so a product
+    # has an exact form; there is no sampled factor to build
     grid = UniformGrid(dim=1, period=2 * np.pi, points=8)
-    s = Function1D.sampled(np.sin(grid.axis()), grid)
+    with pytest.raises(ValueError, match="unknown Function1D kind 'sampled'"):
+        Function1D("sampled", np.sin(grid.axis()))
     v = Function1D.closed_form("cos(x)")
-    for pair in ((s, v), (v, s)):
-        with pytest.raises(ValueError, match="sampled factor"):
-            Function2D.product(*pair)
     with pytest.raises(ValueError, match="unknown Function2D kind 'product'"):
         Function2D("product", (v, v))
 
@@ -279,14 +279,6 @@ def test_product_trees_of_polynomial_and_closed_form_factors():
         f"({poly_x} * (exp((-1.0 * (y * y))) + sin((3.0 * y))))")
     assert repr(Function2D.product(c, u).data) == (
         f"((exp((-1.0 * (x * x))) + sin((3.0 * x))) * {poly_x.replace('x', 'y')})")
-
-
-def test_one_var_sampled_interpolation():
-    grid = UniformGrid(dim=1, period=2 * np.pi, points=64)
-    f = Function1D.sampled(np.exp(1j * grid.axis()), grid)
-    assert complex(f(0.37)) == pytest.approx(np.exp(0.37j), abs=1e-12)
-    fp = f.derivative()
-    assert complex(fp(0.37)) == pytest.approx(1j * np.exp(0.37j), abs=1e-10)
 
 
 def test_grid_validation():

@@ -5,7 +5,7 @@ from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose, schatten_norm
 from opintegral.toi import (HaagerupRep, _double_norm, eval_representation,
                             projective_to_kind, rep_norm_certificate, s1_certificate)
-from oracles import eval_via_trace_duality
+from oracles import eval_via_trace_duality, random_unitary
 
 
 def _ones():
@@ -123,7 +123,7 @@ def test_unitary_mixed_haagerup_rep(rng):
     r = rng.complex_normal((8, 8))
     terms = _random_terms(rng)
     n = len(terms)
-    s = rng.unitary(n)
+    s = random_unitary(rng, n)
 
     def alpha(j):
         return lambda x: sum(np.conj(s[m, j]) * terms[m][0](x) for m in range(n))
