@@ -6,8 +6,7 @@ divided-difference representations, Toeplitz/Hankel models with principal
 functions, and trace-formula experiments.
 """
 
-from .besov import (BesovNorm, LPDecomposition, bandlimit_check, besov_norm,
-                    lp_decompose, window_eval)
+from .besov import BesovNorm, LPDecomposition, besov_norm, lp_decompose, window_eval
 from .commutator import (CommutatorReport, commutator_of_functions,
                          commutator_via_toi, probe_problem1, probe_problem2,
                          verify_theorem_41)
@@ -34,7 +33,7 @@ __all__ = [
     "S1Certificate", "SchurMultiplierCertificate", "SincRep",
     "SpectralDecomposition", "Symbol", "TraceExperimentConfig", "TraceReport",
     "TrigProjectiveRows", "UniformGrid", "Xorshift64Star",
-    "bandlimit_check", "besov_norm", "besov_representation",
+    "besov_norm", "besov_representation",
     "commutator_of_functions", "commutator_via_toi", "decompose",
     "double_operator_integral", "eval_representation",
     "funcalc", "hankel_matrix", "lp_decompose",

@@ -22,8 +22,6 @@ from .functions import Function2D, UniformGrid
 DEFAULT_GRID_1D = UniformGrid(dim=1, period=64.0 * np.pi, points=4096)
 DEFAULT_GRID_2D = UniformGrid(dim=2, period=64.0 * np.pi, points=512)
 
-LEAKAGE_TOL = 1e-9
-
 
 def smooth_step(t):
     """C^infinity step: 0 for t <= 0, 1 for t >= 1, exp(-1/t) glue between."""
@@ -240,24 +238,3 @@ def besov_norm(f, grid: UniformGrid | None = None, s: float = 1.0, p: float = np
     elif grid is None:
         raise ValueError("sample arrays need an explicit grid")
     return lp_decompose(f, grid, band_range).besov_norm(s, p, q)
-
-
-def bandlimit_check(values, grid: UniformGrid, radius: float):
-    """Is the discrete spectrum of the samples inside |xi| <= radius?
-
-    Returns (ok, leakage): leakage is the relative spectral mass (squared
-    modulus) outside the radius, ok is leakage <= LEAKAGE_TOL.  The grid must
-    resolve 2*radius.
-    """
-    if grid.nyquist < 2.0 * radius:
-        raise ValueError(
-            f"grid Nyquist {grid.nyquist:g} below 2*radius = {2.0 * radius:g}")
-    values = np.asarray(values, dtype=np.complex128)
-    spec = np.fft.fft2(values) if grid.dim == 2 else np.fft.fft(values)
-    mass = np.abs(spec) ** 2
-    total = float(mass.sum())
-    if total == 0.0:
-        return True, 0.0
-    outside = float(mass[grid.radial_frequencies() > radius].sum())
-    leakage = outside / total
-    return leakage <= LEAKAGE_TOL, leakage

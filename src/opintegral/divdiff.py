@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import analysis_samples, bandlimit_check, lp_decompose
+from .besov import analysis_samples, lp_decompose
 from .functions import Function2D, UniformGrid
 from .toi import SLOTS, HaagerupRep, _double_norm, rep_norm_certificate
 
@@ -97,20 +97,9 @@ class SincRep:
 
 
 def _lattice_double(phi: Function2D, axis: int, lattice: np.ndarray):
-    """points -> (npts, J, J) lattice divided differences of phi at the points.
-
-    A sampled phi's lattice evaluator is built here, once per representation.
-    """
-    if phi.kind == "sampled":
-        values = phi.lattice_evaluator(axis, lattice)
-    else:
-        dphi = phi.partial(axis)
-
-        def values(points):
-            if axis == 1:
-                return phi.eval_grid(lattice, points), dphi.eval_grid(lattice, points)
-            return phi.eval_grid(points, lattice).T, dphi.eval_grid(points, lattice).T
-
+    """points -> (npts, J, J) lattice divided differences of the sampled phi at
+    the points; its lattice evaluator is built here, once per representation."""
+    values = phi.lattice_evaluator(axis, lattice)
     step = lattice[1] - lattice[0] if lattice.size > 1 else 1.0
     diff = lattice[:, None] - lattice[None, :]
     safe = np.where(np.abs(diff) < 0.5 * step, 1.0, diff)
@@ -127,12 +116,10 @@ def _lattice_double(phi: Function2D, axis: int, lattice: np.ndarray):
 
 
 def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 256,
-                        domain_radius: float | None = None,
-                        skip_bandlimit_check: bool = False) -> SincRep:
-    """Sinc-sampling representation of the divided difference of phi.
-
-    phi must be band-limited to |xi| <= sigma (checked on its analysis grid,
-    besov.analysis_samples, unless skip_bandlimit_check).  The returned
+                        domain_radius: float | None = None) -> SincRep:
+    """Sinc-sampling representation of the divided difference of the sampled
+    phi, band-limited to |xi| <= sigma: in practice an LP band of
+    band_representations, whose window vanishes beyond sigma.  The returned
     SincRep estimates, on first read of its tail_bound, how far evaluations
     inside domain_radius stray from the divided difference.
     """
@@ -141,12 +128,6 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"band radius must be positive and finite, got {sigma!r}")
     _check_lattice_args(j_max, domain_radius)
-    if not skip_bandlimit_check:
-        ok, leakage = bandlimit_check(*analysis_samples(phi, None), sigma)
-        if not ok:
-            raise ValueError(
-                f"function is not band-limited to {sigma:g}: relative spectral "
-                f"leakage {leakage:.3g}")
     js = np.arange(-j_max, j_max + 1)
     lattice = np.pi / sigma * js
     if domain_radius is None:
@@ -274,5 +255,5 @@ def band_representations(phi: Function2D, axes=(1, 2), j_max: int = 256,
     del dec  # the band samples are not needed past this point
     return {axis: BandRepList(items={
         n: sinc_representation(band_fn, axis, sigma=2.0 ** (n + 1), j_max=j_max,
-                               domain_radius=domain_radius, skip_bandlimit_check=True)
+                               domain_radius=domain_radius)
         for n, band_fn in bands.items()}, **fields) for axis in axes}

@@ -7,7 +7,8 @@ and no timestamps, so identical inputs produce byte-identical output.
 .opfun   header "grid d L N", then N^d lines "re im", row-major.
 .sym     header "deg d", then lines "k re im" for the Fourier coefficients.
 .spec    function spec: "variant" line, then variant-specific keys.
-.cfg     flat "key value" lines, "#" comments.
+.cfg     flat "key value" lines; "#" opens a comment at a line's start or
+         after whitespace, so a value such as "p#1.spec" keeps its "#".
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -212,10 +214,10 @@ def read_function_spec(path) -> Function2D:
 def _pair(path, line: str, fields, entry: str = "line") -> complex:
     """re + i im from fields, the two numbers that end line."""
     try:
-        re, im = map(float, fields)
+        real, imag = map(float, fields)
     except ValueError:
         raise ValueError(f"{path}: expected the two numbers 're im' in {entry} {line!r}") from None
-    return complex(re, im)
+    return complex(real, imag)
 
 
 def _complex(path, line: str, fields, entry: str = "line") -> complex:
@@ -228,10 +230,11 @@ def _complex(path, line: str, fields, entry: str = "line") -> complex:
 
 def read_config(path) -> dict:
     """Flat key-value config: first token is the key, the rest the value; a
-    key given twice is refused, naming the file and the line."""
+    "#" at the start of a line or after whitespace opens a comment.  A key
+    given twice is refused, naming the file and the line."""
     out = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         key, *value = line.split(None, 1)

@@ -65,7 +65,7 @@ class Xorshift64Star:
         z = self.normal(2 * n)
         return (z[:n] + 1j * z[n:]).reshape(shape)
 
-    def hermitian(self, n: int, scale: float = 1.0) -> np.ndarray:
-        """Random dense Hermitian matrix, entries O(scale)."""
+    def hermitian(self, n: int) -> np.ndarray:
+        """Random dense Hermitian matrix, entries O(1)."""
         g = self.complex_normal((n, n))
-        return scale * 0.5 * (g + g.conj().T)
+        return 0.5 * (g + g.conj().T)

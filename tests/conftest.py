@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from opintegral.rng import Xorshift64Star
@@ -8,10 +7,3 @@ from opintegral.rng import Xorshift64Star
 def rng():
     return Xorshift64Star(20240915)
 
-
-def random_hermitian(rng, n, scale=1.0):
-    return rng.hermitian(n, scale)
-
-
-def op_norm(m):
-    return float(np.linalg.norm(m, 2))

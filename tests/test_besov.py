@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from opintegral.besov import (DEFAULT_GRID_1D, DEFAULT_GRID_2D, _band_windows,
-                              bandlimit_check, besov_norm, default_band_range,
-                              lp_decompose, max_band, plateau, window_eval)
+from opintegral.besov import (DEFAULT_GRID_1D, DEFAULT_GRID_2D, _band_windows, besov_norm,
+                              default_band_range, lp_decompose, max_band, plateau,
+                              window_eval)
 from opintegral.commutator import SURROGATE_GRID_2D
 from opintegral.functions import Function2D, UniformGrid
 
@@ -166,23 +166,6 @@ def test_reconstruction_modulo_mean():
     dec = lp_decompose(f, grid)
     recon = lp_reconstruction(dec)
     assert np.abs(recon - (f - 0.3)).max() <= 1e-8 * np.abs(f).max()
-
-
-def test_bandlimit_check_cases():
-    grid = DEFAULT_GRID_1D
-    x = grid.axis()
-    ok, leak = bandlimit_check(np.sin(x), grid, 1.0)
-    assert ok and leak <= 1e-12
-    ok, leak = bandlimit_check(np.sin(2 * x), grid, 1.0)
-    assert not ok and leak == pytest.approx(1.0)
-    ok, leak = bandlimit_check(np.exp(-x ** 2), grid, 8.0)
-    assert ok and leak <= 1e-9
-
-
-def test_bandlimit_check_needs_resolution():
-    grid = UniformGrid(dim=1, period=2 * np.pi, points=16)
-    with pytest.raises(ValueError, match="Nyquist"):
-        bandlimit_check(np.zeros(16), grid, 100.0)
 
 
 def test_two_dimensional_decomposition():

@@ -385,6 +385,19 @@ def test_cfg_symbol_file_is_looked_for_beside_the_cfg(tmp_path, monkeypatch):
     assert reports[0] == reports[1]
 
 
+def test_a_hash_inside_a_cfg_or_spec_value_is_kept(tmp_path):
+    # "#" opens a comment only at a line's start or after whitespace, so a
+    # file name holding "#" is read whole, as a cfg value and a .spec key line
+    shutil.copy(DATA_DIR / "phi_x.spec", tmp_path / "p#1.spec")
+    cfg = _single_trace_config(tmp_path, "p#1.spec")
+    assert main(["trace-formula", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+    grid = UniformGrid(dim=2, period=2 * np.pi, points=4)
+    write_samples(tmp_path / "s#1.opfun", np.ones((4, 4)), grid)
+    spec = tmp_path / "s#1.spec"
+    spec.write_text("variant sampled\nfile s#1.opfun  # samples\n", encoding="utf-8")
+    assert read_function_spec(spec).grid == grid
+
+
 @pytest.mark.parametrize("argv", [
     ["funcalc", "--phi", "phi_xy.spec", "--out", "F.opmat"],
     ["commutator-verify", "--phi", "phi_xy.spec"],

@@ -79,7 +79,7 @@ def test_identity_exact_with_repeated_eigenvalues(k, m, degree, seed):
     n = k + m
     a = np.eye(n, dtype=np.complex128)
     a[k:, k:] += 0.1 * rng.hermitian(m)
-    b = rng.hermitian(n, 0.5)
+    b = 0.5 * rng.hermitian(n)
     q = rng.complex_normal((n, n))
     phi = random_polynomial(rng, degree)
     grid = UniformGrid(dim=2, period=32.0 * np.pi, points=64)

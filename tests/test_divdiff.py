@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opintegral import divdiff, functions
-from opintegral.besov import bandlimit_check, lp_decompose
+from opintegral.besov import lp_decompose, max_band
 from opintegral.divdiff import (band_representations, besov_representation,
                                 polynomial_dd_rep, sinc_partition_deficit,
                                 sinc_representation)
@@ -116,15 +116,6 @@ def test_sinc_rep_pointwise_agreement_within_tail():
     assert np.abs(approx - exact).max() <= sr.tail_bound
 
 
-def test_sinc_rep_rejects_wideband():
-    grid = UniformGrid(dim=2, period=64 * np.pi, points=256)
-    ax = grid.axis()
-    vals = np.broadcast_to(np.sin(3.0 * ax)[:, None], (256, 256)).copy()
-    phi = Function2D.sampled(vals.astype(np.complex128), grid)
-    with pytest.raises(ValueError, match="leakage"):
-        sinc_representation(phi, axis=1, sigma=1.0, j_max=32)
-
-
 def test_polynomial_paths_agree_exactly(rng):
     coeffs = rng.normal(12).reshape(3, 4)
     phi = Function2D.polynomial(coeffs)
@@ -203,12 +194,6 @@ def test_besov_rep_aggregate_certificate():
     assert np.isfinite(agg) and agg > 0
 
 
-def test_bandlimit_check_gates_sinc(rng):
-    phi = _sin_x_sampled()
-    ok, leak = bandlimit_check(phi.data, phi.grid, 1.0)
-    assert ok and leak <= 1e-12
-
-
 def test_grid_evaluator_matches_pointwise_divdiff_reps(rng):
     grid = UniformGrid(dim=2, period=64 * np.pi, points=128)
     ax = grid.axis()
@@ -222,7 +207,7 @@ def test_grid_evaluator_matches_pointwise_divdiff_reps(rng):
         # axis 2 the five tail probes x = 0, +-2 pi, +-4 pi are all zeros of
         # sin(x), so tail_bound reads 1.8e-14 against a truncation error of
         # 3.7e-4; that axis is checked against a fixed 1e-3 instead
-        sr = sinc_representation(band, axis, sigma=2.0, j_max=16, skip_bandlimit_check=True)
+        sr = sinc_representation(band, axis, sigma=2.0, j_max=16)
         exact = divided_difference(band, axis)(*points)
         grid_vals = sr.rep.evaluate_grid(la, mu, nu)
         assert grid_vals.shape == exact.shape == (4, 5, 6)
@@ -235,15 +220,20 @@ def test_grid_evaluator_matches_pointwise_divdiff_reps(rng):
 
 
 def test_sinc_certificate_dominates_every_slice_norm():
-    # J = 257: slices large enough that an iterative norm estimate comes out low
+    # J = 257: slices large enough that an iterative norm estimate comes out low;
+    # a real band, so the slices are float64 and symmetric (the eigvalsh norm)
     rng = Xorshift64Star(77)
-    phi = Function2D.closed_form("cos(x) * sin(0.5 * y)")
+    grid = UniformGrid(dim=2, period=64 * np.pi, points=512)
+    ax = grid.axis()
+    samples = np.cos(ax)[:, None] * np.sin(0.5 * ax)[None, :]
+    phi = Function2D.from_spectrum(np.fft.fft2(samples), grid, real=True)
     spec = np.linalg.eigvalsh(rng.hermitian(6))
     for axis in (1, 2):
         sr = sinc_representation(phi, axis, sigma=2.0, j_max=128, domain_radius=2.0)
         cert = rep_norm_certificate(sr.rep, spec, spec, spec)
         slices = sr.rep.double(spec)
-        assert slices.shape == (6, 257, 257)
+        assert slices.shape == (6, 257, 257) and slices.dtype == np.float64
+        assert all(np.array_equal(m, m.T) for m in slices)
         for m in slices:
             assert cert.factor_norms[sr.rep.slot] >= np.linalg.norm(m, 2)
 
@@ -254,7 +244,7 @@ def test_sampled_lattice_samples_match_grid_evaluation():
     phi = Function2D.sampled(np.exp(-(ax[:, None] - 0.3) ** 2 - ax[None, :] ** 2), grid)
     points = np.array([-0.7, 0.1, 0.9])
     for axis in (1, 2):
-        sr = sinc_representation(phi, axis, sigma=2.0, j_max=8, skip_bandlimit_check=True)
+        sr = sinc_representation(phi, axis, sigma=2.0, j_max=8)
         lat = sr.lattice
         if axis == 1:
             vals, dvals = phi.eval_grid(lat, points), phi.partial(1).eval_grid(lat, points)
@@ -278,7 +268,7 @@ def test_sampled_lattice_samples_match_grid_evaluation():
 def test_sinc_rep_rejects_bad_inputs(kwargs, match):
     args = {"sigma": 1.0, "j_max": 16, "domain_radius": 1.0, **kwargs}
     with pytest.raises(ValueError, match=match):
-        sinc_representation(_sin_x_sampled(), axis=1, skip_bandlimit_check=True, **args)
+        sinc_representation(_sin_x_sampled(), axis=1, **args)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -325,8 +315,7 @@ def test_tail_bound_computed_once_on_first_read(monkeypatch):
 
 
 def test_sinc_family_matches_per_index_stack():
-    sr = sinc_representation(_sin_x_sampled(), axis=1, sigma=1.0, j_max=128,
-                             skip_bandlimit_check=True)
+    sr = sinc_representation(_sin_x_sampled(), axis=1, sigma=1.0, j_max=128)
     points = Xorshift64Star(5).normal(40) * 30.0
     family = sr.rep.factors[0](points)
     assert family.shape == (257, points.size)
@@ -341,6 +330,7 @@ BAND_GRID = UniformGrid(dim=2, period=16.0 * np.pi, points=512)
 BUMP = Function2D.closed_form(
     "exp(-((x - -0.12745004803385265)**2 + (y - 0.2615601268986089)**2))")
 BUMP_POINTS = np.array([-0.94799947, 0.24423297, 0.88986641])
+SMALL_GRID = UniformGrid(dim=2, period=16.0 * np.pi, points=64)
 
 
 def _bump_bands(grid=BAND_GRID, scale=1.0):
@@ -377,8 +367,7 @@ def test_real_band_slice_norms_match_complex_svd_norms():
         assert slices.dtype == np.float64 and slices.shape[1:] == (257, 257)
         assert all(np.array_equal(m, m.T) for m in slices)      # bit for bit
         cplx = sinc_representation(Function2D.from_spectrum(bands[n][1], BAND_GRID), 1,
-                                   sigma=sr.sigma, j_max=128, domain_radius=1.1,
-                                   skip_bandlimit_check=True)
+                                   sigma=sr.sigma, j_max=128, domain_radius=1.1)
         ref = cplx.rep.double(BUMP_POINTS)
         assert ref.dtype == np.complex128
         for m, r in zip(slices, ref):
@@ -432,3 +421,33 @@ def test_lattice_evaluator_rebuilds_for_another_lattice():
             want = fresh.lattice_evaluator(axis, lattice)(BUMP_POINTS)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("phi, grid", [
+    (BUMP, BAND_GRID),
+    (Function2D.sampled((1.0 + 0.5j) * BUMP.sample(SMALL_GRID).data, SMALL_GRID), None)],
+    ids=["closed-form-bump", "complex-sampled"])
+def test_band_path_hands_sinc_lattice_sampled_bands_inside_sigma(monkeypatch, phi, grid):
+    # what a band-limit check on sinc_representation's input would have shown:
+    # each LP band handed to it is sampled and band-limited to its sigma by
+    # construction (the window of band n vanishes beyond 2^(n+1)), the top
+    # band included, whose sigma equals the grid's Nyquist frequency
+    handed = []
+    real = divdiff.sinc_representation
+    monkeypatch.setattr(divdiff, "sinc_representation",
+                        lambda f, axis, sigma, **kw: handed.append((f, sigma))
+                        or real(f, axis, sigma, **kw))
+    band_representations(phi, j_max=8, grid=grid, domain_radius=1.1)
+    grid = grid or phi.grid
+    assert 2.0 ** (max_band(grid) + 1) in {sigma for _, sigma in handed}
+    for f, sigma in handed:
+        assert f.kind == "sampled"
+        mass = np.abs(f.spectrum()) ** 2
+        assert mass[f.grid.radial_frequencies() > sigma].sum() <= 1e-20 * mass.sum()
+
+
+def test_sinc_representation_refuses_a_closed_form():
+    phi = Function2D.closed_form("cos(x) * sin(0.5 * y)")
+    for axis in (1, 2):
+        with pytest.raises(ValueError, match="has no grid spectrum"):
+            sinc_representation(phi, axis, sigma=2.0, j_max=8)
