@@ -10,8 +10,9 @@ arithmetic, polynomials) have norm zero.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,18 +58,27 @@ def plateau(r, inner: float, outer: float):
 class LPDecomposition:
     """Dyadic band pieces f_n of a grid-sampled function.
 
-    bands maps n to the sampled band function (spectrum multiplied by
-    w(|xi|/2^n)); sup_norms holds the grid sup of each band.  uncovered_mass
-    is the relative spectral mass (squared modulus, zero bin excluded)
-    falling outside the union of covered annuli.  Bands of real samples are
-    float64, bands of samples with a nonzero imaginary part complex128.
+    spectra maps each band n whose window has a nonzero bin to its half-plane
+    spectra: rfftn of the samples (of their real, then imaginary part for
+    complex samples) times w(|xi|/2^n), cut after the window's last nonzero
+    column.  sup_norms holds the grid sup of every band of band_range (0 for
+    a band with no window).  uncovered_mass is the relative spectral mass
+    (squared modulus, zero bin excluded) falling outside the union of
+    covered annuli.  real marks real samples, whose bands are float64; the
+    bands of samples with a nonzero imaginary part are complex128.
     """
 
     grid: UniformGrid
     band_range: tuple[int, int]
-    bands: dict
+    spectra: dict
     sup_norms: dict
     uncovered_mass: float
+    real: bool
+
+    @cached_property
+    def bands(self) -> "_BandSamples":
+        """{n: the sampled band function} over band_range."""
+        return _BandSamples(self.spectra, self.sup_norms, self.grid, self.real)
 
     def besov_norm(self, s: float = 1.0, p: float = np.inf,
                    q: float = 1.0) -> "BesovNorm":
@@ -80,7 +90,7 @@ class LPDecomposition:
             if not v > 0:
                 raise ValueError(f"Besov exponent {name} must lie in (0, inf], got {v!r}")
         terms = {}
-        for n in sorted(self.bands):
+        for n in sorted(self.sup_norms):
             lp = self.sup_norms[n] if np.isinf(p) else _grid_lp_norm(self.bands[n], self.grid, p)
             if lp:  # an empty band contributes 0 and computes no weight
                 try:
@@ -101,6 +111,33 @@ class LPDecomposition:
             value = top * float(np.sum((vals / top) ** q) ** (1.0 / q))
         return BesovNorm(s=s, p=p, q=q, value=value, band_terms=terms,
                          uncovered_mass=self.uncovered_mass)
+
+
+class _BandSamples(Mapping):
+    """LPDecomposition.bands: each band's samples computed from its half-plane
+    spectra on first read, by the irfftn lp_decompose took its sup norm from,
+    and kept; the bands with no window share one read-only zero array."""
+
+    def __init__(self, spectra: dict, sup_norms: dict, grid: UniformGrid, real: bool):
+        self._spectra, self._keys, self._kept = spectra, sup_norms.keys(), {}
+        self._shape = (grid.points,) * grid.dim
+        self._empty = np.zeros(self._shape, dtype=np.float64 if real else np.complex128)
+        self._empty.flags.writeable = False
+
+    def __getitem__(self, n) -> np.ndarray:
+        if n not in self._keys:
+            raise KeyError(n)
+        if n not in self._spectra:
+            return self._empty
+        if n not in self._kept:
+            self._kept[n] = _band_samples(self._spectra[n], self._shape)
+        return self._kept[n]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 def max_band(grid: UniformGrid) -> int:
@@ -167,7 +204,6 @@ def lp_decompose(values, grid: UniformGrid,
     # real samples take real transforms on the half plane of their Hermitian
     # spectrum; complex samples are split into real and imaginary parts
     parts = (values.real, values.imag) if values.imag.any() else (values.real,)
-    axes = tuple(range(values.ndim))
     windows, weight, leak = _band_windows(grid, (n_min, n_max))
     with np.errstate(over="ignore", invalid="ignore"):
         specs = [np.fft.rfftn(part) for part in parts]
@@ -177,25 +213,28 @@ def lp_decompose(values, grid: UniformGrid,
         raise ValueError("non-finite spectral mass: the samples contain NaN or "
                          "infinite values, or are too large")
 
-    # a band with no window gets a shared zero array and no transform; the
-    # others transform only their window's columns, which irfftn zero-pads
-    empty = np.zeros(values.shape, dtype=np.complex128 if len(parts) == 2 else np.float64)
-    empty.flags.writeable = False
-    bands = {}
-    sup_norms = {}
+    # a band with no window gets no spectrum and no transform; the others keep
+    # only their window's columns, which irfftn zero-pads
+    spectra, sup_norms = {}, {}
     for n in range(n_min, n_max + 1):
         if (w := windows.get(n)) is None:
-            bands[n], sup_norms[n] = empty, 0.0
+            sup_norms[n] = 0.0
             continue
-        re, *im = [np.fft.irfftn(spec[..., :w.shape[-1]] * w, values.shape, axes)
-                   for spec in specs]
-        bands[n] = re + 1j * im[0] if im else re
-        sup_norms[n] = float(np.abs(bands[n]).max())
+        spectra[n] = tuple(spec[..., :w.shape[-1]] * w for spec in specs)
+        sup_norms[n] = float(np.abs(_band_samples(spectra[n], values.shape)).max())
 
     leaked = float((mass * leak).sum() - mass.flat[0])
     uncovered = leaked / total if total > 0 else 0.0
-    return LPDecomposition(grid=grid, band_range=(n_min, n_max), bands=bands,
-                           sup_norms=sup_norms, uncovered_mass=uncovered)
+    return LPDecomposition(grid=grid, band_range=(n_min, n_max), spectra=spectra,
+                           sup_norms=sup_norms, uncovered_mass=uncovered,
+                           real=len(parts) == 1)
+
+
+def _band_samples(halves, shape) -> np.ndarray:
+    """Samples of a band from its half-plane spectra (LPDecomposition.spectra):
+    the irfftn of each, the second one the imaginary part."""
+    re, *im = [np.fft.irfftn(h, shape, tuple(range(len(shape)))) for h in halves]
+    return re + 1j * im[0] if im else re
 
 
 @dataclass(frozen=True)
@@ -233,7 +272,7 @@ def besov_norm(f, grid: UniformGrid | None = None, s: float = 1.0, p: float = np
     if isinstance(f, Function2D):
         if f.kind == "polynomial":
             # no bands, through the one parameter check of the band sum
-            return LPDecomposition(grid, band_range, {}, {}, 0.0).besov_norm(s, p, q)
+            return LPDecomposition(grid, band_range, {}, {}, 0.0, True).besov_norm(s, p, q)
         f, grid = analysis_samples(f, grid)
     elif grid is None:
         raise ValueError("sample arrays need an explicit grid")

@@ -54,14 +54,16 @@ def _exponent(text: str) -> str:
 
 
 def _operands(args):
-    """phi, then the Hermitian pair (A, B), or None for a command given
-    neither; half a pair, --psi without the pair, or a pair of two sizes is
-    refused."""
+    """phi, then the Hermitian pair (A, B); (None, None) for a command given
+    neither, which reads no --phi.  Half a pair, --psi without the pair, the
+    pair without --phi, or a pair of two sizes is refused."""
     if (args.A is None) != (args.B is None) or (args.A is None and getattr(args, "psi", None)):
         raise ValueError("--A and --B name the Hermitian pair: give both, or neither and no --psi")
-    phi = fileio.read_function_spec(args.phi)
     if args.A is None:
-        return phi, None
+        return None, None
+    if args.phi is None:
+        raise ValueError("--phi is required with the pair --A, --B")
+    phi = fileio.read_function_spec(args.phi)
     a, b = (HermitianOperator(fileio.read_matrix(m)) for m in (args.A, args.B))
     if a.dim != b.dim:
         raise ValueError(f"A and B must have the same size, got {a.dim} and {b.dim}")
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("commutator-verify", parents=[common],
                        help="triple-integral commutator identity checks")
-    p.add_argument("--phi", required=True)
+    p.add_argument("--phi", help="function spec of the pair mode; the trial suite ignores it")
     for flag in ("--psi", "--A", "--B"):
         p.add_argument(flag)
     p.add_argument("--trials", type=_flag(POSITIVE_INTEGER), default=50)

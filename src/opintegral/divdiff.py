@@ -247,13 +247,39 @@ def band_representations(phi: Function2D, axes=(1, 2), j_max: int = 256,
                 for axis in axes}
     dec = lp_decompose(*analysis_samples(phi, grid))
     peak = max(dec.sup_norms.values(), default=0.0)
-    bands = {n: Function2D.from_spectrum(np.fft.fft2(dec.bands[n]), dec.grid,
-                                         real=np.isrealobj(dec.bands[n]))
-             for n in sorted(dec.bands)
+    bands = {n: Function2D.from_spectrum(_full_plane(dec.spectra[n], dec.grid.points),
+                                         dec.grid, real=dec.real)
+             for n in sorted(dec.spectra)
              if dec.sup_norms[n] > BAND_DROP_RTOL * max(peak, 1e-300)}
     fields = {"uncovered_mass": dec.uncovered_mass, "band_norm": dec.besov_norm().value}
-    del dec  # the band samples are not needed past this point
+    del dec  # the half-plane spectra are not needed past this point
     return {axis: BandRepList(items={
         n: sinc_representation(band_fn, axis, sigma=2.0 ** (n + 1), j_max=j_max,
                                domain_radius=domain_radius)
         for n, band_fn in bands.items()}, **fields) for axis in axes}
+
+
+def _full_plane(halves, n: int) -> np.ndarray:
+    """The fft2 spectrum, on the n x n plane, of the band whose half-plane
+    spectra (LPDecomposition.spectra: columns 0 .. c-1 of the rfftn layout, of
+    the real and then the imaginary part) are halves.
+
+    A real part's spectrum is Hermitian, F[-k1, -k2] = conj F[k1, k2], so
+    columns n-c+1 .. n-1 mirror columns c-1 .. 1, and the columns between are
+    zero.  A self-conjugate column (0, and n/2 when kept) takes its Hermitian
+    part (F[k1] + conj F[-k1]) / 2: that is what irfftn reads of it, and what
+    fft2 of the band samples gives back.
+    """
+    neg = -np.arange(n) % n
+
+    def hermitian(half):
+        c = half.shape[-1]
+        mirror = half[neg].conj()                  # mirror[k1] = conj half[-k1]
+        full = np.zeros((n, n), dtype=np.complex128)
+        full[:, :c] = half
+        full[:, n - c + 1:] = mirror[:, c - 1:0:-1]
+        own = [0, n // 2] if 2 * (c - 1) == n else [0]
+        full[:, own] = 0.5 * (half[:, own] + mirror[:, own])
+        return full
+    re, *im = [hermitian(half) for half in halves]
+    return re + 1j * im[0] if im else re

@@ -271,9 +271,11 @@ class UniformGrid:
         return np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
 
 
-def _interp_matrix(grid: UniformGrid, points: np.ndarray) -> np.ndarray:
-    """E[p, k] = exp(i xi_k (points_p - x0)) / N, for Fourier-series evaluation."""
-    xi = grid.frequencies()
+def _interp_matrix(grid: UniformGrid | tuple, points: np.ndarray) -> np.ndarray:
+    """E[p, k] = exp(i xi_k (points_p - x0)) / N, for Fourier-series evaluation;
+    for a (grid, bins) pair, only the columns k of those FFT bins."""
+    grid, bins = grid if isinstance(grid, tuple) else (grid, slice(None))
+    xi = grid.frequencies()[bins]
     x0 = -0.5 * grid.period
     return np.exp(1j * np.outer(np.asarray(points, dtype=float) - x0, xi)) / grid.points
 
@@ -374,9 +376,12 @@ class Function2D:
     by trigonometric interpolation from its fft2 spectrum (computed once per
     object; partial derivatives are built from it directly); closed_form: an
     expression tree.  Function2D.product builds u(x) v(y) as one of these.
+    A sampled function built from its spectrum holds it on its support only
+    (from_spectrum).
     """
 
     _lattice = (None, None)     # (lattice bytes, interpolation matrix): lattice_evaluator
+    _bins = slice(None)         # FFT bins of both axes that _spec holds: from_spectrum
 
     def __init__(self, kind: str, data, grid: UniformGrid | None = None):
         if kind not in ("polynomial", "sampled", "closed_form"):
@@ -402,16 +407,26 @@ class Function2D:
         """Coefficients, expression tree or grid samples.  The samples of a
         function built from its spectrum are computed on first read."""
         if self._data is None:
-            self._data = np.fft.ifft2(self._spec)
+            self._data = np.fft.ifft2(self.spectrum())
         return self._data
 
-    def spectrum(self) -> np.ndarray:
-        """fft2 of the samples of a sampled function, computed once per object."""
+    def _support_spectrum(self) -> np.ndarray:
+        """The spectrum on the bins _bins of both axes; for a function given
+        by its samples, their fft2 on every bin, computed once per object."""
         if self.kind != "sampled":
             raise ValueError(f"a {self.kind} function has no grid spectrum")
         if self._spec is None:
             self._spec = np.fft.fft2(self._data)
         return self._spec
+
+    def spectrum(self) -> np.ndarray:
+        """fft2 of the samples of a sampled function, on the full plane."""
+        spec = self._support_spectrum()
+        if isinstance(self._bins, slice):
+            return spec
+        full = np.zeros((self.grid.points,) * 2, dtype=np.complex128)
+        full[np.ix_(self._bins, self._bins)] = spec
+        return full
 
     @classmethod
     def polynomial(cls, coeffs) -> "Function2D":
@@ -437,10 +452,15 @@ class Function2D:
     def from_spectrum(cls, spec, grid: UniformGrid, real: bool = False) -> "Function2D":
         """Sampled function given by the fft2 of its samples on grid; real
         marks real samples with no Nyquist content (an LP band of real
-        samples), whose interpolant is real up to rounding."""
+        samples), whose interpolant is real up to rounding.  The function
+        holds the spectrum on its support only: the bins of an axis where a
+        row or a column of it is not exactly zero, the same on both axes.  A
+        spectrum with no zero row or column is held whole."""
         spec = np.asarray(spec, dtype=np.complex128)
         _check_square_grid(grid, spec.shape)
         out = cls.__new__(cls)
+        if (bins := np.flatnonzero(spec.any(axis=0) | spec.any(axis=1))).size < grid.points:
+            out._bins, spec = bins, spec[np.ix_(bins, bins)]
         out.kind, out.grid, out._data, out._spec, out.real = "sampled", grid, None, spec, real
         return out
 
@@ -486,20 +506,21 @@ class Function2D:
 
         The function keeps the interpolation matrix of its last lattice (both
         axes of a band share one); each call contracts the spectrum with the
-        points once, keeping real parts for a function marked real.
+        points once, keeping real parts for a function marked real.  Both
+        run over the K bins of the function's support (from_spectrum) only.
         """
-        if self.kind != "sampled":
-            raise ValueError(f"a {self.kind} function has no grid spectrum")
+        spec = self._support_spectrum()
         if axis not in (1, 2):
             raise ValueError("axis must be 1 or 2")
+        spec = spec if axis == 1 else spec.T                          # lattice axis first
+        support = (self.grid, self._bins)
         if self._lattice[0] != (key := np.asarray(lattice, dtype=float).tobytes()):
-            self._lattice = (key, _interp_matrix(self.grid, lattice))
-        e_lat = self._lattice[1]                                      # (J, N)
-        spec = self.spectrum() if axis == 1 else self.spectrum().T   # lattice axis first
-        ixi = 1j * self.grid.frequencies()
+            self._lattice = (key, _interp_matrix(support, lattice))
+        e_lat = self._lattice[1]                                      # (J, K)
+        ixi = 1j * self.grid.frequencies()[self._bins]
 
         def evaluate(points):
-            m = spec @ _interp_matrix(self.grid, points).T           # (N, npts)
+            m = spec @ _interp_matrix(support, points).T             # (K, npts)
             vals, dvals = e_lat @ m, (e_lat * ixi) @ m
             return (vals.real, dvals.real) if self.real else (vals, dvals)
         return evaluate

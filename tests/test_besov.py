@@ -324,6 +324,24 @@ def test_lp_decompose_transforms_only_nonempty_bands(monkeypatch):
     assert calls == [w for w in widths for _ in range(2)]
 
 
+def test_sup_besov_norm_runs_one_irfftn_per_band_and_holds_no_samples(monkeypatch):
+    grid = SURROGATE_GRID_2D
+    values = _cut_polynomial(grid)
+    calls = []
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn",
+                        lambda a, *args, **kw: calls.append(1) or irfftn(a, *args, **kw))
+    dec = lp_decompose(values, grid)
+    value = dec.besov_norm(p=np.inf).value
+    assert len(calls) == len(dec.spectra) == 8
+    assert "bands" not in vars(dec)
+    # the samples come on first read, by the same transform, and are kept
+    band = dec.bands[0]
+    assert len(calls) == 9 and dec.bands[0] is band
+    assert float(np.abs(band).max()) == dec.sup_norms[0]
+    assert besov_norm(values, grid).value == value
+
+
 def test_lp_decompose_repeats_its_bytes_from_the_window_cache():
     values = _cut_polynomial(SURROGATE_GRID_2D)
     _band_windows.cache_clear()

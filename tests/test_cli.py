@@ -745,6 +745,28 @@ def test_cli_commutator_suite(tmp_path, capsys):
     assert payload["max_residual_s1"] <= 1e-10
 
 
+def test_cli_commutator_suite_needs_no_phi_and_ignores_it(tmp_path):
+    # the suite draws its own polynomials: with --phi, without it, and with a
+    # --phi that names no file, it writes the same bytes
+    suite = ["commutator-verify", "--trials", "2", "--seed", "9", "--max-dim", "8"]
+    reports = []
+    for phi in ([], ["--phi", str(DATA_DIR / "phi_xy.spec")], ["--phi", "missing.spec"]):
+        reports.append(tmp_path / f"r{len(reports)}.json")
+        assert main([*suite, *phi, "--report", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
+
+
+@pytest.mark.parametrize("psi", [[], ["--psi", str(DATA_DIR / "psi_y.spec")]],
+                         ids=["phi", "phi-psi"])
+def test_cli_commutator_single_pair_needs_phi(tmp_path, capsys, psi):
+    _write_pair(tmp_path)
+    code = main(["commutator-verify", *psi, "--A", str(tmp_path / "A.opmat"),
+                 "--B", str(tmp_path / "B.opmat"), "--report", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "error: --phi is required with the pair --A, --B" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--s", "nan", "Besov smoothness s must be finite, got nan"),
     ("--s", "inf", "Besov smoothness s must be finite, got inf"),

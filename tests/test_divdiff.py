@@ -446,6 +446,60 @@ def test_band_path_hands_sinc_lattice_sampled_bands_inside_sigma(monkeypatch, ph
         assert mass[f.grid.radial_frequencies() > sigma].sum() <= 1e-20 * mass.sum()
 
 
+@pytest.mark.parametrize("values, grid", [
+    (BUMP.sample(BAND_GRID).data, BAND_GRID),
+    ((1.0 + 0.5j) * BUMP.sample(SMALL_GRID).data, SMALL_GRID)],
+    ids=["band-path-bump", "complex-sampled"])
+def test_band_spectrum_from_the_half_plane_is_the_fft2_of_its_samples(values, grid):
+    # band_representations builds each kept band's full-plane spectrum from
+    # lp_decompose's half plane, not by the fft2 of the band samples
+    dec = lp_decompose(values, grid)
+    peak = max(dec.sup_norms.values())
+    kept = [n for n in dec.spectra if dec.sup_norms[n] > divdiff.BAND_DROP_RTOL * peak]
+    assert max_band(grid) in kept
+    for n in kept:
+        want = np.fft.fft2(dec.bands[n])
+        got = divdiff._full_plane(dec.spectra[n], grid.points)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
+
+
+def test_support_trimmed_lattice_evaluator_matches_the_full_plane():
+    # each bump band holds its spectrum on its support, 998 of the 8 x 512
+    # bins of one axis; the lattice values and partials agree with the sum
+    # over the full plane
+    lattice = np.pi / 8.0 * np.arange(-16, 17)
+    ixi = 1j * BAND_GRID.frequencies()
+    e_lat = functions._interp_matrix(BAND_GRID, lattice)
+    e_pts = functions._interp_matrix(BAND_GRID, BUMP_POINTS)
+    dec = lp_decompose(BUMP.sample(BAND_GRID).data, BAND_GRID)
+    held = 0
+    for n in sorted(_bump_bands()):
+        spec = divdiff._full_plane(dec.spectra[n], BAND_GRID.points)
+        f = Function2D.from_spectrum(spec, BAND_GRID)
+        held += f._support_spectrum().shape[0]
+        assert np.array_equal(f.spectrum(), spec)
+        for axis, s in ((1, spec), (2, spec.T)):
+            m = s @ e_pts.T
+            for got, want in zip(f.lattice_evaluator(axis, lattice)(BUMP_POINTS),
+                                 (e_lat @ m, (e_lat * ixi) @ m)):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert held == 998
+
+
+def test_spectrum_with_no_zero_keeps_its_full_support_and_bits():
+    grid = UniformGrid(dim=2, period=16.0 * np.pi, points=64)
+    gen = np.random.default_rng(7)
+    spec = gen.normal(size=(64, 64)) + 1j * gen.normal(size=(64, 64))
+    f = Function2D.from_spectrum(spec, grid)
+    assert f._support_spectrum().shape == (64, 64)
+    lattice = np.pi / 4.0 * np.arange(-8, 9)
+    e_lat = functions._interp_matrix(grid, lattice)
+    m = spec.T @ functions._interp_matrix(grid, BUMP_POINTS).T
+    vals, dvals = f.lattice_evaluator(2, lattice)(BUMP_POINTS)
+    assert vals.tobytes() == (e_lat @ m).tobytes()
+    assert dvals.tobytes() == ((e_lat * (1j * grid.frequencies())) @ m).tobytes()
+
+
 def test_sinc_representation_refuses_a_closed_form():
     phi = Function2D.closed_form("cos(x) * sin(0.5 * y)")
     for axis in (1, 2):
