@@ -11,8 +11,9 @@ it into a representation a triple operator integral can consume:
 
 * band-limited phi (spectrum in a ball of radius sigma): sample on the
   lattice j pi / sigma against shifted sinc factors; the doubly-indexed
-  factor is the lattice sample matrix of divided differences, and the
-  identity sum_j sinc^2(x - j pi) = 1 keeps the sinc column norms at 1.
+  factor is the lattice sample matrix of divided differences (a Loewner
+  matrix, contracted without being formed), and the identity
+  sum_j sinc^2(x - j pi) = 1 keeps the sinc column norms at 1.
 * polynomial phi: an exact finite decomposition obtained by telescoping
   x1^j - x2^j, with no truncation tail at all.
 
@@ -69,7 +70,10 @@ class SincRep:
 
     The lattice is j pi / sigma, |j| <= J.  rep is first_kind for axis 1
     (doubly-indexed lattice samples as functions of y) and second_kind for
-    axis 2; all its families are float64 for a real band.  delta_norm is the
+    axis 2; all its families are float64 for a real band.  rep.evaluate_grid
+    contracts the doubly-indexed family through its Loewner form
+    (_LatticeDouble) and builds no slice; the slices rep.double(points) are
+    built only for their norms, here and in the certificate.  delta_norm is the
     operator norm of the lattice sample matrix (symmetric for a real band; see
     _double_norm), maximised over five probe points evenly spaced on
     [-domain_radius, domain_radius].  tail_bound combines it with the sinc l^2
@@ -96,23 +100,68 @@ class SincRep:
         return float(3.0 * max(self.delta_norm, 1e-300) * np.sqrt(2.0) / (np.pi * np.sqrt(slack)))
 
 
-def _lattice_double(phi: Function2D, axis: int, lattice: np.ndarray):
-    """points -> (npts, J, J) lattice divided differences of the sampled phi at
-    the points; its lattice evaluator is built here, once per representation."""
-    values = phi.lattice_evaluator(axis, lattice)
-    step = lattice[1] - lattice[0] if lattice.size > 1 else 1.0
+def _differences(lattice: np.ndarray) -> np.ndarray:
+    """(J, J) differences l_j - l_k of a uniform lattice, with 1 on the
+    diagonal: the denominators of its divided differences."""
     diff = lattice[:, None] - lattice[None, :]
-    safe = np.where(np.abs(diff) < 0.5 * step, 1.0, diff)
-    idx = np.arange(lattice.size)
+    np.fill_diagonal(diff, 1.0)
+    return diff
 
-    def double(points):
-        vals, dvals = values(np.asarray(points, dtype=float))   # (J, npts) each
+
+@functools.lru_cache(maxsize=16)
+def _hilbert(lattice: bytes) -> np.ndarray:
+    """H_jk = 1 / (l_j - l_k) off the diagonal and 0 on it, for the float64
+    lattice with these bytes: once per lattice, read-only."""
+    h = 1.0 / _differences(np.frombuffer(lattice))
+    np.fill_diagonal(h, 0.0)
+    h.flags.writeable = False
+    return h
+
+
+class _LatticeDouble:
+    """The doubly-indexed family of a sinc representation: the lattice
+    divided differences D_jk(s) = (g_j(s) - g_k(s)) / (l_j - l_k), with
+    D_jj(s) = g_j'(s), where g_j(s) is the sampled phi at the lattice point
+    l_j in the differenced axis and at s in the other.  Its lattice evaluator
+    is built here, once per representation, and H once per lattice; the
+    slice denominators are formed per call, J^2 beside the slices' npts J^2,
+    because held per lattice they raised the band path's peak memory.
+
+    Called on points, it returns the (npts, J, J) slices D(s), which the
+    certificate reads.  D(s) is a Loewner matrix,
+
+        D = diag(g) H - H diag(g) + diag(g'),   H = _hilbert(lattice),
+
+    so contract forms u^T D(s) v without the slices (docs/decisions.md,
+    "Sinc divided differences contract through their Loewner form").
+    """
+
+    def __init__(self, phi: Function2D, axis: int, lattice: np.ndarray):
+        self.values = phi.lattice_evaluator(axis, lattice)
+        self.lattice = np.asarray(lattice, dtype=float)
+
+    def __call__(self, points) -> np.ndarray:
+        vals, dvals = self.values(np.asarray(points, dtype=float))   # (J, npts) each
         v = vals.T
         out = v[:, :, None] - v[:, None, :]
-        out /= safe                    # in place: no second (npts, J, J) tensor
+        out /= _differences(self.lattice)    # in place: no second (npts, J, J) tensor
+        idx = np.arange(self.lattice.size)
         out[:, idx, idx] = dvals.T
         return out
-    return double
+
+    def contract(self, u: np.ndarray, points, v: np.ndarray) -> np.ndarray:
+        """(n_s, n_p, n_q) array of u[:, a]^T D(s) v[:, b] for u (J, n_p),
+        v (J, n_q) and the n_s points s:
+
+            sum_j g_j(s) [u_j (Hv)_j + (Hu)_j v_j] + sum_j g_j'(s) u_j v_j.
+        """
+        vals, dvals = self.values(np.asarray(points, dtype=float))   # (J, n_s) each
+        h = _hilbert(self.lattice.tobytes())
+        hu, hv = h @ u, h @ v
+        cross = u[:, :, None] * hv[:, None, :] + hu[:, :, None] * v[:, None, :]
+        diag = u[:, :, None] * v[:, None, :]
+        out = vals.T @ cross.reshape(len(u), -1) + dvals.T @ diag.reshape(len(u), -1)
+        return out.reshape(-1, u.shape[1], v.shape[1])
 
 
 def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 256,
@@ -136,7 +185,7 @@ def sinc_representation(phi: Function2D, axis: int, sigma: float, j_max: int = 2
     def sincs(x):
         return np.sinc(sigma * np.asarray(x, dtype=float) / np.pi - js[:, None])
 
-    rep = _axis_rep(axis, sincs, _lattice_double(phi, axis, lattice))
+    rep = _axis_rep(axis, sincs, _LatticeDouble(phi, axis, lattice))
     return SincRep(sigma=sigma, j_max=j_max, lattice=lattice, rep=rep,
                    domain_radius=float(domain_radius))
 

@@ -116,21 +116,28 @@ class HaagerupRep:
         """The single-index families (left, mid, right), indexed by slot."""
         return self.left, self.mid, self.right
 
-    def _parts(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, D, v) on per-slot point sets: (J, n_p), (n_s, J, K), (K, n_q);
-        float64 when all three are real, complex128 otherwise."""
-        p, q = (i for i in range(3) if i != self.slot)
-        parts = (self.factors[p](points[p]), self.double(points[self.slot]),
-                 self.factors[q](points[q]))
-        dtype = np.complex128 if any(map(np.iscomplexobj, parts)) else np.float64
-        return tuple(np.asarray(x, dtype=dtype) for x in parts)
-
     def evaluate_grid(self, x1, x2, x3) -> np.ndarray:
         """The integrand on the tensor grid of three 1-d point sets, shape
-        (n1, n2, n3), one contraction per slice of the doubly-indexed factor.
-        The one evaluator: a single point is a grid of three 1-point sets."""
-        u, d, v = self._parts([np.asarray(x, dtype=float) for x in (x1, x2, x3)])
-        return np.moveaxis(np.matmul(u.T, d) @ v, 0, self.slot)
+        (n1, n2, n3); float64 when the factors are all real, complex128
+        otherwise.  The one evaluator: a single point is a grid of three
+        1-point sets.
+
+        A doubly-indexed family with a contract(u, points, v) method (a sinc
+        representation's lattice family) contracts u and v itself, without
+        its slices; any other is evaluated to its (n_s, J, K) slices, each
+        contracted as u^T D v.
+        """
+        points = [np.asarray(x, dtype=float) for x in (x1, x2, x3)]
+        p, q = (i for i in range(3) if i != self.slot)
+        u, v = self.factors[p](points[p]), self.factors[q](points[q])
+        if (contract := getattr(self.double, "contract", None)) is not None:
+            out = contract(u, points[self.slot], v)
+        else:
+            d = self.double(points[self.slot])
+            dtype = np.complex128 if any(map(np.iscomplexobj, (u, d, v))) else np.float64
+            u, d, v = (np.asarray(x, dtype=dtype) for x in (u, d, v))
+            out = np.matmul(u.T, d) @ v
+        return np.moveaxis(out, 0, self.slot)
 
 
 @dataclass(frozen=True)
@@ -173,9 +180,11 @@ def _double_norm(double, points: np.ndarray) -> float:
     between repeated computations of the same norm.
     """
     slices = np.asarray(double(points))
+    symmetric = np.zeros(len(slices), dtype=bool)
+    if np.isrealobj(slices) and slices.shape[1] == slices.shape[2]:
+        symmetric = (slices == slices.transpose(0, 2, 1)).all(axis=(1, 2))
     best = 0.0
-    for s in slices:
-        sym = np.isrealobj(s) and np.array_equal(s, s.T)
+    for s, sym in zip(slices, symmetric):
         best = max(best, float(np.abs(np.linalg.eigvalsh(s)).max() if sym
                                else np.linalg.norm(s, 2)))
     return best * (1.0 + 8.0 * max(slices.shape[1:]) * np.finfo(float).eps)

@@ -271,6 +271,27 @@ def test_pair_band_path_repeats_bit_identically():
     assert rep1 == rep2
 
 
+def test_band_pair_builds_slice_tensors_only_for_the_certificate(monkeypatch):
+    # evaluate_grid contracts a sinc representation through its Loewner form;
+    # only the certificate's slice norms build (npts, J, J) slice tensors
+    from opintegral import divdiff
+
+    built = []
+    slices = divdiff._LatticeDouble.__call__
+
+    def counted(self, points):
+        built.append(np.size(points))
+        return slices(self, points)
+    monkeypatch.setattr(divdiff._LatticeDouble, "__call__", counted)
+    phi, psi, a, b, grid = _small_bump_pair()
+    commutator_of_functions(phi, psi, a, b, j_max=16, grid=grid)
+    assert built == []
+    spectrum = np.linalg.eigvalsh(a)
+    reps = divdiff.besov_representation(phi, 1, j_max=16, grid=grid, domain_radius=1.1)
+    reps.aggregate_certificate(spectrum, spectrum, spectrum)
+    assert reps.items and built == [spectrum.size] * len(reps.items)
+
+
 def test_one_lp_decomposition_per_function(monkeypatch):
     from opintegral import besov, divdiff
 

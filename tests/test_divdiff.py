@@ -341,6 +341,32 @@ def _bump_bands(grid=BAND_GRID, scale=1.0):
             if dec.sup_norms[n] > 1e-12 * peak}
 
 
+@pytest.mark.parametrize("j_max", [0, 1, 128])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_sinc_contraction_matches_the_slice_matmul(real, j_max):
+    # evaluate_grid contracts a sinc representation through its Loewner form;
+    # the slices the certificate reads give the same array to rounding.  At
+    # j_max = 0 the lattice is one node and H is the 1 x 1 zero
+    n, (_, spec) = max(_bump_bands(SMALL_GRID).items())
+    band = Function2D.from_spectrum(spec if real else (1.0 + 0.5j) * spec, SMALL_GRID,
+                                    real=real)
+    dtype = np.float64 if real else np.complex128
+    for axis in (1, 2):
+        sr = sinc_representation(band, axis, sigma=2.0 ** (n + 1), j_max=j_max)
+        rep = sr.rep
+        p, q = (i for i in range(3) if i != rep.slot)
+        points = [None] * 3
+        points[p], points[q] = BUMP_POINTS, np.linspace(-1.0, 1.0, 4)
+        points[rep.slot] = np.append(BUMP_POINTS[:2], sr.lattice[j_max // 2])  # a node
+        u, v = rep.factors[p](points[p]), rep.factors[q](points[q])
+        want = np.matmul(u.T, rep.double(points[rep.slot])) @ v
+        got = rep.double.contract(u, points[rep.slot], v)
+        assert got.shape == want.shape == (3, 3, 4) and got.dtype == want.dtype == dtype
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        np.testing.assert_array_equal(rep.evaluate_grid(*points),
+                                      np.moveaxis(got, 0, rep.slot))
+
+
 def test_real_band_lattice_values_are_the_real_part():
     lattice = np.pi / 8.0 * np.arange(-16, 17)
     for band, spec in _bump_bands().values():

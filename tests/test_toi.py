@@ -347,7 +347,7 @@ def test_double_norm_takes_eigvalsh_only_for_real_symmetric_slices(monkeypatch):
     cases = [  # (slices, eigvalsh calls, SVD norm calls)
         (np.array([sym]), 1, 0), (np.array([upper]), 0, 1), (np.array([near]), 0, 1),
         (np.array([g]), 0, 1), (np.array([herm]), 0, 1), (np.array([csym]), 0, 1),
-        (np.array([sym, upper, g]), 1, 2)]
+        (np.array([sym, upper, g]), 1, 2), (np.array([g[:, :4], g[:, 2:]]), 0, 2)]
     for slices, n_eig, n_svd in cases:
         calls = _count_norm_kernels(monkeypatch)
         got = _double_norm(lambda pts, s=slices: s, np.zeros(slices.shape[0]))
