@@ -10,9 +10,8 @@ arithmetic, polynomials) have norm zero.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,13 +58,12 @@ class LPDecomposition:
     """Dyadic band pieces f_n of a grid-sampled function.
 
     spectra maps each band n whose window has a nonzero bin to its half-plane
-    spectra: rfftn of the samples (of their real, then imaginary part for
-    complex samples) times w(|xi|/2^n), cut after the window's last nonzero
-    column.  sup_norms holds the grid sup of every band of band_range (0 for
-    a band with no window).  uncovered_mass is the relative spectral mass
-    (squared modulus, zero bin excluded) falling outside the union of
-    covered annuli.  real marks real samples, whose bands are float64; the
-    bands of samples with a nonzero imaginary part are complex128.
+    spectra, a layout read in this module alone: rfftn of the samples (of
+    their real, then imaginary part for complex samples, whose bands are
+    complex128) times w(|xi|/2^n), cut after the window's last nonzero column.
+    sup_norms holds the grid sup of every band of band_range (0 for a band
+    with no window).  uncovered_mass is the relative spectral mass (squared
+    modulus, zero bin excluded) falling outside the union of covered annuli.
     """
 
     grid: UniformGrid
@@ -73,12 +71,13 @@ class LPDecomposition:
     spectra: dict
     sup_norms: dict
     uncovered_mass: float
-    real: bool
 
-    @cached_property
-    def bands(self) -> "_BandSamples":
-        """{n: the sampled band function} over band_range."""
-        return _BandSamples(self.spectra, self.sup_norms, self.grid, self.real)
+    def band(self, n: int) -> Function2D:
+        """Band n (one with a window, on a 2-d grid) as the sampled function
+        given by its fft2 spectrum."""
+        halves = self.spectra[n]
+        return Function2D.from_spectrum(_full_plane(halves, self.grid.points), self.grid,
+                                        real=len(halves) == 1)
 
     def besov_norm(self, s: float = 1.0, p: float = np.inf,
                    q: float = 1.0) -> "BesovNorm":
@@ -91,7 +90,11 @@ class LPDecomposition:
                 raise ValueError(f"Besov exponent {name} must lie in (0, inf], got {v!r}")
         terms = {}
         for n in sorted(self.sup_norms):
-            lp = self.sup_norms[n] if np.isinf(p) else _grid_lp_norm(self.bands[n], self.grid, p)
+            if np.isinf(p) or n not in self.spectra:   # a band with no window is 0
+                lp = self.sup_norms[n]
+            else:
+                band = _band_samples(self.spectra[n], (self.grid.points,) * self.grid.dim)
+                lp = _grid_lp_norm(band, self.grid, p)
             if lp:  # an empty band contributes 0 and computes no weight
                 try:
                     lp = 2.0 ** (n * s) * lp
@@ -111,33 +114,6 @@ class LPDecomposition:
             value = top * float(np.sum((vals / top) ** q) ** (1.0 / q))
         return BesovNorm(s=s, p=p, q=q, value=value, band_terms=terms,
                          uncovered_mass=self.uncovered_mass)
-
-
-class _BandSamples(Mapping):
-    """LPDecomposition.bands: each band's samples computed from its half-plane
-    spectra on first read, by the irfftn lp_decompose took its sup norm from,
-    and kept; the bands with no window share one read-only zero array."""
-
-    def __init__(self, spectra: dict, sup_norms: dict, grid: UniformGrid, real: bool):
-        self._spectra, self._keys, self._kept = spectra, sup_norms.keys(), {}
-        self._shape = (grid.points,) * grid.dim
-        self._empty = np.zeros(self._shape, dtype=np.float64 if real else np.complex128)
-        self._empty.flags.writeable = False
-
-    def __getitem__(self, n) -> np.ndarray:
-        if n not in self._keys:
-            raise KeyError(n)
-        if n not in self._spectra:
-            return self._empty
-        if n not in self._kept:
-            self._kept[n] = _band_samples(self._spectra[n], self._shape)
-        return self._kept[n]
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
 
 def max_band(grid: UniformGrid) -> int:
@@ -183,9 +159,12 @@ def lp_decompose(values, grid: UniformGrid,
     resolution that would be needed.  Spectral mass that no covered annulus
     captures is measured and reported as uncovered_mass, never silently
     dropped.  Real samples (a real dtype, or an imaginary part exactly
-    zero everywhere) take real transforms and give float64 bands.
+    zero everywhere) take real transforms and give float64 bands.  Samples
+    must have the grid's shape.
     """
     values = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
+    if values.shape != (shape := (grid.points,) * grid.dim):
+        raise ValueError(f"samples of shape {values.shape} do not match the grid's {shape}")
     if band_range is None:
         band_range = default_band_range(grid)
     n_min, n_max = band_range
@@ -226,14 +205,39 @@ def lp_decompose(values, grid: UniformGrid,
     leaked = float((mass * leak).sum() - mass.flat[0])
     uncovered = leaked / total if total > 0 else 0.0
     return LPDecomposition(grid=grid, band_range=(n_min, n_max), spectra=spectra,
-                           sup_norms=sup_norms, uncovered_mass=uncovered,
-                           real=len(parts) == 1)
+                           sup_norms=sup_norms, uncovered_mass=uncovered)
 
 
 def _band_samples(halves, shape) -> np.ndarray:
     """Samples of a band from its half-plane spectra (LPDecomposition.spectra):
     the irfftn of each, the second one the imaginary part."""
     re, *im = [np.fft.irfftn(h, shape, tuple(range(len(shape)))) for h in halves]
+    return re + 1j * im[0] if im else re
+
+
+def _full_plane(halves, n: int) -> np.ndarray:
+    """The fft2 spectrum, on the n x n plane, of the band whose half-plane
+    spectra (LPDecomposition.spectra: columns 0 .. c-1 of the rfftn layout, of
+    the real and then the imaginary part) are halves.
+
+    A real part's spectrum is Hermitian, F[-k1, -k2] = conj F[k1, k2], so
+    columns n-c+1 .. n-1 mirror columns c-1 .. 1, and the columns between are
+    zero.  A self-conjugate column (0, and n/2 when kept) takes its Hermitian
+    part (F[k1] + conj F[-k1]) / 2: that is what irfftn reads of it, and what
+    fft2 of the band samples gives back.
+    """
+    neg = -np.arange(n) % n
+
+    def hermitian(half):
+        c = half.shape[-1]
+        mirror = half[neg].conj()                  # mirror[k1] = conj half[-k1]
+        full = np.zeros((n, n), dtype=np.complex128)
+        full[:, :c] = half
+        full[:, n - c + 1:] = mirror[:, c - 1:0:-1]
+        own = [0, n // 2] if 2 * (c - 1) == n else [0]
+        full[:, own] = 0.5 * (half[:, own] + mirror[:, own])
+        return full
+    re, *im = [hermitian(half) for half in halves]
     return re + 1j * im[0] if im else re
 
 
@@ -272,7 +276,7 @@ def besov_norm(f, grid: UniformGrid | None = None, s: float = 1.0, p: float = np
     if isinstance(f, Function2D):
         if f.kind == "polynomial":
             # no bands, through the one parameter check of the band sum
-            return LPDecomposition(grid, band_range, {}, {}, 0.0, True).besov_norm(s, p, q)
+            return LPDecomposition(grid, band_range, {}, {}, 0.0).besov_norm(s, p, q)
         f, grid = analysis_samples(f, grid)
     elif grid is None:
         raise ValueError("sample arrays need an explicit grid")

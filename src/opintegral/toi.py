@@ -180,11 +180,9 @@ def _double_norm(double, points: np.ndarray) -> float:
     between repeated computations of the same norm.
     """
     slices = np.asarray(double(points))
-    symmetric = np.zeros(len(slices), dtype=bool)
-    if np.isrealobj(slices) and slices.shape[1] == slices.shape[2]:
-        symmetric = (slices == slices.transpose(0, 2, 1)).all(axis=(1, 2))
     best = 0.0
-    for s, sym in zip(slices, symmetric):
+    for s in slices:
+        sym = np.isrealobj(s) and s.shape[0] == s.shape[1] and np.array_equal(s, s.T)
         best = max(best, float(np.abs(np.linalg.eigvalsh(s)).max() if sym
                                else np.linalg.norm(s, 2)))
     return best * (1.0 + 8.0 * max(slices.shape[1:]) * np.finfo(float).eps)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from opintegral.besov import LPDecomposition, lp_decompose
+from opintegral.besov import LPDecomposition, _band_samples, lp_decompose
 from opintegral.divdiff import divided_quotient
 from opintegral.functions import Function2D, UniformGrid
 from opintegral.heltonhowe import TraceExperimentConfig, _corner_traces, rhs_integral
@@ -47,11 +47,21 @@ def divided_difference(phi: Function2D, axis: int):
     return dd
 
 
+def band_samples(dec: LPDecomposition) -> dict:
+    """{n: samples of band n} over dec's band range: the irfftn lp_decompose
+    takes its sup norms from, and zeros for a band with no window."""
+    shape = (dec.grid.points,) * dec.grid.dim
+    bands = {n: _band_samples(halves, shape) for n, halves in dec.spectra.items()}
+    dtype = np.result_type(np.float64, *bands.values())
+    return {n: bands[n] if n in bands else np.zeros(shape, dtype) for n in dec.sup_norms}
+
+
 def lp_reconstruction(dec: LPDecomposition) -> np.ndarray:
     """Sum of all bands of dec, ascending n (misses the mean / zero bin)."""
-    total = np.zeros_like(next(iter(dec.bands.values())))
-    for n in sorted(dec.bands):
-        total = total + dec.bands[n]
+    bands = band_samples(dec)
+    total = np.zeros_like(next(iter(bands.values())))
+    for n in sorted(bands):
+        total = total + bands[n]
     return total
 
 
@@ -284,7 +294,7 @@ def band_additivity_check(cfg: TraceExperimentConfig, band_range=(-2, 2),
     g = principal_function(cfg.symbol)
 
     # means are stripped by the band decomposition; add them back as a band
-    bands_phi, bands_psi = ([*(Function2D.sampled(v, grid) for v in dec.bands.values()),
+    bands_phi, bands_psi = ([*(Function2D.sampled(v, grid) for v in band_samples(dec).values()),
                              Function2D.polynomial([[complex(np.mean(f.data))]])]
                             for dec, f in ((dec_phi, phi_s), (dec_psi, psi_s)))
     band_pairs = [(bp, bq) for bp in bands_phi for bq in bands_psi]

@@ -474,6 +474,8 @@ THREAD_REPORTS = {
     "probe": ["probe", "--phi", "{data}/gauss_bump.spec", "--psi", "{data}/psi_gauss.spec",
               "--A", "{pair}/A.opmat", "--B", "{pair}/B.opmat", "--out"],
     "besov": ["besov-norm", "--input", "{data}/sin.opfun", "--out"],
+    "besov_p2": ["besov-norm", "--input", "{data}/sin.opfun", "--p", "2", "--q", "2",
+                 "--s", "0.5", "--out"],
     "commutator_single": ["commutator-verify", "--phi", "{data}/phi_x.spec",
                           "--psi", "{data}/psi_y.spec", "--A", "{pair}/A.opmat",
                           "--B", "{pair}/B.opmat", "--report"],
@@ -491,6 +493,7 @@ THREAD_REPORT_SHA256 = {
     "commutator": "c077dbd464139e4f0671733c25142d2571709b01914150021e2b6bb79bbc258c",
     "probe": "4d4735fd920bad3837bed9659fbee321e1b61b09ba0d454af26a2ce307e93aa0",
     "besov": "3c41834e7fc42cf577fc089c75edab1c63ee77b432a96b4a24b0ad3ac7a54e7f",
+    "besov_p2": "dba20126c7299beb1ef672d3fbf60c7e9500d86a73ab746cd821c0f6dda39dd3",
     "commutator_single": "6e72adcc046752d9134a69f2dcbe901e2f9d1deab87783bf278f7daefa08d2ff",
     "funcalc": "e47240f2b1efa78e1a4f32bcc11d8cac473100682e94f9858913d41fb2509968"}
 

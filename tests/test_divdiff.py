@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opintegral import divdiff, functions
+from opintegral import besov, divdiff, functions
 from opintegral.besov import lp_decompose, max_band
 from opintegral.divdiff import (band_representations, besov_representation,
                                 polynomial_dd_rep, sinc_partition_deficit,
@@ -11,7 +11,7 @@ from opintegral.rng import Xorshift64Star
 from opintegral.spectral import decompose
 from opintegral.toi import eval_representation, rep_norm_certificate
 
-from oracles import divided_difference
+from oracles import band_samples, divided_difference
 
 
 def _sin_x_sampled(points=256):
@@ -337,7 +337,7 @@ def _bump_bands(grid=BAND_GRID, scale=1.0):
     """{n: (band samples, fft2 spectrum)} of the LP bands of scale * BUMP."""
     dec = lp_decompose(scale * BUMP.sample(grid).data, grid)
     peak = max(dec.sup_norms.values())
-    return {n: (dec.bands[n], np.fft.fft2(dec.bands[n])) for n in dec.bands
+    return {n: (band, np.fft.fft2(band)) for n, band in band_samples(dec).items()
             if dec.sup_norms[n] > 1e-12 * peak}
 
 
@@ -477,15 +477,16 @@ def test_band_path_hands_sinc_lattice_sampled_bands_inside_sigma(monkeypatch, ph
     ((1.0 + 0.5j) * BUMP.sample(SMALL_GRID).data, SMALL_GRID)],
     ids=["band-path-bump", "complex-sampled"])
 def test_band_spectrum_from_the_half_plane_is_the_fft2_of_its_samples(values, grid):
-    # band_representations builds each kept band's full-plane spectrum from
+    # LPDecomposition.band builds each band's full-plane spectrum from
     # lp_decompose's half plane, not by the fft2 of the band samples
     dec = lp_decompose(values, grid)
     peak = max(dec.sup_norms.values())
     kept = [n for n in dec.spectra if dec.sup_norms[n] > divdiff.BAND_DROP_RTOL * peak]
     assert max_band(grid) in kept
+    samples = band_samples(dec)
     for n in kept:
-        want = np.fft.fft2(dec.bands[n])
-        got = divdiff._full_plane(dec.spectra[n], grid.points)
+        want = np.fft.fft2(samples[n])
+        got = dec.band(n).spectrum()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
 
 
@@ -500,8 +501,8 @@ def test_support_trimmed_lattice_evaluator_matches_the_full_plane():
     dec = lp_decompose(BUMP.sample(BAND_GRID).data, BAND_GRID)
     held = 0
     for n in sorted(_bump_bands()):
-        spec = divdiff._full_plane(dec.spectra[n], BAND_GRID.points)
-        f = Function2D.from_spectrum(spec, BAND_GRID)
+        spec = besov._full_plane(dec.spectra[n], BAND_GRID.points)
+        f = dec.band(n)
         held += f._support_spectrum().shape[0]
         assert np.array_equal(f.spectrum(), spec)
         for axis, s in ((1, spec), (2, spec.T)):
